@@ -32,7 +32,7 @@ class Reference:
     ``small_arrays``: numpy calls on 25-element arrays, like the Legendre
     recurrences that dominate the sweep.
     ``interpreter``: a Python loop plus half as many small-array calls, like
-    mixed sphere work, the mesh parser and importing modules.
+    mixed sphere work and the mesh parser.
     """
 
     nominal = NOMINAL_S

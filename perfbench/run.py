@@ -6,8 +6,8 @@ Run from the repository root.  The program is imported from ``src/`` of the
 same checkout and driven in-process through ``solvbie.cli.main(argv)``; it
 sees only the config JSON, PQR and OFF files this script generates from
 ``--seed``.  Each call is issued when the previous one has returned.  Call
-and set-up times are scaled to a reference speed measured around each call
-(see reference.py); raw times go to the run record.
+times are scaled to a reference speed measured around each call (see
+reference.py); raw times go to the run record.  Set-up time is raw.
 
 ``--trace 0`` measures for ``--seconds`` and reports the end-to-end metrics.
 ``--trace 1`` runs a fixed number of calls untraced, then as many further
@@ -53,23 +53,15 @@ def parse_args(argv):
 
 
 def git_sha(root: Path) -> str | None:
-    """Commit of the checkout, read from .git without running git."""
-    head = root / ".git" / "HEAD"
-    if not head.is_file():
+    """Commit of the checkout, or None outside a git repository."""
+    try:
+        # The ceiling keeps git from reporting a repository that merely encloses root.
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+                              text=True, timeout=30,
+                              env={**os.environ, "GIT_CEILING_DIRECTORIES": str(root.parent)})
+    except (OSError, subprocess.TimeoutExpired):
         return None
-    ref = head.read_text().strip()
-    if not ref.startswith("ref: "):
-        return ref
-    ref = ref[5:]
-    loose = root / ".git" / ref
-    if loose.is_file():
-        return loose.read_text().strip()
-    packed = root / ".git" / "packed-refs"
-    if packed.is_file():
-        for line in packed.read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    return None
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def blas_info(np) -> dict:
@@ -160,25 +152,19 @@ class Runner:
 def end_to_end(wl, timed, setup_s: float) -> tuple[dict, dict]:
     """End-to-end metrics from (index, scaled latency, passed) of the timed calls."""
     lat = [t for _, t, _ in timed]
-    by_kind: dict[str, list[float]] = {}
-    for i, t, _ in timed:
-        by_kind.setdefault(wl.call_kind(i), []).append(t)
-    kind_median = {k: statistics.median(v) for k, v in by_kind.items()}
-    good = [i for i, _, ok in timed if ok]
+    good = [(i, t) for i, t, ok in timed if ok]
     tail_s, beyond = percentile(lat, wl.tail_percentile)
     metrics = {
         "setup_s": setup_s,
-        # Energies per second at each call kind's median latency, so that a
-        # few calls slowed by other load on the host do not set the rate.
-        "energies_per_s": (sum(wl.energies(i) for i in good)
-                           / sum(kind_median[wl.call_kind(i)] for i in good)) if good else 0.0,
+        "energies_per_s": (sum(wl.energies(i) for i, _ in good)
+                           / sum(t for _, t in good)) if good else 0.0,
         "call_p50_s": statistics.median(lat),
         "call_tail_s": tail_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     units = {"setup_s": "s", "energies_per_s": "1/s", "call_p50_s": "s",
              "call_tail_s": "s", "peak_rss_mb": "MB"}
-    info = {"calls": len(lat), "scaled_latencies_s": lat, "kind_median_s": kind_median,
+    info = {"calls": len(lat), "scaled_latencies_s": lat,
             "tail_percentile": wl.tail_percentile, "tail_samples_beyond": beyond}
     return {m: {"value": v, "unit": units[m]} for m, v in metrics.items()}, info
 
@@ -224,11 +210,9 @@ def main(argv=None) -> int:
     workdir = BENCH_DIR / "_work" / f"{tag}_{os.getpid()}"
     try:
         # Set-up, repeated SETUP_REPEATS times: import the CLI in a fresh
-        # interpreter, and generate the inputs.  setup_s adds the two medians,
-        # scaled by the interpreter kernel timed around every repeat.
-        import_times, gen_times, setup_kernel_s = [], [], []
+        # interpreter, and generate the inputs.  setup_s adds the two medians.
+        import_times, gen_times = [], []
         for _ in range(SETUP_REPEATS):
-            setup_kernel_s.append(reference.time("interpreter"))
             import_times.append(import_seconds(src))
             shutil.rmtree(workdir, ignore_errors=True)
             workdir.mkdir(parents=True)
@@ -236,9 +220,7 @@ def main(argv=None) -> int:
             start = time.perf_counter()
             sizes = wl.generate()
             gen_times.append(time.perf_counter() - start)
-            setup_kernel_s.append(reference.time("interpreter"))
-        setup_s = ((statistics.median(import_times) + statistics.median(gen_times))
-                   * reference.nominal["interpreter"] / statistics.median(setup_kernel_s))
+        setup_s = statistics.median(import_times) + statistics.median(gen_times)
 
         runner = Runner(solvbie.cli, wl, reference)
         # One untimed call first, so lazy set-up inside the program is not
@@ -280,8 +262,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "blas": blas_info(np), "inputs": sizes,
             "load": "closed loop, 1 client",
-            "import_s": import_times, "generate_s": gen_times,
-            "setup_kernel_s": setup_kernel_s, "check_s": check_s,
+            "import_s": import_times, "generate_s": gen_times, "check_s": check_s,
             "latencies_s": [c[4] for c in runner.calls], "kernel_s": runner.kernel_s,
             "attempted": attempted, "failed": failed, "fail_frac": failed / attempted,
         }
