@@ -23,7 +23,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .errors import ConvergenceError, DomainError
 from .mesh import PanelSurface, gauss_probe
 from .model import COULOMB_KCAL, ChargeDistribution, DielectricPair, EnergyResult
-from .sphere import VARIANT_CFA, VARIANT_LAMBDA, VARIANT_M, VARIANT_P, BibeeVariant
+from .sphere import BibeeVariant, _diagonal_solve
 
 #: Largest panel count solved with a dense factorization by default.
 DEFAULT_DENSE_LIMIT = 3000
@@ -168,28 +168,19 @@ def bibee_surface_charge(
 ) -> SurfaceCharge:
     """Diagonal-approximation surface charge from the BIE right-hand side.
 
-    CFA: sigma = rhs / (1 - eps_hat/2); P: sigma = rhs; lambda: sigma =
-    rhs / (1 + eps_hat lambda); M: the area-weighted mean of rhs is scaled
-    as CFA and the remainder as lambda.
+    sigma = rhs / (1 + eps_hat lambda) with the variant's eigenvalues: the
+    area-weighted mean of rhs (the mesh's n = 0 mode) takes lambda_0 and
+    the remainder lambda_n for n >= 1.  CFA: lambda = -1/2; P: 0 (sigma is
+    rhs); Lambda: lambda; M: lambda_0 = -1/2 and lambda elsewhere.
     """
-    eps_hat = eps.eps_hat
+    lam0, lam = variant.lambdas(1)
     v = rhs.values
-    if variant.tag == VARIANT_CFA:
-        density = v / (1.0 - 0.5 * eps_hat)
-    elif variant.tag == VARIANT_P:
-        density = v.copy()
-    elif variant.tag == VARIANT_LAMBDA:
-        denom = 1.0 + eps_hat * variant.lam
-        if denom <= 0:
-            raise DomainError("degenerate scale: 1 + eps_hat*lambda <= 0")
-        density = v / denom
-    else:  # hybrid M
-        denom = 1.0 + eps_hat * variant.lam
-        if denom <= 0:
-            raise DomainError("degenerate scale: 1 + eps_hat*lambda <= 0")
+    if lam0 == lam:
+        density = _diagonal_solve(v, eps, lam)
+    else:
         areas = rhs.surface.areas
         mean = float(np.sum(areas * v) / np.sum(areas))
-        density = mean / (1.0 - 0.5 * eps_hat) + (v - mean) / denom
+        density = _diagonal_solve(mean, eps, lam0) + _diagonal_solve(v - mean, eps, lam)
     return SurfaceCharge(density=density, surface=rhs.surface,
                          method=f"BEM-{variant.method_name()}")
 

@@ -34,14 +34,7 @@ from .experiments import (
 )
 from .mesh import load_mesh
 from .model import Charge, ChargeDistribution, DielectricPair, SphereModel, load_pqr
-from .sphere import (
-    BibeeVariant,
-    bibee_energy,
-    gb_epsilon_energy,
-    gb_still_energy,
-    kirkwood_energy,
-    sphere_gb_parameters,
-)
+from .sphere import SPHERE_METHODS, VARIANT_TAGS, BibeeVariant
 from .bem import bem_energy
 
 EXIT_OK = 0
@@ -99,25 +92,6 @@ def _load_charges(args) -> tuple[ChargeDistribution, list]:
     return dist, inputs
 
 
-def _sphere_method(name: str, dist, model, lam: float):
-    name = name.strip().lower()
-    if name == "kirkwood":
-        return kirkwood_energy(dist, model)
-    if name == "cfa":
-        return bibee_energy(dist, model, BibeeVariant.cfa())
-    if name == "p":
-        return bibee_energy(dist, model, BibeeVariant.p())
-    if name == "lambda":
-        return bibee_energy(dist, model, BibeeVariant.generic(lam))
-    if name == "m":
-        return bibee_energy(dist, model, BibeeVariant.hybrid(lam))
-    if name in ("gb", "gbeps"):
-        params = sphere_gb_parameters(dist, model)
-        fn = gb_still_energy if name == "gb" else gb_epsilon_energy
-        return fn(dist, params, model.dielectrics)
-    raise ParseError(f"unknown sphere method {name!r}")
-
-
 def _emit(lines_csv: str, payload_json, args):
     if args.format == "json":
         text = json.dumps(payload_json, indent=2, sort_keys=True) + "\n"
@@ -132,8 +106,11 @@ def _emit(lines_csv: str, payload_json, args):
 def cmd_sphere(args) -> int:
     dist, inputs = _load_charges(args)
     model = SphereModel(args.radius, DielectricPair(args.eps_in, args.eps_out), args.nmax)
-    methods = [m for m in args.methods.split(",") if m]
-    results = [_sphere_method(m, dist, model, args.lam) for m in methods]
+    methods = [m.strip().lower() for m in args.methods.split(",") if m]
+    for name in methods:
+        if name not in SPHERE_METHODS:
+            raise ParseError(f"unknown sphere method {name!r}")
+    results = [SPHERE_METHODS[m](dist, model, args.lam) for m in methods]
     rows = [
         {"method": r.method, "energy_kcal_mol": r.value,
          "truncation_estimate": r.truncation_error_estimate}
@@ -146,25 +123,16 @@ def cmd_sphere(args) -> int:
 
 
 def cmd_bem(args) -> int:
+    variant_name = args.variant.strip().lower()
+    if variant_name != "exact" and variant_name not in VARIANT_TAGS:
+        raise ParseError(f"unknown BEM variant {args.variant!r}")
     dist, inputs = _load_charges(args)
     eps = DielectricPair(args.eps_in, args.eps_out)
     surf = load_mesh(args.mesh, fmt=args.mesh_format, face_path=args.face)
     inputs.append(args.mesh)
     if args.face:
         inputs.append(args.face)
-    variant_name = args.variant.strip().lower()
-    if variant_name == "exact":
-        variant = None
-    elif variant_name == "cfa":
-        variant = BibeeVariant.cfa()
-    elif variant_name == "p":
-        variant = BibeeVariant.p()
-    elif variant_name == "lambda":
-        variant = BibeeVariant.generic(args.lam)
-    elif variant_name == "m":
-        variant = BibeeVariant.hybrid(args.lam)
-    else:
-        raise ParseError(f"unknown BEM variant {args.variant!r}")
+    variant = None if variant_name == "exact" else BibeeVariant(variant_name, args.lam)
     result = bem_energy(
         dist, surf, eps, variant,
         **({} if variant is not None else
@@ -287,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     charges(p_sphere)
     p_sphere.add_argument("--radius", type=float, required=True, help="cavity radius (Angstrom)")
     p_sphere.add_argument("--methods", default="kirkwood",
-                          help="comma list: kirkwood,cfa,p,lambda,m,gb,gbeps")
+                          help="comma list: " + ",".join(SPHERE_METHODS))
     p_sphere.add_argument("--lambda", dest="lam", type=float, default=0.0,
                           help="eigenvalue estimate for the lambda/m variants")
     p_sphere.set_defaults(func=cmd_sphere)
@@ -299,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bem.add_argument("--mesh-format", choices=("off", "msms"), default="off")
     p_bem.add_argument("--face", default=None, help="MSMS .face file")
     p_bem.add_argument("--variant", default="exact",
-                       help="exact, cfa, p, lambda, or m")
+                       help="exact or one of " + ", ".join(VARIANT_TAGS))
     p_bem.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p_bem.add_argument("--solver", choices=("auto", "direct", "iterative"), default="auto")
     p_bem.add_argument("--tol", type=float, default=1e-8)

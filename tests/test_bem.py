@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import solvbie as sv
-from conftest import random_ball_distribution
+from conftest import random_ball_distribution, scaled_surface
 from solvbie.errors import DomainError
 from solvbie.model import COULOMB_KCAL
 
@@ -65,7 +65,7 @@ class TestDstar:
 
     def test_rows_scale_free(self, mesh_320):
         # D* entries are dimensionless: scaling the surface leaves D* fixed.
-        big = mesh_320.scaled(2.5)
+        big = scaled_surface(mesh_320, 2.5)
         np.testing.assert_allclose(sv.assemble_dstar(big),
                                    sv.assemble_dstar(mesh_320),
                                    rtol=1e-12, atol=1e-15)
@@ -151,7 +151,7 @@ class TestExactSolve:
         d1 = random_ball_distribution(34, 0, count=5)
         e1 = sv.bem_energy(d1, mesh_320, EPS_BIO).value
         d2 = sv.make_distribution(d1.positions() * s, d1.magnitudes())
-        e2 = sv.bem_energy(d2, mesh_320.scaled(s), EPS_BIO).value
+        e2 = sv.bem_energy(d2, scaled_surface(mesh_320, s), EPS_BIO).value
         assert e2 == pytest.approx(e1 / s, rel=1e-10)
 
     def test_bad_solver_name(self, mesh_320):

@@ -6,6 +6,7 @@ import pytest
 import solvbie as sv
 from solvbie.cli import main
 from solvbie.model import COULOMB_KCAL
+from solvbie.sphere import SPHERE_METHODS
 
 
 def run(argv, tmp_path, monkeypatch):
@@ -89,6 +90,46 @@ def test_open_mesh_exit_3(tmp_path, monkeypatch):
     code = run(["bem", "--mesh", str(mesh), "--charge", "0.1,0.1,0.1,1"],
                tmp_path, monkeypatch)
     assert code == 3
+
+
+def test_bem_face_index_out_of_range_exit_3(tmp_path, monkeypatch):
+    mesh = tmp_path / "tet.off"
+    mesh.write_text("OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+                    "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 4\n")
+    code = run(["bem", "--mesh", str(mesh), "--charge", "0.1,0.1,0.1,1"],
+               tmp_path, monkeypatch)
+    assert code == 3
+
+
+def test_sphere_unknown_method_exit_3(tmp_path, monkeypatch):
+    code = run(["sphere", "--radius", "5", "--charge", "0,0,0,1",
+                "--methods", "kirkwood,bogus"], tmp_path, monkeypatch)
+    assert code == 3
+
+
+def test_bem_unknown_variant_exit_3(tmp_path, monkeypatch):
+    mesh = tmp_path / "sphere.off"
+    sv.write_off(sv.icosphere(5.0, 1), mesh)
+    code = run(["bem", "--mesh", str(mesh), "--charge", "0,0,0,1",
+                "--variant", "bogus"], tmp_path, monkeypatch)
+    assert code == 3
+
+
+@pytest.mark.parametrize("method", sorted(SPHERE_METHODS))
+def test_sphere_cli_matches_run_comparison(method, tmp_path, monkeypatch):
+    cfg = sv.ExperimentConfig(seed=7, num_configs=1, charges_per_config=4,
+                              methods=(method,), lambda_value=-0.15)
+    report = sv.run_comparison(cfg)
+    dist = sv.random_sphere_config(cfg.seed, 0, cfg)
+    argv = ["sphere", "--radius", repr(cfg.sphere_radius), "--methods", method,
+            "--lambda", repr(cfg.lambda_value), "--eps-in", repr(cfg.eps_in),
+            "--eps-out", repr(cfg.eps_out), "--nmax", str(cfg.n_max),
+            "--format", "json", "--out", str(tmp_path / "e.json")]
+    for c in dist.charges:
+        argv.append("--charge=" + ",".join(repr(float(v)) for v in (*c.position, c.magnitude)))
+    assert run(argv, tmp_path, monkeypatch) == 0
+    (row,) = json.loads((tmp_path / "e.json").read_text())
+    assert row["energy_kcal_mol"] == report.rows[0]["energy_kcal_mol"]
 
 
 def test_bem_gmres_tolerance_out_of_range_exit_4(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,17 @@ class TestComparison:
         b = sv.run_comparison(cfg)
         assert rows_to_csv(a.rows, ROW_COLUMNS) == rows_to_csv(b.rows, ROW_COLUMNS)
         assert report_to_json(a) == report_to_json(b)
+
+    @pytest.mark.parametrize("overrides", [{"max_abs_charge": 0.0},
+                                           {"eps_in": 4.0, "eps_out": 4.0}])
+    def test_zero_reference_deviates_by_zero(self, overrides):
+        cfg = small_config(methods=sv.experiments.KNOWN_METHODS, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = sv.run_comparison(cfg)
+        assert all(row["energy_kcal_mol"] == 0.0 for row in report.rows)
+        for s in report.summaries:
+            assert s["mean_dev_pct"] == 0.0
 
     def test_empty_methods_rejected(self):
         with pytest.raises(DomainError):

@@ -5,8 +5,9 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 import solvbie as sv
+from conftest import rotate_about_z
 from solvbie.errors import DomainError
-from solvbie.harmonics import KIND_REACTION, MultipoleCoefficients, legendre_table, rotate_about_z
+from solvbie.harmonics import KIND_REACTION, MultipoleCoefficients, legendre_table
 
 
 def rodrigues_pnm(n, m, x):

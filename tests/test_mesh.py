@@ -3,7 +3,8 @@ import pytest
 
 import solvbie as sv
 from solvbie.errors import GeometryError, ParseError, TopologyError
-from solvbie.mesh import build_surface, contains, gauss_probe
+from conftest import scaled_surface
+from solvbie.mesh import build_surface, gauss_probe
 
 TET_VERTS = np.array([
     [0.0, 0.0, 0.0],
@@ -39,8 +40,40 @@ def test_tetrahedron_orientation_autofix():
 
 def test_contains_tetrahedron():
     s = build_surface(TET_VERTS, TET_FACES)
-    assert contains(s, [0.2, 0.2, 0.2])
-    assert not contains(s, [2.0, 2.0, 2.0])
+    assert gauss_probe(s, [0.2, 0.2, 0.2]) < -0.5
+    assert not gauss_probe(s, [2.0, 2.0, 2.0]) < -0.5
+
+
+def test_off_negative_face_index_rejected(tmp_path):
+    surf = sv.icosphere(5.0, 1)
+    path = tmp_path / "neg.off"
+    sv.write_off(surf, path)
+    # Remap vertex 3 to -1, which numpy would read as the last vertex.
+    text = path.read_text().splitlines()
+    nv = surf.vertices.shape[0]
+    faces = [" ".join("-1" if tok == "3" and i > 0 else tok
+                      for i, tok in enumerate(line.split()))
+             for line in text[2 + nv:]]
+    path.write_text("\n".join(text[:2 + nv] + faces) + "\n")
+    with pytest.raises(ParseError):
+        sv.load_off(path)
+
+
+def test_off_face_index_past_last_vertex_rejected(tmp_path):
+    path = tmp_path / "tet.off"
+    path.write_text("OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+                    "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 4\n")
+    with pytest.raises(ParseError):
+        sv.load_off(path)
+
+
+def test_msms_zero_face_index_rejected(tmp_path):
+    vert = tmp_path / "t.vert"
+    face = tmp_path / "t.face"
+    vert.write_text("0 0 0\n1 0 0\n0 1 0\n0 0 1\n")
+    face.write_text("1 3 2\n1 2 0\n1 0 3\n2 3 0\n")  # 1-indexed: 0 is invalid
+    with pytest.raises(ParseError):
+        sv.load_msms(vert, face)
 
 
 def test_open_surface_rejected():
@@ -86,7 +119,7 @@ def test_icosphere_outward_normals():
 
 def test_scaled_copy():
     surf = sv.icosphere(1.0, 2)
-    big = surf.scaled(3.0)
+    big = scaled_surface(surf, 3.0)
     assert big.total_area() == pytest.approx(9.0 * surf.total_area(), rel=1e-13)
     np.testing.assert_allclose(big.normals, surf.normals, atol=1e-13)
 
@@ -146,7 +179,7 @@ def test_msms_pair_with_headers(tmp_path):
     )
     s = sv.load_msms(vert, face)
     assert s.num_panels == 4
-    assert contains(s, [0.2, 0.2, 0.2])
+    assert gauss_probe(s, [0.2, 0.2, 0.2]) < -0.5
 
 
 def test_msms_without_counts_line(tmp_path):

@@ -6,6 +6,7 @@ from conftest import random_ball_distribution
 from solvbie.errors import DomainError
 from solvbie.harmonics import KIND_SOURCE, MultipoleCoefficients
 from solvbie.model import COULOMB_KCAL
+from solvbie.sphere import _still_f_matrix
 
 EPS_BIO = sv.DielectricPair(4.0, 80.0)
 EPS_WATER = sv.DielectricPair(1.0, 80.0)
@@ -13,6 +14,12 @@ EPS_WATER = sv.DielectricPair(1.0, 80.0)
 
 def born_energy(q, b, e1, e2):
     return -0.5 * COULOMB_KCAL * q * q / b * (1.0 / e1 - 1.0 / e2)
+
+
+def kirkwood_factors(e1, e2, b, n_max):
+    """Closed-form exact factor (e1-e2)(n+1) / (e1 (e1 n + e2 (n+1)) b^(2n+1))."""
+    n = np.arange(n_max + 1, dtype=float)
+    return (e1 - e2) * (n + 1) / (e1 * (e1 * n + e2 * (n + 1)) * b ** (2 * n + 1))
 
 
 def single_mode_source(n_max, n, m, value=1.0):
@@ -83,15 +90,15 @@ class TestBibeeVariants:
         np.testing.assert_array_equal(bp.coeffs, bl.coeffs)
 
     def test_per_mode_lambda_recovers_kirkwood(self):
+        # The exact coefficients are the per-mode factor P_n / (1 + eps_hat
+        # lambda_n) at lambda_n = -1/(2(2n+1)); compare with the closed form.
         d = random_ball_distribution(2, 2)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
         e = sv.source_moments(d, 25)
-        lam_n = -1.0 / (2.0 * (2.0 * np.arange(26) + 1.0))
-        bl = sv.bibee_reaction_coefficients(
-            e, m, sv.BibeeVariant.generic(-0.25), lambda_per_mode=lam_n)
-        bk = sv.kirkwood_reaction_coefficients(e, m)
-        scale = np.max(np.abs(bk.coeffs))
-        assert np.max(np.abs(bl.coeffs - bk.coeffs)) < 1e-13 * scale
+        bl = sv.kirkwood_reaction_coefficients(e, m)
+        expected = e.coeffs * kirkwood_factors(4.0, 80.0, 5.0, 25)[:, None]
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(bl.coeffs - expected)) < 1e-13 * scale
 
     def test_equal_dielectrics_all_methods_agree(self):
         d = random_ball_distribution(2, 3)
@@ -298,15 +305,14 @@ class TestGeneralizedBorn:
         assert got == pytest.approx(born_energy(1.0, 5.0, 1.0, 80.0), rel=1e-14)
 
     def test_still_long_distance_screened_coulomb(self):
-        from solvbie.sphere import still_f
-
         r = 1e4
-        assert still_f(r, 2.0, 3.0) == pytest.approx(r, rel=1e-12)
+        d = sv.make_distribution([[0, 0, 0], [r, 0, 0]], [1.0, 1.0])
+        assert _still_f_matrix(d, np.array([2.0, 3.0]))[0, 1] == pytest.approx(r, rel=1e-12)
 
     def test_still_coincident_pair_finite(self):
-        from solvbie.sphere import still_f
-
-        assert still_f(0.0, 2.0, 4.5) == pytest.approx(np.sqrt(9.0), rel=1e-14)
+        d = sv.make_distribution([[0, 0, 0], [0, 0, 0]], [1.0, 1.0])
+        f = _still_f_matrix(d, np.array([2.0, 4.5]))
+        assert f[0, 1] == pytest.approx(np.sqrt(9.0), rel=1e-14)
 
     def test_radii_count_mismatch(self):
         d = sv.make_distribution([[0, 0, 0], [1, 0, 0]], [1.0, -1.0])
