@@ -25,8 +25,6 @@ from .mesh import PanelSurface, gauss_probe
 from .model import COULOMB_KCAL, ChargeDistribution, DielectricPair, EnergyResult
 from .sphere import BibeeVariant, _diagonal_solve
 
-#: Largest panel count solved with a dense factorization by default.
-DEFAULT_DENSE_LIMIT = 3000
 DEFAULT_GMRES_TOL = 1e-8
 DEFAULT_GMRES_RESTART = 50
 DEFAULT_GMRES_MAXITER = 500
@@ -137,8 +135,7 @@ def assemble_dstar(surf: PanelSurface) -> np.ndarray:
     return dstar
 
 
-def dstar_spectrum_estimates(surf: PanelSurface, dstar: np.ndarray | None = None,
-                             tol: float = 1e-5) -> dict:
+def dstar_spectrum_estimates(surf: PanelSurface, tol: float = 1e-5) -> dict:
     """Extremal and dipole-mode eigenvalue estimates of the discrete D*.
 
     D* is similar to sqrt(A) K sqrt(A) (K the bare kernel matrix), which is
@@ -149,8 +146,7 @@ def dstar_spectrum_estimates(surf: PanelSurface, dstar: np.ndarray | None = None
     """
     from scipy.sparse.linalg import eigsh
 
-    if dstar is None:
-        dstar = assemble_dstar(surf)
+    dstar = assemble_dstar(surf)
     sq = np.sqrt(surf.areas)
     m = dstar * (sq[:, None] / sq[None, :])
     m = 0.5 * (m + m.T)
@@ -189,20 +185,14 @@ def exact_surface_charge(
     rhs: SurfaceField,
     surf: PanelSurface,
     eps: DielectricPair,
-    solver: str = "auto",
     tol: float = DEFAULT_GMRES_TOL,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-    maxiter: int = DEFAULT_GMRES_MAXITER,
 ) -> SurfaceCharge:
     """Solve (I + eps_hat D*) sigma = rhs for the reference surface charge.
 
-    ``solver`` is 'direct', 'iterative', or 'auto' (direct up to
-    ``dense_limit`` panels, restarted GMRES beyond).
+    Restarted GMRES on the dense D*, to relative residual ``tol``.
     """
-    if solver not in ("auto", "direct", "iterative"):
-        raise DomainError(f"unknown solver {solver!r}")
-    if solver == "iterative" and not (0 < tol <= 1e-2):
-        raise DomainError(f"iterative tolerance must lie in (0, 1e-2], got {tol}")
+    if not (0 < tol <= 1e-2):
+        raise DomainError(f"GMRES tolerance must lie in (0, 1e-2], got {tol}")
     n = surf.num_panels
     dstar = assemble_dstar(surf)
     eps_hat = eps.eps_hat
@@ -210,34 +200,24 @@ def exact_surface_charge(
     def apply_system(x):
         return x + eps_hat * (dstar @ x)
 
-    use_direct = solver == "direct" or (solver == "auto" and n <= dense_limit)
-    if use_direct:
-        system = eps_hat * dstar
-        system[np.arange(n), np.arange(n)] += 1.0
-        density = np.linalg.solve(system, rhs.values)
-        del system
-        method_note = "direct"
-    else:
-        op = LinearOperator((n, n), matvec=apply_system)
-        density, info = gmres(
-            op, rhs.values, rtol=tol, atol=0.0,
-            restart=DEFAULT_GMRES_RESTART, maxiter=maxiter,
-        )
-        if info != 0:
-            res = float(np.linalg.norm(apply_system(density) - rhs.values))
-            raise ConvergenceError(
-                f"GMRES did not converge within {maxiter} iterations "
-                f"(residual {res:g})", residual=res)
-        method_note = "gmres"
-    rhs_norm = float(np.linalg.norm(rhs.values))
+    op = LinearOperator((n, n), matvec=apply_system)
+    density, info = gmres(
+        op, rhs.values, rtol=tol, atol=0.0,
+        restart=DEFAULT_GMRES_RESTART, maxiter=DEFAULT_GMRES_MAXITER,
+    )
     residual = float(np.linalg.norm(apply_system(density) - rhs.values))
+    if info != 0:
+        raise ConvergenceError(
+            f"GMRES did not converge within {DEFAULT_GMRES_MAXITER} iterations "
+            f"(residual {residual:g})", residual=residual)
+    rhs_norm = float(np.linalg.norm(rhs.values))
     if rhs_norm > 0 and residual > max(tol, 1e-10) * rhs_norm:
         raise ConvergenceError(
             f"solve residual {residual:g} exceeds {max(tol, 1e-10):g} * ||rhs||",
             residual=residual)
     return SurfaceCharge(
         density=density, surface=surf, method="BEM-exact",
-        metadata={"solver": method_note, "residual": f"{residual:.3e}"})
+        metadata={"solver": "gmres", "residual": f"{residual:.3e}"})
 
 
 def reaction_energy(
@@ -258,12 +238,12 @@ def bem_energy(
     surf: PanelSurface,
     eps: DielectricPair,
     variant: BibeeVariant | None = None,
-    **solver_opts,
+    tol: float = DEFAULT_GMRES_TOL,
 ) -> EnergyResult:
-    """One-call BEM energy: exact solve when ``variant`` is None."""
+    """One-call BEM energy: exact GMRES solve to ``tol`` when ``variant`` is None."""
     rhs = coulomb_field_rhs(dist, surf, eps)
     if variant is None:
-        sigma = exact_surface_charge(rhs, surf, eps, **solver_opts)
+        sigma = exact_surface_charge(rhs, surf, eps, tol)
     else:
         sigma = bibee_surface_charge(rhs, eps, variant)
     return reaction_energy(sigma, surf, dist)

@@ -1,8 +1,9 @@
 """Command-line front end: sphere, bem, experiment, and sweep subcommands.
 
-Exit codes: 0 success, 2 usage, 3 input parse error, 4 domain/precondition
-error, 5 numerical failure.  Every command writes a run manifest (resolved
-parameters plus SHA-256 digests of all input files) alongside its output.
+Exit codes: 0 success, 2 usage, 3 input parse or file error, 4
+domain/precondition error, 5 numerical failure.  Every command writes a run
+manifest (resolved parameters plus SHA-256 digests of all input files)
+alongside its output.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .experiments import (
 from .mesh import load_mesh
 from .model import Charge, ChargeDistribution, DielectricPair, SphereModel, load_pqr
 from .sphere import SPHERE_METHODS, VARIANT_TAGS, BibeeVariant
-from .bem import bem_energy
+from .bem import DEFAULT_GMRES_TOL, bem_energy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -133,11 +134,7 @@ def cmd_bem(args) -> int:
     if args.face:
         inputs.append(args.face)
     variant = None if variant_name == "exact" else BibeeVariant(variant_name, args.lam)
-    result = bem_energy(
-        dist, surf, eps, variant,
-        **({} if variant is not None else
-           {"solver": args.solver, "tol": args.tol, "dense_limit": args.dense_limit}),
-    )
+    result = bem_energy(dist, surf, eps, variant, tol=args.tol)
     row = {"method": result.method, "energy_kcal_mol": result.value,
            "panels": surf.num_panels, **result.metadata}
     csv_text = rows_to_csv([row], tuple(row))
@@ -237,11 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"solvbie {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, eps_default=True):
-        p.add_argument("--nmax", type=int, default=25, help="series truncation order")
-        if eps_default:
-            p.add_argument("--eps-in", dest="eps_in", type=float, default=1.0)
-            p.add_argument("--eps-out", dest="eps_out", type=float, default=80.0)
+    def common(p):
+        p.add_argument("--eps-in", dest="eps_in", type=float, default=1.0)
+        p.add_argument("--eps-out", dest="eps_out", type=float, default=80.0)
         p.add_argument("--out", default=None, help="output file (stdout if omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -253,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sphere = sub.add_parser("sphere", help="analytic sphere solvers")
     common(p_sphere)
     charges(p_sphere)
+    p_sphere.add_argument("--nmax", type=int, default=25, help="series truncation order")
     p_sphere.add_argument("--radius", type=float, required=True, help="cavity radius (Angstrom)")
     p_sphere.add_argument("--methods", default="kirkwood",
                           help="comma list: " + ",".join(SPHERE_METHODS))
@@ -269,9 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bem.add_argument("--variant", default="exact",
                        help="exact or one of " + ", ".join(VARIANT_TAGS))
     p_bem.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p_bem.add_argument("--solver", choices=("auto", "direct", "iterative"), default="auto")
-    p_bem.add_argument("--tol", type=float, default=1e-8)
-    p_bem.add_argument("--dense-limit", dest="dense_limit", type=int, default=3000)
+    p_bem.add_argument("--tol", type=float, default=DEFAULT_GMRES_TOL,
+                       help="GMRES relative residual for the exact solve")
     p_bem.set_defaults(func=cmd_bem)
 
     for name, fn in (("experiment", cmd_experiment), ("sweep", cmd_sweep)):
@@ -294,7 +289,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, TopologyError) as exc:
+    except (ParseError, TopologyError, OSError) as exc:
         print(f"solvbie: input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (DomainError, GeometryError) as exc:

@@ -35,7 +35,7 @@ DEFAULT_LAMBDA_GRID = (-0.10, -0.12, -0.14, -0.16, -0.18, -0.20, -0.22)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters of a random-sphere comparison run."""
+    """Parameters of a random-sphere comparison run; ``sphere`` is their SphereModel."""
 
     seed: int
     num_configs: int = 100
@@ -58,14 +58,9 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise DomainError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
-
-    @property
-    def dielectrics(self) -> DielectricPair:
-        return DielectricPair(self.eps_in, self.eps_out)
-
-    @property
-    def sphere(self) -> SphereModel:
-        return SphereModel(self.sphere_radius, self.dielectrics, self.n_max)
+        # Built here so a bad radius, dielectric or n_max fails at load time.
+        object.__setattr__(self, "sphere", SphereModel(
+            self.sphere_radius, DielectricPair(self.eps_in, self.eps_out), self.n_max))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -88,9 +83,9 @@ class ComparisonReport:
     summaries: tuple[dict, ...]        # one dict per method
     metadata: dict = field(default_factory=dict, compare=False)
 
-    def summary_for(self, method: str, lam: float | None = None) -> dict:
+    def summary_for(self, method: str) -> dict:
         for s in self.summaries:
-            if s["method"] == method and (lam is None or s["lambda"] == lam):
+            if s["method"] == method:
                 return s
         raise KeyError(f"no summary for method {method!r}")
 

@@ -98,11 +98,6 @@ class MultipoleCoefficients:
             raise DomainError(f"(n={n}, m={m}) outside coefficient triangle")
         return complex(self.coeffs[n, m + self.n_max])
 
-    def __add__(self, other: "MultipoleCoefficients") -> "MultipoleCoefficients":
-        if self.n_max != other.n_max or self.kind != other.kind:
-            raise DomainError("cannot add mismatched coefficient sets")
-        return MultipoleCoefficients(self.n_max, self.coeffs + other.coeffs, self.kind)
-
 
 def _spherical_angles(positions: np.ndarray):
     """(r, cos(theta), phi) per charge; angles are zero for a charge at the origin."""

@@ -4,6 +4,7 @@ import pytest
 import solvbie as sv
 from conftest import random_ball_distribution, scaled_surface
 from solvbie.errors import DomainError
+from solvbie.mesh import build_surface
 from solvbie.model import COULOMB_KCAL
 
 EPS_WATER = sv.DielectricPair(1.0, 80.0)
@@ -121,10 +122,29 @@ class TestExactSolve:
     def test_direct_and_gmres_agree(self, mesh_320):
         d = random_ball_distribution(33, 0, count=5)
         rhs = sv.coulomb_field_rhs(d, mesh_320, EPS_BIO)
-        a = sv.exact_surface_charge(rhs, mesh_320, EPS_BIO, solver="direct")
-        b = sv.exact_surface_charge(rhs, mesh_320, EPS_BIO, solver="iterative",
-                                    tol=1e-12)
-        np.testing.assert_allclose(a.density, b.density, rtol=1e-8, atol=1e-14)
+        system = np.eye(mesh_320.num_panels) + EPS_BIO.eps_hat * sv.assemble_dstar(mesh_320)
+        a = np.linalg.solve(system, rhs.values)
+        b = sv.exact_surface_charge(rhs, mesh_320, EPS_BIO, tol=1e-12)
+        np.testing.assert_allclose(a, b.density, rtol=1e-8, atol=1e-14)
+
+    @pytest.mark.parametrize("axes, eps_in, eps_out", [
+        ((1.0, 1.0, 1.0), 80.0, 1.0),
+        ((1.0, 1.0, 1.0), 1.0, 1e8),
+        ((1.0, 0.4, 0.25), 80.0, 1.0),
+    ])
+    def test_gmres_matches_dense_solve(self, mesh_1280, axes, eps_in, eps_out):
+        # Contrasts eps_hat near +2 and -2, and an elongated non-sphere, at
+        # the default tolerance against an LU solve of the same system.
+        axes = np.array(axes)
+        surf = build_surface(mesh_1280.vertices * axes, mesh_1280.triangles.copy())
+        eps = sv.DielectricPair(eps_in, eps_out)
+        ball = random_ball_distribution(36, 0, count=5, margin=0.8)
+        d = sv.make_distribution(ball.positions() * axes, ball.magnitudes())
+        rhs = sv.coulomb_field_rhs(d, surf, eps)
+        system = np.eye(surf.num_panels) + eps.eps_hat * sv.assemble_dstar(surf)
+        dense = sv.SurfaceCharge(np.linalg.solve(system, rhs.values), surf, "dense")
+        want = sv.reaction_energy(dense, surf, d).value
+        assert sv.bem_energy(d, surf, eps).value == pytest.approx(want, rel=1e-8)
 
     def test_off_center_matches_series(self, mesh_1280):
         d = sv.make_distribution([[0, 0, 2.0]], [1.0])
@@ -154,18 +174,11 @@ class TestExactSolve:
         e2 = sv.bem_energy(d2, scaled_surface(mesh_320, s), EPS_BIO).value
         assert e2 == pytest.approx(e1 / s, rel=1e-10)
 
-    def test_bad_solver_name(self, mesh_320):
-        d = sv.make_distribution([[0, 0, 0]], [1.0])
-        rhs = sv.coulomb_field_rhs(d, mesh_320, EPS_WATER)
-        with pytest.raises(DomainError):
-            sv.exact_surface_charge(rhs, mesh_320, EPS_WATER, solver="magic")
-
     def test_bad_iterative_tol(self, mesh_320):
         d = sv.make_distribution([[0, 0, 0]], [1.0])
         rhs = sv.coulomb_field_rhs(d, mesh_320, EPS_WATER)
         with pytest.raises(DomainError):
-            sv.exact_surface_charge(rhs, mesh_320, EPS_WATER,
-                                    solver="iterative", tol=0.5)
+            sv.exact_surface_charge(rhs, mesh_320, EPS_WATER, tol=0.5)
 
 
 class TestVariantEnergies:

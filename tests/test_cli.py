@@ -77,6 +77,21 @@ def test_bad_pqr_exit_3(tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("flag", ["--pqr", "--mesh", "--face", "--config"])
+def test_missing_input_file_exit_3(flag, tmp_path, monkeypatch):
+    missing = str(tmp_path / "missing")
+    vert = tmp_path / "surf.vert"
+    vert.write_text("0 0 0\n1 0 0\n0 1 0\n")
+    argv = {
+        "--pqr": ["sphere", "--radius", "5", "--pqr", missing],
+        "--mesh": ["bem", "--mesh", missing, "--charge", "0,0,0,1"],
+        "--face": ["bem", "--mesh", str(vert), "--mesh-format", "msms",
+                   "--face", missing, "--charge", "0,0,0,1"],
+        "--config": ["experiment", "--config", missing],
+    }[flag]
+    assert run(argv, tmp_path, monkeypatch) == 3
+
+
 def test_charge_outside_cavity_exit_4(tmp_path, monkeypatch):
     code = run(["sphere", "--radius", "5", "--charge", "0,0,9,1"],
                tmp_path, monkeypatch)
@@ -136,7 +151,7 @@ def test_bem_gmres_tolerance_out_of_range_exit_4(tmp_path, monkeypatch):
     mesh = tmp_path / "sphere.off"
     sv.write_off(sv.icosphere(5.0, 2), mesh)
     code = run(["bem", "--mesh", str(mesh), "--charge", "0,0,0,1",
-                "--solver", "iterative", "--tol", "0.9"],
+                "--tol", "0.9"],
                tmp_path, monkeypatch)
     assert code == 4
 
@@ -214,6 +229,16 @@ def test_experiment_unknown_config_key_exit_4(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({"seed": 1, "wibble": True}))
     code = run(["experiment", "--config", str(cfg)], tmp_path, monkeypatch)
     assert code == 4
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("eps_in", "x", 3),
+    ("sphere_radius", 0.0, 4),
+])
+def test_experiment_bad_sphere_config(key, value, code, tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1, "num_configs": 1, key: value}))
+    assert run(["experiment", "--config", str(cfg)], tmp_path, monkeypatch) == code
 
 
 def test_sweep_outputs(tmp_path, monkeypatch, capsys):

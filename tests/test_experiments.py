@@ -36,6 +36,13 @@ class TestConfig:
         with pytest.raises(DomainError):
             small_config(methods=("kirkwood", "magic"))
 
+    @pytest.mark.parametrize("overrides", [
+        {"sphere_radius": 0.0}, {"eps_in": 0.0}, {"eps_out": -80.0}, {"n_max": -1},
+    ])
+    def test_sphere_checked_at_load(self, overrides):
+        with pytest.raises(DomainError):
+            small_config(**overrides)
+
     def test_from_dict_roundtrip(self):
         cfg = small_config()
         data = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
