@@ -33,6 +33,7 @@ from .harmonics import (
     MultipoleCoefficients,
     assoc_legendre,
     eval_interior_potential,
+    mode_spectrum,
     source_moments,
     truncation_tail_estimate,
 )
@@ -48,7 +49,7 @@ from .sphere import (
     mode_ratio,
     pair_interaction_kirkwood,
     pairwise_kirkwood_energy,
-    solvation_energy,
+    sphere_energies,
     sphere_gb_parameters,
 )
 from .mesh import PanelSurface, icosphere, load_mesh, load_msms, load_off, write_off

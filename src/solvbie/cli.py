@@ -35,7 +35,7 @@ from .experiments import (
 )
 from .mesh import load_mesh
 from .model import Charge, ChargeDistribution, DielectricPair, SphereModel, load_pqr
-from .sphere import SPHERE_METHODS, VARIANT_TAGS, BibeeVariant
+from .sphere import SPHERE_METHODS, VARIANT_TAGS, BibeeVariant, sphere_energies
 from .bem import DEFAULT_GMRES_TOL, bem_energy
 
 EXIT_OK = 0
@@ -111,7 +111,7 @@ def cmd_sphere(args) -> int:
     for name in methods:
         if name not in SPHERE_METHODS:
             raise ParseError(f"unknown sphere method {name!r}")
-    results = [SPHERE_METHODS[m](dist, model, args.lam) for m in methods]
+    results = sphere_energies(dist, model, methods, args.lam)
     rows = [
         {"method": r.method, "energy_kcal_mol": r.value,
          "truncation_estimate": r.truncation_error_estimate}
@@ -290,7 +290,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, TopologyError, OSError) as exc:
-        print(f"solvbie: input error: {exc}", file=sys.stderr)
+        kind = "file" if isinstance(exc, OSError) else "input"
+        print(f"solvbie: {kind} error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (DomainError, GeometryError) as exc:
         print(f"solvbie: domain error: {exc}", file=sys.stderr)

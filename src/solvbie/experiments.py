@@ -12,23 +12,22 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import DomainError
-from .model import ChargeDistribution, DielectricPair, EnergyResult, SphereModel, make_distribution, net_charge
+from .model import ChargeDistribution, DielectricPair, SphereModel, make_distribution, net_charge
 from .sphere import (
     LAMBDA_VARIANTS,
     METHOD_KIRKWOOD,
-    SPHERE_METHODS,
+    SPHERE_METHODS as KNOWN_METHODS,
     VARIANT_CFA as METHOD_CFA,
     VARIANT_M as METHOD_M,
     VARIANT_P as METHOD_P,
-    kirkwood_energy,
+    sphere_energies,
 )
-
-KNOWN_METHODS = tuple(SPHERE_METHODS)
 
 DEFAULT_LAMBDA_GRID = (-0.10, -0.12, -0.14, -0.16, -0.18, -0.20, -0.22)
 
@@ -51,6 +50,10 @@ class ExperimentConfig:
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
 
     def __post_init__(self):
+        for f in fields(self):
+            kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type, object)
+            if not isinstance(getattr(self, f.name), kind):
+                raise TypeError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
         if not (0.0 < self.placement_margin < 1.0):
             raise DomainError(f"placement margin must lie in (0, 1), got {self.placement_margin}")
         if self.num_configs <= 0 or self.charges_per_config <= 0:
@@ -112,8 +115,8 @@ def _method_lambda(method: str, lam: float) -> float | None:
 def run_comparison(cfg: ExperimentConfig, lam: float | None = None) -> ComparisonReport:
     """Energies for every requested method over the seeded ensemble.
 
-    The exact Kirkwood energy is always computed (it is the reference for
-    the summary statistics) even when not among the requested methods.
+    The exact Kirkwood energy, the reference of the summary statistics, is
+    computed with the requested methods in one ``sphere_energies`` call.
     """
     if not cfg.methods:
         raise DomainError("no methods requested")
@@ -125,13 +128,9 @@ def run_comparison(cfg: ExperimentConfig, lam: float | None = None) -> Compariso
     exact_values = []
     for index in range(cfg.num_configs):
         dist = random_sphere_config(cfg.seed, index, cfg)
-        exact = kirkwood_energy(dist, model).value
-        exact_values.append(exact)
-        for method in methods:
-            if method == METHOD_KIRKWOOD:
-                res = EnergyResult(value=exact, method="Kirkwood")
-            else:
-                res = SPHERE_METHODS[method](dist, model, lam)
+        exact, *results = sphere_energies(dist, model, [METHOD_KIRKWOOD, *methods], lam)
+        exact_values.append(exact.value)
+        for method, res in zip(methods, results):
             per_method[method].append(res.value)
             rows.append({
                 "seed": cfg.seed,

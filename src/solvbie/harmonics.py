@@ -113,35 +113,36 @@ def source_moments(dist: ChargeDistribution, n_max: int) -> MultipoleCoefficient
     """Multipole moments E_nm of a charge set about the cavity center.
 
     E_nm = sum_k q_k r_k^n (n-|m|)!/(n+|m|)! P_n^|m|(cos theta_k) exp(-i m phi_k).
-    A charge exactly at the origin contributes only to E_00.
+    A charge exactly at the origin contributes only to E_00 (0.0**0 == 1).
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    pos = dist.positions()
     q = dist.magnitudes()
-    r, cos_theta, phi = _spherical_angles(pos)
-
-    at_origin = r == 0.0
-    coeffs = np.zeros((n_max + 1, 2 * n_max + 1), dtype=complex)
-    coeffs[0, n_max] = np.sum(q[at_origin])
-
-    off = ~at_origin
-    if np.any(off):
-        qo, ro, co, po = q[off], r[off], cos_theta[off], phi[off]
-        ptab = legendre_table(n_max, co)          # (n+1, m+1, K)
-        ratio = _factorial_ratio(n_max)           # (n+1, m+1)
-        rpow = ro[None, :] ** np.arange(n_max + 1)[:, None]   # (n+1, K)
-        ms = np.arange(n_max + 1)
-        phase = np.exp(-1j * ms[:, None] * po[None, :])       # (m+1, K)
-        # E[n, m>=0] = sum_k q r^n ratio P phase
-        weighted = q[off][None, None, :] * rpow[:, None, :] * ptab * phase[None, :, :]
-        e_pos = np.einsum("nmk->nm", weighted) * ratio
-        for n in range(n_max + 1):
-            coeffs[n, n_max] += e_pos[n, 0]
-            for m in range(1, n + 1):
-                coeffs[n, n_max + m] += e_pos[n, m]
-                coeffs[n, n_max - m] += np.conj(e_pos[n, m])
+    r, cos_theta, phi = _spherical_angles(dist.positions())
+    ptab = legendre_table(n_max, cos_theta)                   # (n+1, m+1, K)
+    rpow = r[None, :] ** np.arange(n_max + 1)[:, None]        # (n+1, K)
+    phase = np.exp(-1j * np.arange(n_max + 1)[:, None] * phi[None, :])  # (m+1, K)
+    e_pos = np.einsum("k,nk,nmk,mk->nm", q, rpow, ptab, phase) * _factorial_ratio(n_max)
+    # Columns m = -n_max..n_max; E(n, -m) = conj(E(n, m)).
+    coeffs = np.concatenate([np.conj(e_pos[:, :0:-1]), e_pos], axis=1)
     return MultipoleCoefficients(n_max=n_max, coeffs=coeffs, kind=KIND_SOURCE)
+
+
+def mode_spectrum(e: MultipoleCoefficients) -> np.ndarray:
+    """Per-mode power S_n = sum_m |E_nm|^2 (n+|m|)!/(n-|m|)!, n = 0..n_max.
+
+    S_n depends on the charges alone (Kirkwood's addition theorem gives
+    S_n = sum_ij q_i q_j (r_i r_j)^n P_n(cos gamma_ij)), so every series
+    energy is (k_e/2) sum_n f_n S_n with a material factor f_n per mode.
+    """
+    if e.kind != KIND_SOURCE:
+        raise DomainError("mode spectrum requires source moments")
+    ratio = _factorial_ratio(e.n_max)
+    # A ratio that underflowed to 0 left its moment at 0; weight it 0, not inf.
+    weight = np.divide(1.0, ratio, out=np.zeros_like(ratio), where=ratio > 0)
+    abs_m = np.abs(np.arange(-e.n_max, e.n_max + 1))
+    power = e.coeffs.real ** 2 + e.coeffs.imag ** 2
+    return np.sum(power * weight[:, abs_m], axis=1)
 
 
 def eval_interior_potential(b_coeffs: MultipoleCoefficients, point) -> float:

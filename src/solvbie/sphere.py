@@ -4,10 +4,13 @@ Implements the exact Kirkwood series, the boundary-integral-based diagonal
 approximations (CFA, P, generic-lambda, and the hybrid M variant), and the
 Generalized Born / GB-epsilon estimators with sphere-analytic parameters.
 
-Every series method rescales the source moments E_nm by one factor per mode,
+Geometry and material separate.  The charges enter every series method
+only through their mode spectrum S_n (``harmonics.mode_spectrum``), the
+dielectrics only through one factor f_n per mode:
 
-    B_nm = P_n / (1 + eps_hat lambda_n) E_nm,
-    P_n  = 2 (eps1-eps2)(n+1) / (eps1 (eps1+eps2)(2n+1) b^(2n+1)),
+    E   = (k_e/2) sum_n f_n S_n,
+    f_n = P_n / (1 + eps_hat lambda_n),
+    P_n = 2 (eps1-eps2)(n+1) / (eps1 (eps1+eps2)(2n+1) b^(2n+1)),
 
 and the methods differ only in the eigenvalue lambda_n of the sphere's
 electric-field operator D* that they assume for mode n:
@@ -18,12 +21,15 @@ electric-field operator D* that they assume for mode n:
     Lambda(lambda):    lambda_n = lambda
     M(lambda):         lambda_0 = -1/2, lambda_n = lambda for n >= 1
 
-``SPHERE_METHODS`` maps every method name to its energy function.
+``sphere_energies`` is the one entry point for every method named in
+``SPHERE_METHODS``: it builds the spectrum once per charge set.  The
+reaction coefficients B_nm = f_n E_nm remain for evaluating the reaction
+potential at points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +38,7 @@ from .harmonics import (
     KIND_REACTION,
     KIND_SOURCE,
     MultipoleCoefficients,
-    eval_interior_potential_many,
+    mode_spectrum,
     source_moments,
     truncation_tail_estimate,
 )
@@ -61,6 +67,8 @@ _VARIANTS = {
 VARIANT_TAGS = tuple(_VARIANTS)
 #: Variants whose eigenvalue is the caller's lambda.
 LAMBDA_VARIANTS = tuple(tag for tag, (_, fixed) in _VARIANTS.items() if fixed is None)
+#: Every sphere method name accepted by ``sphere_energies``.
+SPHERE_METHODS = (METHOD_KIRKWOOD, *VARIANT_TAGS, "gb", "gbeps")
 
 #: Fraction of the sphere radius beyond which charges are rejected.
 BOUNDARY_MARGIN = 0.999
@@ -149,34 +157,43 @@ def _diagonal_solve(values, eps: DielectricPair, lams):
     return values / denom
 
 
+def _mode_factors(model: SphereModel, method: str, lam: float = 0.0) -> tuple[str, np.ndarray]:
+    """Label and factors f_n = P_n / (1 + eps_hat lambda_n) of a series method."""
+    n = np.arange(model.n_max + 1, dtype=float)
+    if method == METHOD_KIRKWOOD:
+        label, lams = "Kirkwood", -0.5 / (2 * n + 1)
+    else:
+        variant = BibeeVariant(method, lam)
+        label, lams = variant.method_name(), variant.lambdas(model.n_max)
+    e1, e2 = model.dielectrics.eps_in, model.dielectrics.eps_out
+    p = 2.0 * (e1 - e2) * (n + 1) / (e1 * (e1 + e2) * (2 * n + 1) * model.radius ** (2 * n + 1))
+    return label, _diagonal_solve(p, model.dielectrics, lams)
+
+
 def _reaction_coefficients(
-    e: MultipoleCoefficients, model: SphereModel, lams: np.ndarray
+    e: MultipoleCoefficients, model: SphereModel, method: str, lam: float = 0.0
 ) -> MultipoleCoefficients:
-    """B_nm = P_n / (1 + eps_hat lambda_n) E_nm for per-mode eigenvalues lambda_n."""
+    """B_nm = f_n E_nm for a series method."""
     if e.kind != KIND_SOURCE:
         raise DomainError("expected source moments")
     if e.n_max != model.n_max:
         raise DomainError(f"moment cutoff {e.n_max} != model cutoff {model.n_max}")
-    e1, e2 = model.dielectrics.eps_in, model.dielectrics.eps_out
-    n = np.arange(model.n_max + 1, dtype=float)
-    p = 2.0 * (e1 - e2) * (n + 1) / (e1 * (e1 + e2) * (2 * n + 1) * model.radius ** (2 * n + 1))
-    factors = _diagonal_solve(p, model.dielectrics, lams)
-    return MultipoleCoefficients(n_max=e.n_max, coeffs=e.coeffs * factors[:, None],
-                                 kind=KIND_REACTION)
+    coeffs = e.coeffs * _mode_factors(model, method, lam)[1][:, None]
+    return MultipoleCoefficients(n_max=e.n_max, coeffs=coeffs, kind=KIND_REACTION)
 
 
 def kirkwood_reaction_coefficients(
     e: MultipoleCoefficients, model: SphereModel
 ) -> MultipoleCoefficients:
     """Exact reaction-field coefficients: the sphere's eigenvalues -1/(2(2n+1))."""
-    return _reaction_coefficients(e, model, -0.5 / (2 * np.arange(model.n_max + 1) + 1))
+    return _reaction_coefficients(e, model, METHOD_KIRKWOOD)
 
 
 def bibee_reaction_coefficients(
     e: MultipoleCoefficients, model: SphereModel, variant: BibeeVariant
 ) -> MultipoleCoefficients:
     """Approximate reaction coefficients for a diagonal operator approximation."""
-    return _reaction_coefficients(e, model, variant.lambdas(model.n_max))
+    return _reaction_coefficients(e, model, variant.tag, variant.lam)
 
 
 def _check_interior(dist: ChargeDistribution, model: SphereModel):
@@ -188,34 +205,42 @@ def _check_interior(dist: ChargeDistribution, model: SphereModel):
         )
 
 
-def solvation_energy(
-    b_coeffs: MultipoleCoefficients,
-    dist: ChargeDistribution,
-    model: SphereModel,
-    method: str = "Kirkwood",
-) -> EnergyResult:
-    """Solvation free energy (k_e/2) sum_k q_k psi(r_k) in kcal/mol."""
+def sphere_energies(
+    dist: ChargeDistribution, model: SphereModel, methods, lam: float = 0.0
+) -> list[EnergyResult]:
+    """Solvation energy of each named method for one charge set, kcal/mol.
+
+    The charges are checked, and their mode spectrum and truncation estimate
+    built, once; each series method is then (k_e/2) f @ S.  ``lam`` is the
+    eigenvalue of the lambda and m variants.
+    """
     _check_interior(dist, model)
-    psi = eval_interior_potential_many(b_coeffs, dist.positions())
-    value = 0.5 * COULOMB_KCAL * float(np.dot(dist.magnitudes(), psi))
+    spectrum = mode_spectrum(source_moments(dist, model.n_max))
     tail = truncation_tail_estimate(dist, model.radius, model.n_max)
-    return EnergyResult(value=value, method=method, truncation_error_estimate=tail)
+    gb = sphere_gb_parameters(dist, model) if {"gb", "gbeps"} & set(methods) else None
+    results = []
+    for method in methods:
+        if method == "gb":
+            results.append(gb_still_energy(dist, gb, model.dielectrics))
+        elif method == "gbeps":
+            results.append(gb_epsilon_energy(dist, gb, model.dielectrics))
+        else:
+            label, factors = _mode_factors(model, method, lam)
+            value = 0.5 * COULOMB_KCAL * float(factors @ spectrum)
+            results.append(EnergyResult(value=value, method=label, truncation_error_estimate=tail))
+    return results
 
 
 def kirkwood_energy(dist: ChargeDistribution, model: SphereModel) -> EnergyResult:
     """Exact series solvation energy for the sphere."""
-    e = source_moments(dist, model.n_max)
-    b = kirkwood_reaction_coefficients(e, model)
-    return solvation_energy(b, dist, model, method="Kirkwood")
+    return sphere_energies(dist, model, (METHOD_KIRKWOOD,))[0]
 
 
 def bibee_energy(
     dist: ChargeDistribution, model: SphereModel, variant: BibeeVariant
 ) -> EnergyResult:
     """Approximate solvation energy for a diagonal-approximation variant."""
-    e = source_moments(dist, model.n_max)
-    b = bibee_reaction_coefficients(e, model, variant)
-    return solvation_energy(b, dist, model, method=variant.method_name())
+    return sphere_energies(dist, model, (variant.tag,), variant.lam)[0]
 
 
 def mode_ratio(variant: BibeeVariant, n: int) -> float:
@@ -284,15 +309,10 @@ def sphere_gb_parameters(dist: ChargeDistribution, model: SphereModel) -> GBPara
     return GBParameters(electrostatic_radius=b, effective_radii=radii)
 
 
-def _pair_distances(dist: ChargeDistribution) -> np.ndarray:
-    pos = dist.positions()
-    diff = pos[:, None, :] - pos[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
-
-
 def _still_f_matrix(dist: ChargeDistribution, radii: np.ndarray) -> np.ndarray:
     """Still equation f_ij = sqrt(r_ij^2 + Ri Rj exp(-r_ij^2 / (4 Ri Rj)))."""
-    d = _pair_distances(dist)
+    pos = dist.positions()
+    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
     rr = radii[:, None] * radii[None, :]
     return np.sqrt(d * d + rr * np.exp(-d * d / (4.0 * rr)))
 
@@ -300,17 +320,13 @@ def _still_f_matrix(dist: ChargeDistribution, radii: np.ndarray) -> np.ndarray:
 def gb_still_energy(
     dist: ChargeDistribution, params: GBParameters, eps: DielectricPair
 ) -> EnergyResult:
-    """Generalized-Born energy via the Still equation, kcal/mol.
+    """Generalized-Born energy via the Still equation, kcal/mol: GBeps at alpha = 0.
 
     dG = -(k_e/2) (1/eps1 - 1/eps2) sum_ij q_i q_j / f_ij, double sum over
     all ordered pairs including the diagonal (f_ii = R_i).
     """
-    radii = _radii_for(dist, params)
-    f = _still_f_matrix(dist, radii)
-    q = dist.magnitudes()
-    pref = -0.5 * COULOMB_KCAL * (1.0 / eps.eps_in - 1.0 / eps.eps_out)
-    value = pref * float(q @ (1.0 / f) @ q)
-    return EnergyResult(value=value, method="GB")
+    still = gb_epsilon_energy(dist, replace(params, alpha=0.0), eps)
+    return EnergyResult(value=still.value, method="GB")
 
 
 def gb_epsilon_energy(
@@ -322,7 +338,9 @@ def gb_epsilon_energy(
                * [1/f_ij + (alpha eps1/eps2) / A].
     Collapses to the Still form when alpha = 0 or eps1/eps2 -> 0.
     """
-    radii = _radii_for(dist, params)
+    radii = np.asarray(params.effective_radii, dtype=float)
+    if radii.size != len(dist):
+        raise DomainError(f"{radii.size} effective radii for {len(dist)} charges")
     f = _still_f_matrix(dist, radii)
     q = dist.magnitudes()
     beta = eps.eps_in / eps.eps_out
@@ -331,24 +349,3 @@ def gb_epsilon_energy(
     pref = -0.5 * COULOMB_KCAL * (1.0 / eps.eps_in - 1.0 / eps.eps_out) / (1.0 + alpha * beta)
     value = pref * float(q @ kernel @ q)
     return EnergyResult(value=value, method="GBeps", metadata={"alpha": str(alpha)})
-
-
-def _radii_for(dist: ChargeDistribution, params: GBParameters) -> np.ndarray:
-    radii = np.asarray(params.effective_radii, dtype=float)
-    if radii.size != len(dist):
-        raise DomainError(f"{radii.size} effective radii for {len(dist)} charges")
-    return radii
-
-
-#: Every sphere method by name: ``SPHERE_METHODS[name](dist, model, lam)``.
-#: Entries look the solvers up by module-global name when called, so a
-#: wrapper installed on an attribute of this module sees every call.
-SPHERE_METHODS = {
-    METHOD_KIRKWOOD: lambda dist, model, lam: kirkwood_energy(dist, model),
-    **{tag: lambda dist, model, lam, tag=tag: bibee_energy(dist, model, BibeeVariant(tag, lam))
-       for tag in VARIANT_TAGS},
-    "gb": lambda dist, model, lam: gb_still_energy(
-        dist, sphere_gb_parameters(dist, model), model.dielectrics),
-    "gbeps": lambda dist, model, lam: gb_epsilon_energy(
-        dist, sphere_gb_parameters(dist, model), model.dielectrics),
-}

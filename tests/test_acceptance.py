@@ -73,14 +73,8 @@ def test_03_bound_ordering_1000_configs():
     violations = 0
     for index in range(1000):
         d = random_ball_distribution(202, index)
-        e = sv.source_moments(d, model.n_max)
-        ek = sv.solvation_energy(sv.kirkwood_reaction_coefficients(e, model), d, model).value
-        ec = sv.solvation_energy(
-            sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant.cfa()), d, model).value
-        ep = sv.solvation_energy(
-            sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant.p()), d, model).value
-        em = sv.solvation_energy(
-            sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant.hybrid(0.0)), d, model).value
+        ek, ec, ep, em = (r.value for r in sv.sphere_energies(
+            d, model, ("kirkwood", "cfa", "p", "m"), 0.0))
         slack = 1e-10 * abs(ek)
         if not (ec >= ek - slack and ek >= ep - slack):
             violations += 1

@@ -92,6 +92,16 @@ def test_missing_input_file_exit_3(flag, tmp_path, monkeypatch):
     assert run(argv, tmp_path, monkeypatch) == 3
 
 
+def test_unwritable_output_is_a_file_error_exit_3(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "missing_dir" / "x.csv"
+    code = run(["sphere", "--radius", "5", "--charge", "0,0,0,1", "--out", str(out)],
+               tmp_path, monkeypatch)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solvbie: file error:")
+    assert str(out) in err
+
+
 def test_charge_outside_cavity_exit_4(tmp_path, monkeypatch):
     code = run(["sphere", "--radius", "5", "--charge", "0,0,9,1"],
                tmp_path, monkeypatch)
@@ -145,6 +155,7 @@ def test_sphere_cli_matches_run_comparison(method, tmp_path, monkeypatch):
     assert run(argv, tmp_path, monkeypatch) == 0
     (row,) = json.loads((tmp_path / "e.json").read_text())
     assert row["energy_kcal_mol"] == report.rows[0]["energy_kcal_mol"]
+    assert row["truncation_estimate"] == report.rows[0]["truncation_estimate"]
 
 
 def test_bem_gmres_tolerance_out_of_range_exit_4(tmp_path, monkeypatch):
@@ -234,6 +245,10 @@ def test_experiment_unknown_config_key_exit_4(tmp_path, monkeypatch):
 @pytest.mark.parametrize("key, value, code", [
     ("eps_in", "x", 3),
     ("sphere_radius", 0.0, 4),
+    ("seed", "x", 3),
+    ("n_max", 2.5, 3),
+    ("charges_per_config", 2.5, 3),
+    ("lambda_value", "x", 3),
 ])
 def test_experiment_bad_sphere_config(key, value, code, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"

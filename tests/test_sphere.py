@@ -4,7 +4,7 @@ import pytest
 import solvbie as sv
 from conftest import random_ball_distribution
 from solvbie.errors import DomainError
-from solvbie.harmonics import KIND_SOURCE, MultipoleCoefficients
+from solvbie.harmonics import KIND_SOURCE, MultipoleCoefficients, eval_interior_potential_many
 from solvbie.model import COULOMB_KCAL
 from solvbie.sphere import _still_f_matrix
 
@@ -252,6 +252,44 @@ class TestPairInteraction:
         m = sv.SphereModel(5.0, EPS_BIO, 25)
         with pytest.raises(DomainError):
             sv.pair_interaction_kirkwood([0, 0, 5.0], 1.0, [0, 0, 5.0], 1.0, m)
+
+
+class TestModeSpectrum:
+    def test_spectrum_energies_match_point_evaluation_and_pairwise_sum(self):
+        # sphere_energies sums f_n S_n; the point-evaluation path sums
+        # q_k psi(r_k) from the reaction coefficients, with the
+        # imaginary-part guard of eval_interior_potential_many.
+        configs = [random_ball_distribution(31, index, count=12) for index in range(4)]
+        configs.append(sv.make_distribution([[0, 0, 0], [1.0, -2.0, 0.5]], [1.0, -0.4]))
+        configs.append(sv.make_distribution([[0, 0, 0.99 * 5.0], [0.3, 1.0, -2.0]], [0.7, 0.2]))
+        lam = -0.15
+        variants = {"cfa": sv.BibeeVariant.cfa(), "p": sv.BibeeVariant.p(),
+                    "lambda": sv.BibeeVariant.generic(lam), "m": sv.BibeeVariant.hybrid(lam)}
+        methods = ("kirkwood", *variants)
+        for eps in (EPS_BIO, sv.DielectricPair(80.0, 2.0)):
+            m = sv.SphereModel(5.0, eps, 25)
+            for d in configs:
+                e = sv.source_moments(d, m.n_max)
+                coeffs = [sv.kirkwood_reaction_coefficients(e, m)] + [
+                    sv.bibee_reaction_coefficients(e, m, v) for v in variants.values()]
+                results = sv.sphere_energies(d, m, methods, lam)
+                for b, res in zip(coeffs, results):
+                    psi = eval_interior_potential_many(b, d.positions())
+                    direct = 0.5 * COULOMB_KCAL * float(d.magnitudes() @ psi)
+                    assert res.value == pytest.approx(direct, rel=1e-12), res.method
+
+                pos, q = d.positions(), d.magnitudes()
+                r = np.linalg.norm(pos, axis=1)
+                rr = np.outer(r, r)
+                cos_g = np.clip(np.divide(pos @ pos.T, rr, out=np.ones_like(rr), where=rr > 0),
+                                -1.0, 1.0)
+                spectrum = sv.mode_spectrum(e)
+                assert np.all(spectrum >= 0.0)
+                for n in range(m.n_max + 1):
+                    p_n = np.polynomial.legendre.legval(cos_g, np.eye(n + 1)[n])
+                    pair = q @ (rr ** n * p_n) @ q
+                    scale = np.abs(q) @ rr ** n @ np.abs(q)
+                    assert abs(spectrum[n] - pair) <= 1e-12 * scale, n
 
 
 class TestSeparability:
