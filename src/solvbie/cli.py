@@ -151,6 +151,8 @@ def _experiment_config(args) -> tuple[ExperimentConfig, list]:
             data = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
             raise ParseError(f"{args.config}: invalid JSON ({exc})") from None
+        if not isinstance(data, dict):
+            raise ParseError(f"{args.config}: the config must be a JSON object")
         inputs.append(args.config)
     # Flag overrides beat the config file.
     if args.seed is not None:
@@ -198,23 +200,16 @@ def cmd_sweep(args) -> int:
     cfg, inputs = _experiment_config(args)
     result = lambda_sweep(cfg)
     out = Path(args.out) if args.out else Path(f"sweep_seed{cfg.seed}")
-    summary_rows = []
-    for lam, report in result["reports"].items():
-        summary_rows.append(report.summary_for("m"))
     if args.format == "json":
-        payload = {"best_lambda": result["best_lambda"], "summaries": summary_rows}
         path = out.with_suffix(".json")
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        written = [path]
+        path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     else:
         path = Path(str(out) + "_summary.csv")
-        path.write_text(rows_to_csv(summary_rows, SUMMARY_COLUMNS))
-        written = [path]
+        path.write_text(rows_to_csv(result["summaries"], SUMMARY_COLUMNS))
     write_manifest("sweep", _resolved_params(args), inputs,
                    Path(str(out) + ".manifest.json"))
     print(f"best_lambda={result['best_lambda']}")
-    for p in written:
-        print(p)
+    print(path)
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -50,10 +50,18 @@ class ExperimentConfig:
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
 
     def __post_init__(self):
+        # A JSON true/false is a bool, which Python counts as an int.
         for f in fields(self):
             kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type, object)
-            if not isinstance(getattr(self, f.name), kind):
-                raise TypeError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+        for name, kind in (("methods", str), ("lambda_grid", numbers.Real)):
+            items = getattr(self, name)
+            if not isinstance(items, (list, tuple)) or not all(
+                    isinstance(v, kind) and not isinstance(v, bool) for v in items):
+                raise TypeError(f"{name} must be a list of {kind.__name__}, got {items!r}")
+            object.__setattr__(self, name, tuple(items))
         if not (0.0 < self.placement_margin < 1.0):
             raise DomainError(f"placement margin must lie in (0, 1), got {self.placement_margin}")
         if self.num_configs <= 0 or self.charges_per_config <= 0:
@@ -61,6 +69,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise DomainError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
+        if not self.lambda_grid or not all(-0.5 <= lam <= 0.0 for lam in self.lambda_grid):
+            raise DomainError(f"lambda grid must be nonempty in [-1/2, 0], got {self.lambda_grid}")
         # Built here so a bad radius, dielectric or n_max fails at load time.
         object.__setattr__(self, "sphere", SphereModel(
             self.sphere_radius, DielectricPair(self.eps_in, self.eps_out), self.n_max))
@@ -71,9 +81,6 @@ class ExperimentConfig:
         unknown = set(data) - fields
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("methods", "lambda_grid"):
-            if key in data and isinstance(data[key], list):
-                data = {**data, key: tuple(data[key])}
         return cls(**data)
 
 
@@ -82,15 +89,9 @@ class ComparisonReport:
     """Per-config energies plus RMSD / mean-relative-deviation summaries."""
 
     config: ExperimentConfig
-    rows: tuple[dict, ...]             # one dict per (config index, method)
-    summaries: tuple[dict, ...]        # one dict per method
+    rows: tuple[dict, ...]             # one dict per (config index, method, lambda)
+    summaries: tuple[dict, ...]        # one dict per (method, lambda)
     metadata: dict = field(default_factory=dict, compare=False)
-
-    def summary_for(self, method: str) -> dict:
-        for s in self.summaries:
-            if s["method"] == method:
-                return s
-        raise KeyError(f"no summary for method {method!r}")
 
 
 def random_sphere_config(seed: int, index: int, cfg: ExperimentConfig) -> ChargeDistribution:
@@ -108,43 +109,40 @@ def random_sphere_config(seed: int, index: int, cfg: ExperimentConfig) -> Charge
     return make_distribution(dirs * radii[:, None], mags, label=f"seed{seed}-cfg{index}")
 
 
-def _method_lambda(method: str, lam: float) -> float | None:
-    return lam if method in LAMBDA_VARIANTS else None
+def run_comparison(
+    cfg: ExperimentConfig, methods: list[tuple[str, float | None]] | None = None
+) -> ComparisonReport:
+    """Energies of each (method, lambda) pair over the seeded ensemble.
 
-
-def run_comparison(cfg: ExperimentConfig, lam: float | None = None) -> ComparisonReport:
-    """Energies for every requested method over the seeded ensemble.
-
-    The exact Kirkwood energy, the reference of the summary statistics, is
-    computed with the requested methods in one ``sphere_energies`` call.
+    The default pairs are the configured methods at ``cfg.lambda_value``,
+    with lambda None for the methods that take no eigenvalue.  The exact
+    Kirkwood energy, the reference of the summary statistics, is computed
+    with every pair in one ``sphere_energies`` call per configuration.
     """
-    if not cfg.methods:
+    if methods is None:
+        methods = [(m, cfg.lambda_value if m in LAMBDA_VARIANTS else None) for m in cfg.methods]
+    if not methods:
         raise DomainError("no methods requested")
-    lam = cfg.lambda_value if lam is None else lam
-    model = cfg.sphere
-    methods = list(cfg.methods)
+    names, lams = zip((METHOD_KIRKWOOD, None), *methods)
     rows = []
-    per_method: dict[str, list[float]] = {m: [] for m in methods}
-    exact_values = []
+    energies = np.empty((cfg.num_configs, len(names)))
     for index in range(cfg.num_configs):
         dist = random_sphere_config(cfg.seed, index, cfg)
-        exact, *results = sphere_energies(dist, model, [METHOD_KIRKWOOD, *methods], lam)
-        exact_values.append(exact.value)
-        for method, res in zip(methods, results):
-            per_method[method].append(res.value)
+        results = sphere_energies(dist, cfg.sphere, names, lams)
+        energies[index] = [res.value for res in results]
+        for (method, lam), res in zip(methods, results[1:]):
             rows.append({
                 "seed": cfg.seed,
                 "index": index,
                 "method": method,
-                "lambda": _method_lambda(method, lam),
+                "lambda": lam,
                 "energy_kcal_mol": res.value,
                 "truncation_estimate": res.truncation_error_estimate,
                 "net_charge": net_charge(dist),
             })
-    exact_arr = np.array(exact_values)
+    exact_arr = energies[:, 0]
     summaries = []
-    for method in methods:
-        vals = np.array(per_method[method])
+    for (method, lam), vals in zip(methods, energies[:, 1:].T):
         rmsd = float(np.sqrt(np.mean((vals - exact_arr) ** 2)))
         # A value equal to its reference deviates by 0, also when both are 0.
         dev = np.abs(vals - exact_arr)
@@ -152,7 +150,7 @@ def run_comparison(cfg: ExperimentConfig, lam: float | None = None) -> Compariso
         mean_dev = float(np.mean(rel)) * 100.0
         summaries.append({
             "method": method,
-            "lambda": _method_lambda(method, lam),
+            "lambda": lam,
             "rmsd": rmsd,
             "mean_dev_pct": mean_dev,
             "n": cfg.num_configs,
@@ -162,29 +160,14 @@ def run_comparison(cfg: ExperimentConfig, lam: float | None = None) -> Compariso
 
 
 def lambda_sweep(cfg: ExperimentConfig) -> dict:
-    """One hybrid-M summary per grid lambda; identifies the best grid point.
+    """Hybrid-M summary at each distinct grid lambda, in first-seen order, and the best one.
 
-    Ties in mean deviation are broken toward smaller |lambda|.
+    One ensemble pass scores every grid lambda from each configuration's one
+    spectrum.  Ties in mean deviation are broken toward smaller |lambda|.
     """
-    if not cfg.lambda_grid:
-        raise DomainError("lambda grid is empty")
-    for lam in cfg.lambda_grid:
-        if not (-0.5 <= lam <= 0.0):
-            raise DomainError(f"lambda {lam} outside [-1/2, 0]")
-    sweep_cfg = cfg if METHOD_M in cfg.methods else ExperimentConfig(
-        **{**_as_dict(cfg), "methods": tuple(cfg.methods) + (METHOD_M,)})
-    reports = {}
-    for lam in cfg.lambda_grid:
-        reports[lam] = run_comparison(sweep_cfg, lam=lam)
-    best = min(
-        cfg.lambda_grid,
-        key=lambda lam: (reports[lam].summary_for(METHOD_M)["mean_dev_pct"], abs(lam)),
-    )
-    return {"reports": reports, "best_lambda": best}
-
-
-def _as_dict(cfg: ExperimentConfig) -> dict:
-    return {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
+    report = run_comparison(cfg, [(METHOD_M, lam) for lam in dict.fromkeys(cfg.lambda_grid)])
+    best = min(report.summaries, key=lambda s: (s["mean_dev_pct"], abs(s["lambda"])))
+    return {"summaries": list(report.summaries), "best_lambda": best["lambda"]}
 
 
 def _format_value(v) -> str:
@@ -214,7 +197,7 @@ def rows_to_csv(rows, columns) -> str:
 
 def report_to_json(report: ComparisonReport) -> str:
     payload = {
-        "config": _as_dict(report.config),
+        "config": asdict(report.config),
         "rows": list(report.rows),
         "summaries": list(report.summaries),
     }

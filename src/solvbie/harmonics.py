@@ -53,11 +53,13 @@ def legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
     # Diagonal P_m^m = (2m-1)!! s^m and first superdiagonal.
     for m in range(1, n_max + 1):
         p[m, m] = (2 * m - 1) * s * p[m - 1, m - 1]
-    for m in range(0, n_max):
-        p[m + 1, m] = (2 * m + 1) * x * p[m, m]
-    for m in range(0, n_max + 1):
-        for n in range(m + 2, n_max + 1):
-            p[n, m] = ((2 * n - 1) * x * p[n - 1, m] - (n + m - 1) * p[n - 2, m]) / (n - m)
+    m = np.arange(n_max)
+    p[m + 1, m] = (2 * m + 1)[:, None] * x * p[m, m]
+    # Upward in n at fixed m, every order m <= n-2 of row n at once.
+    for n in range(2, n_max + 1):
+        m = np.arange(n - 1)[:, None]
+        up, down = p[n - 1, :n - 1], p[n - 2, :n - 1]
+        p[n, :n - 1] = ((2 * n - 1) * x * up - (n + m - 1) * down) / (n - m)
     return p
 
 

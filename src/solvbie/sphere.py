@@ -21,15 +21,20 @@ electric-field operator D* that they assume for mode n:
     Lambda(lambda):    lambda_n = lambda
     M(lambda):         lambda_0 = -1/2, lambda_n = lambda for n >= 1
 
+The Generalized Born methods separate the same way: their geometry term
+is the inverse Still matrix 1/F of the charge set, and GB (alpha = 0) and
+GBeps are both pref(alpha) q @ (1/F + alpha beta/A) @ q with beta =
+eps1/eps2.
+
 ``sphere_energies`` is the one entry point for every method named in
-``SPHERE_METHODS``: it builds the spectrum once per charge set.  The
-reaction coefficients B_nm = f_n E_nm remain for evaluating the reaction
-potential at points.
+``SPHERE_METHODS``: it builds the spectrum and, for the GB methods, 1/F
+once per charge set.  The reaction coefficients B_nm = f_n E_nm remain for
+evaluating the reaction potential at points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,26 +211,29 @@ def _check_interior(dist: ChargeDistribution, model: SphereModel):
 
 
 def sphere_energies(
-    dist: ChargeDistribution, model: SphereModel, methods, lam: float = 0.0
+    dist: ChargeDistribution, model: SphereModel, methods, lam=0.0
 ) -> list[EnergyResult]:
     """Solvation energy of each named method for one charge set, kcal/mol.
 
-    The charges are checked, and their mode spectrum and truncation estimate
-    built, once; each series method is then (k_e/2) f @ S.  ``lam`` is the
-    eigenvalue of the lambda and m variants.
+    The charges are checked, and their mode spectrum, truncation estimate
+    and (for the GB methods) inverse Still matrix built, once; each series
+    method is then (k_e/2) f @ S.  ``lam`` is the eigenvalue of the lambda
+    and m variants: one value for every method, or one per method, which
+    the other methods ignore (None stands for no eigenvalue).
     """
     _check_interior(dist, model)
     spectrum = mode_spectrum(source_moments(dist, model.n_max))
     tail = truncation_tail_estimate(dist, model.radius, model.n_max)
-    gb = sphere_gb_parameters(dist, model) if {"gb", "gbeps"} & set(methods) else None
+    lams = np.broadcast_to(np.asarray(lam, dtype=float), (len(methods),))
+    if {"gb", "gbeps"} & set(methods):
+        gb = sphere_gb_parameters(dist, model)
+        inv_f = _inverse_still(dist, gb)
     results = []
-    for method in methods:
-        if method == "gb":
-            results.append(gb_still_energy(dist, gb, model.dielectrics))
-        elif method == "gbeps":
-            results.append(gb_epsilon_energy(dist, gb, model.dielectrics))
+    for method, lam_i in zip(methods, lams):
+        if method in ("gb", "gbeps"):
+            results.append(_gb_energy(dist.magnitudes(), inv_f, gb, model.dielectrics, method))
         else:
-            label, factors = _mode_factors(model, method, lam)
+            label, factors = _mode_factors(model, method, lam_i)
             value = 0.5 * COULOMB_KCAL * float(factors @ spectrum)
             results.append(EnergyResult(value=value, method=label, truncation_error_estimate=tail))
     return results
@@ -317,6 +325,30 @@ def _still_f_matrix(dist: ChargeDistribution, radii: np.ndarray) -> np.ndarray:
     return np.sqrt(d * d + rr * np.exp(-d * d / (4.0 * rr)))
 
 
+def _inverse_still(dist: ChargeDistribution, params: GBParameters) -> np.ndarray:
+    """1/f_ij of the Still equation, the geometry term of both GB methods."""
+    radii = np.asarray(params.effective_radii, dtype=float)
+    if radii.size != len(dist):
+        raise DomainError(f"{radii.size} effective radii for {len(dist)} charges")
+    return 1.0 / _still_f_matrix(dist, radii)
+
+
+def _gb_energy(q, inv_f, params: GBParameters, eps: DielectricPair, method: str) -> EnergyResult:
+    """GBeps, or Still's GB for method "gb" (alpha = 0), from the inverse Still matrix.
+
+    Pair term: -(k_e/2)(1/eps1 - 1/eps2) q_i q_j / (1 + alpha eps1/eps2)
+               * [1/f_ij + (alpha eps1/eps2) / A].
+    """
+    alpha = 0.0 if method == "gb" else params.alpha
+    beta = eps.eps_in / eps.eps_out
+    kernel = inv_f + alpha * beta / params.electrostatic_radius
+    pref = -0.5 * COULOMB_KCAL * (1.0 / eps.eps_in - 1.0 / eps.eps_out) / (1.0 + alpha * beta)
+    value = pref * float(q @ kernel @ q)
+    if method == "gb":
+        return EnergyResult(value=value, method="GB")
+    return EnergyResult(value=value, method="GBeps", metadata={"alpha": str(alpha)})
+
+
 def gb_still_energy(
     dist: ChargeDistribution, params: GBParameters, eps: DielectricPair
 ) -> EnergyResult:
@@ -325,8 +357,7 @@ def gb_still_energy(
     dG = -(k_e/2) (1/eps1 - 1/eps2) sum_ij q_i q_j / f_ij, double sum over
     all ordered pairs including the diagonal (f_ii = R_i).
     """
-    still = gb_epsilon_energy(dist, replace(params, alpha=0.0), eps)
-    return EnergyResult(value=still.value, method="GB")
+    return _gb_energy(dist.magnitudes(), _inverse_still(dist, params), params, eps, "gb")
 
 
 def gb_epsilon_energy(
@@ -334,18 +365,6 @@ def gb_epsilon_energy(
 ) -> EnergyResult:
     """GB energy with the dielectric-dependent alpha correction, kcal/mol.
 
-    Pair term: -(k_e/2)(1/eps1 - 1/eps2) q_i q_j / (1 + alpha eps1/eps2)
-               * [1/f_ij + (alpha eps1/eps2) / A].
     Collapses to the Still form when alpha = 0 or eps1/eps2 -> 0.
     """
-    radii = np.asarray(params.effective_radii, dtype=float)
-    if radii.size != len(dist):
-        raise DomainError(f"{radii.size} effective radii for {len(dist)} charges")
-    f = _still_f_matrix(dist, radii)
-    q = dist.magnitudes()
-    beta = eps.eps_in / eps.eps_out
-    alpha = params.alpha
-    kernel = 1.0 / f + alpha * beta / params.electrostatic_radius
-    pref = -0.5 * COULOMB_KCAL * (1.0 / eps.eps_in - 1.0 / eps.eps_out) / (1.0 + alpha * beta)
-    value = pref * float(q @ kernel @ q)
-    return EnergyResult(value=value, method="GBeps", metadata={"alpha": str(alpha)})
+    return _gb_energy(dist.magnitudes(), _inverse_still(dist, params), params, eps, "gbeps")

@@ -42,3 +42,11 @@ def rotate_about_z(dist, angle):
 def scaled_surface(surf, factor):
     """Uniformly scaled copy of a surface."""
     return build_surface(surf.vertices * factor, surf.triangles.copy())
+
+
+def summary_for(report, method):
+    """The summary row of ``method`` in a comparison report."""
+    for s in report.summaries:
+        if s["method"] == method:
+            return s
+    raise KeyError(f"no summary for method {method!r}")

@@ -249,11 +249,28 @@ def test_experiment_unknown_config_key_exit_4(tmp_path, monkeypatch):
     ("n_max", 2.5, 3),
     ("charges_per_config", 2.5, 3),
     ("lambda_value", "x", 3),
+    ("num_configs", True, 3),
+    ("lambda_grid", ["x"], 3),
+    ("lambda_grid", [None], 3),
+    ("lambda_grid", -0.1, 3),
+    ("methods", "kirkwood", 3),
+    ("lambda_grid", [], 4),
+    ("lambda_grid", [-0.1, -0.6], 4),
+    ("lambda_grid", [0.1], 4),
 ])
 def test_experiment_bad_sphere_config(key, value, code, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 1, "num_configs": 1, key: value}))
-    assert run(["experiment", "--config", str(cfg)], tmp_path, monkeypatch) == code
+    for command in ("experiment", "sweep"):
+        assert run([command, "--config", str(cfg)], tmp_path, monkeypatch) == code, command
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "1"]])
+def test_experiment_config_not_an_object_exit_3(seed, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert run(["experiment", "--config", str(cfg), *seed], tmp_path, monkeypatch) == 3
+    assert "must be a JSON object" in capsys.readouterr().err
 
 
 def test_sweep_outputs(tmp_path, monkeypatch, capsys):
@@ -271,6 +288,16 @@ def test_sweep_outputs(tmp_path, monkeypatch, capsys):
     assert best in (-0.12, -0.16)
     text = (tmp_path / "sw_summary.csv").read_text()
     assert text.count("\n") == 3  # header + one row per lambda
+
+
+def test_sweep_writes_one_row_per_distinct_lambda(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 9, "num_configs": 2, "charges_per_config": 4,
+                               "lambda_grid": [-0.2, -0.1, -0.2]}))
+    assert run(["sweep", "--config", str(cfg), "--out", "sw"], tmp_path, monkeypatch) == 0
+    lines = (tmp_path / "sw_summary.csv").read_text().splitlines()
+    assert len(lines) == 3  # header + one row per distinct lambda
+    assert [line.split(",")[1] for line in lines[1:]] == ["-0.2", "-0.1"]
 
 
 def test_sweep_json_format(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import solvbie as sv
+from conftest import summary_for
 from solvbie.errors import DomainError
 from solvbie.experiments import (
     METHOD_CFA,
@@ -105,7 +106,7 @@ class TestComparison:
             cfa.append(sv.bibee_energy(d, model, sv.BibeeVariant.cfa()).value)
         exact = np.array(exact)
         cfa = np.array(cfa)
-        s = report.summary_for(METHOD_CFA)
+        s = summary_for(report, METHOD_CFA)
         assert s["rmsd"] == pytest.approx(np.sqrt(np.mean((cfa - exact) ** 2)), rel=1e-13)
         assert s["mean_dev_pct"] == pytest.approx(
             100.0 * np.mean(np.abs(cfa - exact) / np.abs(exact)), rel=1e-13)
@@ -113,7 +114,7 @@ class TestComparison:
 
     def test_kirkwood_summary_is_zero(self):
         report = sv.run_comparison(small_config())
-        s = report.summary_for(METHOD_KIRKWOOD)
+        s = summary_for(report, METHOD_KIRKWOOD)
         assert s["rmsd"] == 0.0
         assert s["mean_dev_pct"] == 0.0
 
@@ -162,26 +163,33 @@ class TestSweep:
     def test_sweep_reports_and_best(self):
         cfg = small_config(num_configs=5, lambda_grid=(-0.12, -0.16, -0.20))
         out = sv.lambda_sweep(cfg)
-        assert set(out["reports"]) == {-0.12, -0.16, -0.20}
+        assert {s["lambda"] for s in out["summaries"]} == {-0.12, -0.16, -0.20}
         best = out["best_lambda"]
-        devs = {lam: out["reports"][lam].summary_for(METHOD_M)["mean_dev_pct"]
-                for lam in cfg.lambda_grid}
+        devs = {s["lambda"]: s["mean_dev_pct"] for s in out["summaries"]}
         assert devs[best] == min(devs.values())
 
     def test_sweep_adds_hybrid_method(self):
         cfg = small_config(num_configs=2, lambda_grid=(-0.14,))
         out = sv.lambda_sweep(cfg)
-        report = out["reports"][-0.14]
-        assert report.summary_for(METHOD_M)["lambda"] == -0.14
+        [summary] = out["summaries"]
+        assert summary["method"] == METHOD_M
+        assert summary["lambda"] == -0.14
 
     def test_tie_breaks_toward_smaller_magnitude(self):
         # Duplicate grid values produce exact ties; the smaller |lambda| wins.
         cfg = small_config(num_configs=2, lambda_grid=(-0.2, -0.1, -0.2))
         out = sv.lambda_sweep(cfg)
-        devs = {lam: out["reports"][lam].summary_for(METHOD_M)["mean_dev_pct"]
-                for lam in (-0.1, -0.2)}
+        devs = {s["lambda"]: s["mean_dev_pct"] for s in out["summaries"]}
         if devs[-0.1] <= devs[-0.2]:
             assert out["best_lambda"] == -0.1
+
+    def test_one_pass_equals_per_lambda_comparisons(self):
+        cfg = small_config(num_configs=4, lambda_grid=(-0.2, -0.1, -0.2))
+        out = sv.lambda_sweep(cfg)
+        assert [s["lambda"] for s in out["summaries"]] == [-0.2, -0.1]
+        for s in out["summaries"]:
+            single = sv.run_comparison(cfg, [(METHOD_M, s["lambda"])])
+            assert repr(s) == repr(summary_for(single, METHOD_M))
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):

@@ -50,6 +50,29 @@ def test_recurrence_matches_rodrigues_grid():
             assert np.max(np.abs(got - expected) / scale) < 1e-10, (n, m)
 
 
+def scalar_legendre_table(n_max, xs):
+    """The recurrences of ``legendre_table``, one element at a time."""
+    p = np.zeros((n_max + 1, n_max + 1, len(xs)))
+    for k, x in enumerate(float(x) for x in xs):
+        s = math.sqrt(max(0.0, 1.0 - x * x))
+        p[0, 0, k] = 1.0
+        for m in range(1, n_max + 1):
+            p[m, m, k] = (2 * m - 1) * s * p[m - 1, m - 1, k]
+        for m in range(n_max):
+            p[m + 1, m, k] = (2 * m + 1) * x * p[m, m, k]
+        for m in range(n_max + 1):
+            for n in range(m + 2, n_max + 1):
+                p[n, m, k] = ((2 * n - 1) * x * p[n - 1, m, k]
+                              - (n + m - 1) * p[n - 2, m, k]) / (n - m)
+    return p
+
+
+def test_table_equals_scalar_recurrence():
+    xs = np.concatenate([[-1.0, 0.0, 1.0], np.random.default_rng(3).uniform(-1, 1, 22)])
+    for n_max in (0, 1, 2, 5, 25, 60):
+        assert np.array_equal(legendre_table(n_max, xs), scalar_legendre_table(n_max, xs))
+
+
 def test_poles_zero_for_positive_order():
     for m in range(1, 6):
         for n in range(m, 8):

@@ -3,6 +3,7 @@ import pytest
 
 import solvbie as sv
 from conftest import random_ball_distribution
+from solvbie import sphere
 from solvbie.errors import DomainError
 from solvbie.harmonics import KIND_SOURCE, MultipoleCoefficients, eval_interior_potential_many
 from solvbie.model import COULOMB_KCAL
@@ -291,6 +292,15 @@ class TestModeSpectrum:
                     scale = np.abs(q) @ rr ** n @ np.abs(q)
                     assert abs(spectrum[n] - pair) <= 1e-12 * scale, n
 
+    def test_per_method_lambda_equals_single_method_calls(self):
+        d = random_ball_distribution(21, 0)
+        m = sv.SphereModel(5.0, EPS_BIO, 25)
+        methods, lams = ["m", "m", "lambda"], [-0.1, -0.2, -0.3]
+        got = sv.sphere_energies(d, m, methods, lams)
+        want = [sv.sphere_energies(d, m, [name], lam)[0] for name, lam in zip(methods, lams)]
+        assert [(r.value, r.method) for r in got] == [(r.value, r.method) for r in want]
+        assert got[0].value != got[1].value
+
 
 class TestSeparability:
     def test_cfa_p_ratio_independent_of_configuration(self):
@@ -375,6 +385,19 @@ class TestGeneralizedBorn:
         a = sv.gb_epsilon_energy(d, p, eps).value
         b = sv.gb_still_energy(d, p, eps).value
         assert a == pytest.approx(b, rel=1e-9)
+
+    def test_gb_methods_share_one_still_kernel(self, monkeypatch):
+        d = random_ball_distribution(18, 2, count=12)
+        m = sv.SphereModel(5.0, EPS_BIO, 25)
+        p = sv.sphere_gb_parameters(d, m)
+        want = [sv.gb_still_energy(d, p, EPS_BIO), sv.gb_epsilon_energy(d, p, EPS_BIO)]
+        calls = []
+        monkeypatch.setattr(sphere, "_still_f_matrix",
+                            lambda *args: calls.append(args) or _still_f_matrix(*args))
+        got = sv.sphere_energies(d, m, ["gb", "kirkwood", "gbeps"])
+        assert len(calls) == 1
+        assert [got[0].value, got[2].value] == [r.value for r in want]
+        assert [got[0].method, got[2].method] == ["GB", "GBeps"]
 
     def test_gbeps_tracks_kirkwood_pairs(self):
         # Accuracy is approximate; assert a loose envelope and record typical
