@@ -8,6 +8,7 @@ at any interior probe for outward normals.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,20 +56,28 @@ def _derive_panels(vertices: np.ndarray, triangles: np.ndarray):
 
 
 def _check_closed(triangles: np.ndarray):
-    """Every edge must appear exactly twice, once in each direction."""
-    edges = {}
-    for t, (a, b, c) in enumerate(triangles):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(u, v), max(u, v))
-            edges.setdefault(key, []).append(u < v)
-    for (u, v), orientations in edges.items():
-        if len(orientations) != 2:
+    """Every edge must appear exactly twice, once in each direction.
+
+    The edge reported is the first offending one in order of first
+    occurrence (triangle by triangle, edges ab, bc, ca).
+    """
+    u = triangles.ravel()
+    v = triangles[:, [1, 2, 0]].ravel()
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = lo.astype(np.int64) * (int(hi.max(initial=0)) + 1) + hi
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
+    forward = np.bincount(inverse, weights=u < v, minlength=counts.size)
+    bad = np.nonzero((counts != 2) | (forward != 1))[0]
+    if bad.size:
+        k = bad[np.argmin(first[bad])]
+        e = first[k]
+        if counts[k] != 2:
             raise TopologyError(
-                f"edge ({u}, {v}) shared by {len(orientations)} triangles; "
+                f"edge ({lo[e]}, {hi[e]}) shared by {counts[k]} triangles; "
                 "surface is open or non-manifold"
             )
-        if orientations[0] == orientations[1]:
-            raise TopologyError(f"edge ({u}, {v}) traversed twice in the same direction")
+        raise TopologyError(f"edge ({lo[e]}, {hi[e]}) traversed twice in the same direction")
 
 
 def gauss_probe(surface: PanelSurface, point) -> float:
@@ -111,12 +120,8 @@ def build_surface(vertices, triangles) -> PanelSurface:
 
 def load_off(path) -> PanelSurface:
     """Read an ASCII OFF file (counts header, vertex list, triangle list)."""
-    tokens = []
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
+        tokens = re.sub(r"#.*", "", fh.read()).split()
     if not tokens:
         raise ParseError(f"{path}: empty OFF file")
     idx = 0
@@ -124,19 +129,20 @@ def load_off(path) -> PanelSurface:
         idx = 1
     try:
         nv, nt = int(tokens[idx]), int(tokens[idx + 1])
+        if min(nv, nt) < 0:  # reshape would read -1 as "infer this count"
+            raise ValueError(f"negative count {min(nv, nt)}")
         idx += 3  # skip edge count
         vertices = np.array(tokens[idx:idx + 3 * nv], dtype=float).reshape(nv, 3)
         idx += 3 * nv
-        triangles = np.empty((nt, 3), dtype=int)
-        for t in range(nt):
-            k = int(tokens[idx])
-            if k != 3:
-                raise ParseError(f"{path}: face {t} has {k} vertices; only triangles supported")
-            triangles[t] = [int(x) for x in tokens[idx + 1:idx + 4]]
-            idx += 1 + k
+        faces = np.array(tokens[idx:idx + 4 * nt], dtype=int).reshape(nt, 4)
     except (ValueError, IndexError) as exc:
         raise ParseError(f"{path}: malformed OFF file ({exc})") from None
-    return build_surface(vertices, triangles)
+    # Rows before the first non-triangle are aligned, so its row is its face.
+    bad = np.nonzero(faces[:, 0] != 3)[0]
+    if bad.size:
+        t = int(bad[0])
+        raise ParseError(f"{path}: face {t} has {faces[t, 0]} vertices; only triangles supported")
+    return build_surface(vertices, faces[:, 1:].copy())
 
 
 def load_msms(vert_path, face_path) -> PanelSurface:

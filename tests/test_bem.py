@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import solvbie as sv
 from conftest import random_ball_distribution, scaled_surface
+from solvbie import bem
 from solvbie.errors import DomainError
 from solvbie.mesh import build_surface
 from solvbie.model import COULOMB_KCAL
@@ -50,8 +53,73 @@ class TestRhs:
         with pytest.raises(DomainError):
             sv.coulomb_field_rhs(d, mesh_320, EPS_WATER)
 
+    def test_first_failing_charge_reported(self, mesh_320):
+        # All charges are checked in one pass; the message names the first
+        # failing charge, with the text of the per-charge check it replaced.
+        near = mesh_320.centroids[0] + 1e-9
+        d = sv.make_distribution([[0, 0, 0], [0, 0, 7.0], near], [1.0] * 3)
+        with pytest.raises(DomainError, match=r"^charge 1 at \(np.float64\(0.0\), "
+                           r"np.float64\(0.0\), np.float64\(7.0\)\) is not inside the surface$"):
+            sv.coulomb_field_rhs(d, mesh_320, EPS_WATER)
+        d = sv.make_distribution([[0, 0, 0], near, [0, 0, 7.0]], [1.0] * 3)
+        with pytest.raises(DomainError, match=r"^charge 1 within 1.73205e-09 Angstrom of a panel; "
+                           "refine or reposition$"):
+            sv.coulomb_field_rhs(d, mesh_320, EPS_WATER)
+
+
+def reference_dstar(surf):
+    """D* entry by entry, with the diagonal from the double-layer row sums."""
+    c, n, a = surf.centroids, surf.normals, surf.areas
+    diff = c[None, :, :] - c[:, None, :]                     # c_j - c_i
+    r3 = np.sum(diff * diff, axis=2) ** 1.5
+    np.fill_diagonal(r3, 1.0)
+    dstar = np.einsum("id,ijd->ij", n, diff) * a[None, :] / (4.0 * np.pi * r3)
+    kdl = np.einsum("jd,ijd->ij", n, -diff) / (4.0 * np.pi * r3)  # n_j.(c_i - c_j)
+    np.fill_diagonal(kdl, 0.0)
+    np.fill_diagonal(dstar, -0.5 - kdl @ a)
+    return dstar
+
 
 class TestDstar:
+    @pytest.mark.parametrize("panels, block_rows", [
+        (80, None), (320, None), (1280, None), (320, 7),
+    ])
+    def test_matches_reference(self, sphere_meshes, monkeypatch, panels, block_rows):
+        surf = sphere_meshes[panels] if panels in sphere_meshes else sv.icosphere(5.0, 1)
+        assert surf.num_panels == panels
+        if block_rows is not None:  # many blocks and a partial last one
+            monkeypatch.setattr(bem, "_BLOCK_BYTES", 8 * panels * block_rows)
+        np.testing.assert_allclose(sv.assemble_dstar(surf), reference_dstar(surf),
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("axes", [(1.0, 1.0, 1.0), (1.0, 0.4, 0.25)])
+    def test_area_weighted_column_sums(self, mesh_1280, axes):
+        # Discrete Gauss identity: sum_j A_j D*[j, i] = -A_i / 2 on any closed mesh.
+        surf = build_surface(mesh_1280.vertices * np.array(axes), mesh_1280.triangles.copy())
+        colsum = (surf.areas @ sv.assemble_dstar(surf)) / surf.areas
+        np.testing.assert_allclose(colsum, -0.5, rtol=0.0, atol=1e-13)
+
+    def test_one_dense_allocation(self, mesh_1280):
+        t = mesh_1280.num_panels
+        tracemalloc.start()
+        try:
+            sv.assemble_dstar(mesh_1280)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * t * t <= peak <= 1.25 * 8 * t * t
+
+    def test_allocation_failure_is_domain_error(self, monkeypatch):
+        surf = sv.icosphere(5.0, 1)
+
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(bem.np, "empty", refuse)
+        with pytest.raises(DomainError, match="dense D\\* for 80 panels needs 51200 bytes"):
+            sv.assemble_dstar(surf)
+
+
     def test_constant_density_eigenvector(self, mesh_320):
         # On a sphere the constant vector is a -1/2 eigenvector of D*.
         dstar = sv.assemble_dstar(mesh_320)

@@ -108,6 +108,22 @@ def test_charge_outside_cavity_exit_4(tmp_path, monkeypatch):
     assert code == 4
 
 
+def test_bem_dense_matrix_unallocatable_exit_4(tmp_path, monkeypatch, capsys):
+    mesh = tmp_path / "ico.off"
+    sv.write_off(sv.icosphere(5.0, 1), mesh)
+    empty = np.empty
+
+    def refuse_dense(shape, *args, **kwargs):
+        if shape == (80, 80):
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse_dense)
+    code = run(["bem", "--mesh", str(mesh), "--charge", "0,0,0,1"], tmp_path, monkeypatch)
+    assert code == 4
+    assert "dense D* for 80 panels needs 51200 bytes" in capsys.readouterr().err
+
+
 def test_open_mesh_exit_3(tmp_path, monkeypatch):
     mesh = tmp_path / "open.off"
     mesh.write_text("OFF\n4 3 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"

@@ -88,6 +88,21 @@ def test_inconsistent_winding_rejected():
         build_surface(TET_VERTS, faces)
 
 
+@pytest.mark.parametrize("verts, faces, message", [
+    (TET_VERTS, TET_FACES[:3],
+     "edge (1, 2) shared by 1 triangles; surface is open or non-manifold"),
+    (TET_VERTS, np.vstack([TET_FACES[:3], TET_FACES[3, ::-1]]),
+     "edge (1, 2) traversed twice in the same direction"),
+    # A fin: a fifth triangle on the tetrahedron's edge (0, 1).
+    (np.vstack([TET_VERTS, [[0.5, -1.0, 0.5]]]), np.vstack([TET_FACES, [[0, 1, 4]]]),
+     "edge (0, 1) shared by 3 triangles; surface is open or non-manifold"),
+])
+def test_topology_error_names_first_bad_edge(verts, faces, message):
+    with pytest.raises(TopologyError) as exc:
+        build_surface(verts, faces)
+    assert str(exc.value) == message
+
+
 def test_degenerate_triangle_rejected():
     # Collinear vertices: both faces have zero area, edges still pair up.
     slab_verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
@@ -153,6 +168,24 @@ def test_off_rejects_quads(tmp_path):
     path = tmp_path / "quad.off"
     path.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n")
     with pytest.raises(ParseError):
+        sv.load_off(path)
+
+
+def test_off_names_first_non_triangle(tmp_path):
+    path = tmp_path / "mixed.off"
+    path.write_text("OFF\n5 3 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n0 0 1\n"
+                    "3 0 1 4\n4 0 1 2 3\n3 1 2 4\n")
+    with pytest.raises(ParseError) as exc:
+        sv.load_off(path)
+    assert str(exc.value) == f"{path}: face 1 has 4 vertices; only triangles supported"
+
+
+@pytest.mark.parametrize("counts", ["4 -1 0", "-1 4 0"])
+def test_off_negative_count_rejected(tmp_path, counts):
+    path = tmp_path / "neg.off"
+    path.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+                    "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n")
+    with pytest.raises(ParseError, match="negative count -1"):
         sv.load_off(path)
 
 
