@@ -20,7 +20,6 @@ from .errors import (
 )
 from .model import (
     COULOMB_KCAL,
-    Charge,
     ChargeDistribution,
     DielectricPair,
     EnergyResult,

@@ -77,7 +77,7 @@ def coulomb_field_rhs(
     The kernel's area-weighted column sums are the charges' Gauss probes
     (about -1 inside), so the same (T, Q) pass rejects exterior charges.
     """
-    diff = dist.positions()[None, :, :] - surf.centroids[:, None, :]   # (T, Q, 3)
+    diff = dist.positions[None, :, :] - surf.centroids[:, None, :]   # (T, Q, 3)
     r2 = np.sum(diff * diff, axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         kernel = np.einsum("td,tqd->tq", surf.normals, diff) / (4.0 * np.pi * r2 ** 1.5)
@@ -88,8 +88,8 @@ def coulomb_field_rhs(
         if dmin[k] < NEAR_SINGULARITY_DISTANCE:
             raise DomainError(
                 f"charge {k} within {dmin[k]:g} Angstrom of a panel; refine or reposition")
-        raise DomainError(f"charge {k} at {tuple(dist.positions()[k])} is not inside the surface")
-    values = -eps.eps_hat / eps.eps_in * kernel @ dist.magnitudes()
+        raise DomainError(f"charge {k} at {tuple(dist.positions[k])} is not inside the surface")
+    values = -eps.eps_hat / eps.eps_in * kernel @ dist.magnitudes
     return SurfaceField(values=values, surface=surf)
 
 
@@ -155,8 +155,11 @@ def dstar_spectrum_estimates(surf: PanelSurface, tol: float = 1e-5) -> dict:
         sym = 0.5 * (m[s:e, s:] + m[s:, s:e].T)
         m[s:e, s:] = sym
         m[s:, s:e] = sym.T
-    low = np.sort(eigsh(m, k=5, which="SA", tol=tol, return_eigenvectors=False))
-    high = eigsh(m, k=1, which="LA", tol=max(tol, 1e-4), return_eigenvectors=False)
+    # A fixed start makes the estimates reproducible.  Not sqrt(A): that is
+    # the constant-density eigenvector, whose Krylov space is one-dimensional.
+    v0 = np.random.default_rng(0).standard_normal(surf.num_panels)
+    low = np.sort(eigsh(m, k=5, which="SA", tol=tol, v0=v0, return_eigenvectors=False))
+    high = eigsh(m, k=1, which="LA", tol=max(tol, 1e-4), v0=v0, return_eigenvectors=False)
     return {"lowest": float(low[0]), "dipole": float(low[1]), "highest": float(high[0])}
 
 
@@ -224,8 +227,8 @@ def reaction_energy(
     sigma: SurfaceCharge, surf: PanelSurface, dist: ChargeDistribution
 ) -> EnergyResult:
     """Reaction energy (k_e/2) sum_k q_k sum_j sigma_j A_j / |r_k - c_j|."""
-    pos = dist.positions()
-    q = dist.magnitudes()
+    pos = dist.positions
+    q = dist.magnitudes
     diff = pos[:, None, :] - surf.centroids[None, :, :]
     r = np.sqrt(np.sum(diff * diff, axis=2))
     psi = (sigma.density * surf.areas / r).sum(axis=1)

@@ -34,7 +34,7 @@ from .experiments import (
     run_comparison,
 )
 from .mesh import load_mesh
-from .model import Charge, ChargeDistribution, DielectricPair, SphereModel, load_pqr
+from .model import ChargeDistribution, DielectricPair, SphereModel, load_pqr
 from .sphere import SPHERE_METHODS, VARIANT_TAGS, BibeeVariant, sphere_energies
 from .bem import DEFAULT_GMRES_TOL, bem_energy
 
@@ -70,7 +70,7 @@ def _manifest_path(args) -> Path:
     return Path("solvbie-manifest.json")
 
 
-def _parse_inline_charge(spec: str) -> Charge:
+def _parse_inline_charge(spec: str) -> tuple[list[float], float]:
     parts = spec.split(",")
     if len(parts) != 4:
         raise ParseError(f"inline charge must be 'x,y,z,q', got {spec!r}")
@@ -78,7 +78,7 @@ def _parse_inline_charge(spec: str) -> Charge:
         x, y, z, q = (float(p) for p in parts)
     except ValueError:
         raise ParseError(f"non-numeric inline charge field in {spec!r}") from None
-    return Charge((x, y, z), q)
+    return [x, y, z], q
 
 
 def _load_charges(args) -> tuple[ChargeDistribution, list]:
@@ -87,7 +87,8 @@ def _load_charges(args) -> tuple[ChargeDistribution, list]:
         dist = load_pqr(args.pqr)
         inputs.append(args.pqr)
     elif args.charge:
-        dist = ChargeDistribution(tuple(_parse_inline_charge(c) for c in args.charge))
+        positions, magnitudes = zip(*map(_parse_inline_charge, args.charge))
+        dist = ChargeDistribution(positions, magnitudes)
     else:
         raise ParseError("no charges given: use --pqr or --charge x,y,z,q")
     return dist, inputs

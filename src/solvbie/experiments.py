@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import DomainError
-from .model import ChargeDistribution, DielectricPair, SphereModel, make_distribution, net_charge
+from .model import ChargeDistribution, DielectricPair, SphereModel, net_charge
 from .sphere import (
     LAMBDA_VARIANTS,
     METHOD_KIRKWOOD,
@@ -106,7 +106,7 @@ def random_sphere_config(seed: int, index: int, cfg: ExperimentConfig) -> Charge
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     radii = cfg.placement_margin * cfg.sphere_radius * rng.random(k) ** (1.0 / 3.0)
     mags = rng.uniform(-cfg.max_abs_charge, cfg.max_abs_charge, k)
-    return make_distribution(dirs * radii[:, None], mags, label=f"seed{seed}-cfg{index}")
+    return ChargeDistribution(dirs * radii[:, None], mags, label=f"seed{seed}-cfg{index}")
 
 
 def run_comparison(
@@ -130,6 +130,7 @@ def run_comparison(
         dist = random_sphere_config(cfg.seed, index, cfg)
         results = sphere_energies(dist, cfg.sphere, names, lams)
         energies[index] = [res.value for res in results]
+        net = net_charge(dist)
         for (method, lam), res in zip(methods, results[1:]):
             rows.append({
                 "seed": cfg.seed,
@@ -138,7 +139,7 @@ def run_comparison(
                 "lambda": lam,
                 "energy_kcal_mol": res.value,
                 "truncation_estimate": res.truncation_error_estimate,
-                "net_charge": net_charge(dist),
+                "net_charge": net,
             })
     exact_arr = energies[:, 0]
     summaries = []

@@ -45,7 +45,12 @@ def legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > 1):
         raise DomainError("Legendre argument out of range [-1, 1]")
-    p = np.zeros((n_max + 1, n_max + 1, x.size))
+    try:
+        p = np.zeros((n_max + 1, n_max + 1, x.size))
+    except MemoryError:
+        raise DomainError(
+            f"Legendre table to n_max {n_max} at {x.size} points needs "
+            f"{8 * (n_max + 1) ** 2 * x.size} bytes") from None
     p[0, 0] = 1.0
     if n_max == 0:
         return p
@@ -64,14 +69,13 @@ def legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def _factorial_ratio(n_max: int) -> np.ndarray:
-    """Table of (n-m)!/(n+m)! for 0 <= m <= n <= n_max."""
-    ratio = np.zeros((n_max + 1, n_max + 1))
-    for n in range(n_max + 1):
-        ratio[n, 0] = 1.0
-        for m in range(1, n + 1):
-            # (n-m)!/(n+m)! = previous / ((n+m)(n-m+1))
-            ratio[n, m] = ratio[n, m - 1] / ((n + m) * (n - m + 1))
-    return ratio
+    """Table of (n-m)!/(n+m)! for 0 <= m <= n <= n_max; entries with m > n are zero.
+
+    Row n is 1 / ((n+1) n) / ((n+2)(n-1)) / ..., divided left to right along m.
+    """
+    n, m = np.ogrid[:n_max + 1, :n_max + 1]
+    steps = np.where((m >= 1) & (m <= n), (n + m) * (n - m + 1), 1).astype(float)
+    return np.tril(np.divide.accumulate(steps, axis=1))
 
 
 @dataclass(frozen=True)
@@ -119,8 +123,8 @@ def source_moments(dist: ChargeDistribution, n_max: int) -> MultipoleCoefficient
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    q = dist.magnitudes()
-    r, cos_theta, phi = _spherical_angles(dist.positions())
+    q = dist.magnitudes
+    r, cos_theta, phi = _spherical_angles(dist.positions)
     ptab = legendre_table(n_max, cos_theta)                   # (n+1, m+1, K)
     rpow = r[None, :] ** np.arange(n_max + 1)[:, None]        # (n+1, K)
     phase = np.exp(-1j * np.arange(n_max + 1)[:, None] * phi[None, :])  # (m+1, K)
@@ -193,12 +197,12 @@ def truncation_tail_estimate(dist: ChargeDistribution, b: float, n_max: int) -> 
     """
     from .model import COULOMB_KCAL
 
-    r = np.linalg.norm(dist.positions(), axis=1)
+    r = np.linalg.norm(dist.positions, axis=1)
     rmax = float(np.max(r))
     if rmax >= b:
         raise DomainError(f"charge at |r| = {rmax} not strictly inside b = {b}")
     t = (rmax / b) ** 2
     if t == 0.0:
         return 0.0
-    gross = float(np.sum(np.abs(dist.magnitudes())))
+    gross = float(np.sum(np.abs(dist.magnitudes)))
     return COULOMB_KCAL * gross * gross / b * t ** (n_max + 1) / (1.0 - t)

@@ -1,4 +1,7 @@
-"""Core records: point charges, dielectric pairs, sphere models, energies.
+"""Core records: charge sets, dielectric pairs, sphere models, energies.
+
+A charge set (``ChargeDistribution``) is one record of two read-only float
+arrays, (Q, 3) positions and (Q,) magnitudes, checked once when it is built.
 
 Unit conventions used throughout the package:
 
@@ -21,62 +24,41 @@ from .errors import DomainError, EmptyInputError, ParseError
 COULOMB_KCAL = 332.0636
 
 
-@dataclass(frozen=True)
-class Charge:
-    """A point charge: position in Angstrom, magnitude in e."""
-
-    position: tuple[float, float, float]
-    magnitude: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(c) for c in self.position):
-            raise DomainError(f"non-finite charge position {self.position}")
-        if not math.isfinite(self.magnitude):
-            raise DomainError(f"non-finite charge magnitude {self.magnitude}")
-
-    @property
-    def radius(self) -> float:
-        """Distance from the coordinate origin (the cavity center)."""
-        x, y, z = self.position
-        return math.sqrt(x * x + y * y + z * z)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChargeDistribution:
-    """An ordered, non-empty collection of point charges."""
+    """A non-empty set of Q point charges: (Q, 3) positions in Angstrom, (Q,) magnitudes in e.
 
-    charges: tuple[Charge, ...]
+    Both arrays are copied to float, checked finite and made read-only at
+    construction.  Equality and hashing go by identity.
+    """
+
+    positions: np.ndarray
+    magnitudes: np.ndarray
     label: str = ""
-    metadata: dict = field(default_factory=dict, compare=False)
+    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.charges) == 0:
+        pos = np.array(self.positions, dtype=float).reshape(-1, 3)
+        q = np.array(self.magnitudes, dtype=float).ravel()
+        if pos.shape[0] != q.shape[0]:
+            raise DomainError(f"{pos.shape[0]} positions but {q.shape[0]} magnitudes")
+        if q.size == 0:
             raise EmptyInputError("charge distribution must contain at least one charge")
+        bad = np.nonzero(~(np.all(np.isfinite(pos), axis=1) & np.isfinite(q)))[0]
+        if bad.size:
+            k = bad[0]
+            raise DomainError(
+                f"non-finite charge {k}: position {pos[k].tolist()}, magnitude {q[k]}")
+        for name, arr in (("positions", pos), ("magnitudes", q)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return len(self.charges)
-
-    def positions(self) -> np.ndarray:
-        """(Q, 3) array of charge positions."""
-        return np.array([c.position for c in self.charges], dtype=float)
-
-    def magnitudes(self) -> np.ndarray:
-        """(Q,) array of charge magnitudes."""
-        return np.array([c.magnitude for c in self.charges], dtype=float)
+        return self.magnitudes.size
 
 
-def make_distribution(positions, magnitudes, label: str = "") -> ChargeDistribution:
-    """Build a ChargeDistribution from array-like positions and magnitudes."""
-    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    magnitudes = np.asarray(magnitudes, dtype=float).ravel()
-    if positions.shape[0] != magnitudes.shape[0]:
-        raise DomainError(
-            f"{positions.shape[0]} positions but {magnitudes.shape[0]} magnitudes"
-        )
-    charges = tuple(
-        Charge(tuple(p), float(q)) for p, q in zip(positions, magnitudes)
-    )
-    return ChargeDistribution(charges=charges, label=label)
+#: The class itself, under the name of the former builder function.
+make_distribution = ChargeDistribution
 
 
 @dataclass(frozen=True)
@@ -87,11 +69,13 @@ class DielectricPair:
     eps_out: float
 
     def __post_init__(self):
-        if not (self.eps_in > 0 and self.eps_out > 0):
-            raise DomainError(
-                f"dielectric constants must be positive, got "
-                f"eps_in={self.eps_in}, eps_out={self.eps_out}"
-            )
+        # A subnormal or infinite constant overflows eps_hat and the mode factors.
+        tiny = np.finfo(float).tiny
+        for name in ("eps_in", "eps_out"):
+            eps = getattr(self, name)
+            if not (math.isfinite(eps) and eps >= tiny):
+                raise DomainError(
+                    f"dielectric constant {name} must be finite and at least {tiny:g}, got {eps}")
 
     @property
     def eps_hat(self) -> float:
@@ -135,7 +119,7 @@ class EnergyResult:
 
 def net_charge(dist: ChargeDistribution) -> float:
     """Sum of charge magnitudes (signed), in e."""
-    return float(math.fsum(c.magnitude for c in dist.charges))
+    return float(math.fsum(dist.magnitudes))
 
 
 def load_pqr(path) -> ChargeDistribution:
@@ -147,8 +131,7 @@ def load_pqr(path) -> ChargeDistribution:
     fields before them as x, y, z.  Radii are not used for any surface
     construction; per-atom radii are kept in the distribution metadata.
     """
-    charges = []
-    radii = []
+    rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split()
@@ -157,13 +140,11 @@ def load_pqr(path) -> ChargeDistribution:
             if len(fields) < 7:
                 raise ParseError(f"{path}:{lineno}: too few fields in PQR record")
             try:
-                x, y, z, q, r = (float(v) for v in fields[-5:])
+                rows.append([float(v) for v in fields[-5:]])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-numeric field ({exc})") from None
-            charges.append(Charge((x, y, z), q))
-            radii.append(r)
-    if not charges:
+    if not rows:
         raise EmptyInputError(f"{path}: no ATOM/HETATM records found")
-    dist = ChargeDistribution(charges=tuple(charges), label=str(path))
-    dist.metadata["pqr_radii"] = radii
-    return dist
+    data = np.array(rows)
+    return ChargeDistribution(data[:, :3], data[:, 3], str(path),
+                              {"pqr_radii": data[:, 4].tolist()})

@@ -102,22 +102,6 @@ class BibeeVariant:
         elif not (-0.5 <= self.lam <= 0.0):
             raise DomainError(f"lambda must lie in [-1/2, 0], got {self.lam}")
 
-    @classmethod
-    def cfa(cls) -> "BibeeVariant":
-        return cls(VARIANT_CFA)
-
-    @classmethod
-    def p(cls) -> "BibeeVariant":
-        return cls(VARIANT_P)
-
-    @classmethod
-    def generic(cls, lam: float) -> "BibeeVariant":
-        return cls(VARIANT_LAMBDA, lam)
-
-    @classmethod
-    def hybrid(cls, lam: float = 0.0) -> "BibeeVariant":
-        return cls(VARIANT_M, lam)
-
     def lambdas(self, n_max: int) -> np.ndarray:
         """Eigenvalue estimates lambda_0 .. lambda_n_max, one per mode."""
         lams = np.full(n_max + 1, float(self.lam))
@@ -129,21 +113,24 @@ class BibeeVariant:
         return _VARIANTS[self.tag][0].format(self.lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GBParameters:
-    """Generalized-Born parameters: electrostatic radius, effective radii, alpha."""
+    """Generalized-Born parameters: electrostatic radius, read-only effective radii, alpha."""
 
     electrostatic_radius: float
-    effective_radii: tuple[float, ...]
+    effective_radii: np.ndarray
     alpha: float = 0.57
 
     def __post_init__(self):
         a = self.electrostatic_radius
         if not a > 0:
             raise DomainError(f"electrostatic radius must be positive, got {a}")
-        for r in self.effective_radii:
-            if not (0 < r <= a * (1 + 1e-12)):
-                raise DomainError(f"effective radius {r} outside (0, {a}]")
+        radii = np.array(self.effective_radii, dtype=float).ravel()
+        bad = np.nonzero(~((radii > 0) & (radii <= a * (1 + 1e-12))))[0]
+        if bad.size:
+            raise DomainError(f"effective radius {radii[bad[0]]} outside (0, {a}]")
+        radii.setflags(write=False)
+        object.__setattr__(self, "effective_radii", radii)
         if not (0.0 <= self.alpha <= 1.0):
             raise DomainError(f"alpha must lie in [0, 1], got {self.alpha}")
 
@@ -202,7 +189,7 @@ def bibee_reaction_coefficients(
 
 
 def _check_interior(dist: ChargeDistribution, model: SphereModel):
-    r = np.linalg.norm(dist.positions(), axis=1)
+    r = np.linalg.norm(dist.positions, axis=1)
     if np.any(r > BOUNDARY_MARGIN * model.radius):
         raise DomainError(
             f"charge at |r| = {float(np.max(r)):g} too close to the boundary "
@@ -231,7 +218,7 @@ def sphere_energies(
     results = []
     for method, lam_i in zip(methods, lams):
         if method in ("gb", "gbeps"):
-            results.append(_gb_energy(dist.magnitudes(), inv_f, gb, model.dielectrics, method))
+            results.append(_gb_energy(dist.magnitudes, inv_f, gb, model.dielectrics, method))
         else:
             label, factors = _mode_factors(model, method, lam_i)
             value = 0.5 * COULOMB_KCAL * float(factors @ spectrum)
@@ -299,8 +286,8 @@ def pair_interaction_kirkwood(i_pos, i_q, j_pos, j_q, model: SphereModel) -> flo
 
 def pairwise_kirkwood_energy(dist: ChargeDistribution, model: SphereModel) -> float:
     """Total energy assembled from the pairwise series, kcal/mol."""
-    pos = dist.positions()
-    q = dist.magnitudes()
+    pos = dist.positions
+    q = dist.magnitudes
     total = 0.0
     for i in range(len(q)):
         for j in range(len(q)):
@@ -312,14 +299,13 @@ def sphere_gb_parameters(dist: ChargeDistribution, model: SphereModel) -> GBPara
     """Sphere-analytic GB parameters: A = b, R_i = b - r_i^2/b, alpha = 0.57."""
     _check_interior(dist, model)
     b = model.radius
-    r = np.linalg.norm(dist.positions(), axis=1)
-    radii = tuple(float(b - ri * ri / b) for ri in r)
-    return GBParameters(electrostatic_radius=b, effective_radii=radii)
+    r = np.linalg.norm(dist.positions, axis=1)
+    return GBParameters(electrostatic_radius=b, effective_radii=b - r * r / b)
 
 
 def _still_f_matrix(dist: ChargeDistribution, radii: np.ndarray) -> np.ndarray:
     """Still equation f_ij = sqrt(r_ij^2 + Ri Rj exp(-r_ij^2 / (4 Ri Rj)))."""
-    pos = dist.positions()
+    pos = dist.positions
     d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
     rr = radii[:, None] * radii[None, :]
     return np.sqrt(d * d + rr * np.exp(-d * d / (4.0 * rr)))
@@ -327,7 +313,7 @@ def _still_f_matrix(dist: ChargeDistribution, radii: np.ndarray) -> np.ndarray:
 
 def _inverse_still(dist: ChargeDistribution, params: GBParameters) -> np.ndarray:
     """1/f_ij of the Still equation, the geometry term of both GB methods."""
-    radii = np.asarray(params.effective_radii, dtype=float)
+    radii = params.effective_radii
     if radii.size != len(dist):
         raise DomainError(f"{radii.size} effective radii for {len(dist)} charges")
     return 1.0 / _still_f_matrix(dist, radii)
@@ -357,7 +343,7 @@ def gb_still_energy(
     dG = -(k_e/2) (1/eps1 - 1/eps2) sum_ij q_i q_j / f_ij, double sum over
     all ordered pairs including the diagonal (f_ii = R_i).
     """
-    return _gb_energy(dist.magnitudes(), _inverse_still(dist, params), params, eps, "gb")
+    return _gb_energy(dist.magnitudes, _inverse_still(dist, params), params, eps, "gb")
 
 
 def gb_epsilon_energy(
@@ -367,4 +353,4 @@ def gb_epsilon_energy(
 
     Collapses to the Still form when alpha = 0 or eps1/eps2 -> 0.
     """
-    return _gb_energy(dist.magnitudes(), _inverse_still(dist, params), params, eps, "gbeps")
+    return _gb_energy(dist.magnitudes, _inverse_still(dist, params), params, eps, "gbeps")

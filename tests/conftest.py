@@ -36,7 +36,7 @@ def rotate_about_z(dist, angle):
     """Rotate all charge positions about the z-axis."""
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return sv.make_distribution(dist.positions() @ rot.T, dist.magnitudes(), dist.label)
+    return sv.make_distribution(dist.positions @ rot.T, dist.magnitudes, dist.label)
 
 
 def scaled_surface(surf, factor):

@@ -42,7 +42,7 @@ def test_01_born_exactness():
         model = sv.SphereModel(b, sv.DielectricPair(e1, e2), 25)
         born = -0.5 * COULOMB_KCAL * q * q / b * (1.0 / e1 - 1.0 / e2)
         for energy in (sv.kirkwood_energy(d, model).value,
-                       sv.bibee_energy(d, model, sv.BibeeVariant.cfa()).value):
+                       sv.bibee_energy(d, model, sv.BibeeVariant("cfa")).value):
             worst = max(worst, abs(energy - born) / abs(born))
     _report("centered-charge Born closed form, Kirkwood and CFA",
             worst < 1e-12, f"max rel err {worst:.2e}")
@@ -55,10 +55,10 @@ def test_02_equal_dielectric_identity(mesh_320):
     params = sv.sphere_gb_parameters(d, model)
     values = [
         sv.kirkwood_energy(d, model).value,
-        sv.bibee_energy(d, model, sv.BibeeVariant.cfa()).value,
-        sv.bibee_energy(d, model, sv.BibeeVariant.p()).value,
-        sv.bibee_energy(d, model, sv.BibeeVariant.generic(-0.2)).value,
-        sv.bibee_energy(d, model, sv.BibeeVariant.hybrid(0.0)).value,
+        sv.bibee_energy(d, model, sv.BibeeVariant("cfa")).value,
+        sv.bibee_energy(d, model, sv.BibeeVariant("p")).value,
+        sv.bibee_energy(d, model, sv.BibeeVariant("lambda", -0.2)).value,
+        sv.bibee_energy(d, model, sv.BibeeVariant("m", 0.0)).value,
         sv.gb_still_energy(d, params, eps).value,
         sv.gb_epsilon_energy(d, params, eps).value,
         float(np.max(np.abs(sv.coulomb_field_rhs(d, mesh_320, eps).values))),
@@ -88,8 +88,8 @@ def test_03_bound_ordering_1000_configs():
 
 def test_04_eigenfunction_preservation():
     model = sv.SphereModel(5.0, EPS_BIO, 6)
-    variants = (None, sv.BibeeVariant.cfa(), sv.BibeeVariant.p(),
-                sv.BibeeVariant.generic(-0.2), sv.BibeeVariant.hybrid(-0.1))
+    variants = (None, sv.BibeeVariant("cfa"), sv.BibeeVariant("p"),
+                sv.BibeeVariant("lambda", -0.2), sv.BibeeVariant("m", -0.1))
     worst = 0.0
     for n in range(7):
         for m in range(0, n + 1):
@@ -115,8 +115,8 @@ def test_05_asymptotic_mode_ratios():
     for n in range(11):
         e = _single_mode(10, n, 0)
         bk = sv.kirkwood_reaction_coefficients(e, model).get(n, 0).real
-        bc = sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant.cfa()).get(n, 0).real
-        bp = sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant.p()).get(n, 0).real
+        bc = sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("cfa")).get(n, 0).real
+        bp = sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("p")).get(n, 0).real
         worst = max(worst, abs(bc / bk - (n + 1) / (2 * n + 1)) / ((n + 1) / (2 * n + 1)))
         worst = max(worst, abs(bp / bk - (n + 1) / (n + 0.5)) / ((n + 1) / (n + 0.5)))
     _report("high-contrast per-mode ratios (n+1)/(2n+1) and (n+1)/(n+1/2)",
@@ -167,8 +167,8 @@ def test_08_bem_convergence(sphere_meshes):
     envelope = errs[2]
     variant_ok = True
     variant_worst = 0.0
-    for variant in (sv.BibeeVariant.cfa(), sv.BibeeVariant.p(),
-                    sv.BibeeVariant.hybrid(0.0)):
+    for variant in (sv.BibeeVariant("cfa"), sv.BibeeVariant("p"),
+                    sv.BibeeVariant("m", 0.0)):
         analytic = sv.bibee_energy(d, model, variant).value
         discrete = sv.bem_energy(d, sphere_meshes[5120], EPS_WATER,
                                  variant=variant).value

@@ -132,6 +132,9 @@ class TestDstar:
         assert est["dipole"] == pytest.approx(-1.0 / 6.0, abs=0.01)
         assert est["highest"] == pytest.approx(0.0, abs=0.02)
 
+    def test_spectrum_estimates_reproducible(self, mesh_320):
+        assert sv.dstar_spectrum_estimates(mesh_320) == sv.dstar_spectrum_estimates(mesh_320)
+
     def test_rows_scale_free(self, mesh_320):
         # D* entries are dimensionless: scaling the surface leaves D* fixed.
         big = scaled_surface(mesh_320, 2.5)
@@ -144,28 +147,28 @@ class TestVariantIdentities:
     def test_p_density_is_rhs(self, mesh_320):
         d = random_ball_distribution(32, 0, count=5)
         rhs = sv.coulomb_field_rhs(d, mesh_320, EPS_BIO)
-        sigma = sv.bibee_surface_charge(rhs, EPS_BIO, sv.BibeeVariant.p())
+        sigma = sv.bibee_surface_charge(rhs, EPS_BIO, sv.BibeeVariant("p"))
         np.testing.assert_array_equal(sigma.density, rhs.values)
 
     def test_lambda_is_scaled_rhs(self, mesh_320):
         d = random_ball_distribution(32, 1, count=5)
         rhs = sv.coulomb_field_rhs(d, mesh_320, EPS_BIO)
         lam = -0.2
-        sigma = sv.bibee_surface_charge(rhs, EPS_BIO, sv.BibeeVariant.generic(lam))
+        sigma = sv.bibee_surface_charge(rhs, EPS_BIO, sv.BibeeVariant("lambda", lam))
         np.testing.assert_allclose(
             sigma.density, rhs.values / (1.0 + EPS_BIO.eps_hat * lam), rtol=1e-15)
 
     def test_lambda_minus_half_equals_cfa(self, mesh_320):
         d = random_ball_distribution(32, 2, count=5)
         rhs = sv.coulomb_field_rhs(d, mesh_320, EPS_BIO)
-        a = sv.bibee_surface_charge(rhs, EPS_BIO, sv.BibeeVariant.cfa())
-        b = sv.bibee_surface_charge(rhs, EPS_BIO, sv.BibeeVariant.generic(-0.5))
+        a = sv.bibee_surface_charge(rhs, EPS_BIO, sv.BibeeVariant("cfa"))
+        b = sv.bibee_surface_charge(rhs, EPS_BIO, sv.BibeeVariant("lambda", -0.5))
         np.testing.assert_allclose(a.density, b.density, rtol=1e-14)
 
     def test_hybrid_mean_split(self, mesh_320):
         d = random_ball_distribution(32, 3, count=5)
         rhs = sv.coulomb_field_rhs(d, mesh_320, EPS_BIO)
-        sigma = sv.bibee_surface_charge(rhs, EPS_BIO, sv.BibeeVariant.hybrid(0.0))
+        sigma = sv.bibee_surface_charge(rhs, EPS_BIO, sv.BibeeVariant("m", 0.0))
         areas = mesh_320.areas
         mean = np.sum(areas * rhs.values) / np.sum(areas)
         expected = mean / (1.0 - 0.5 * EPS_BIO.eps_hat) + (rhs.values - mean)
@@ -174,8 +177,8 @@ class TestVariantIdentities:
     def test_hybrid_total_charge_matches_cfa(self, mesh_320):
         d = random_ball_distribution(32, 4, count=5)
         rhs = sv.coulomb_field_rhs(d, mesh_320, EPS_BIO)
-        m = sv.bibee_surface_charge(rhs, EPS_BIO, sv.BibeeVariant.hybrid(0.0))
-        c = sv.bibee_surface_charge(rhs, EPS_BIO, sv.BibeeVariant.cfa())
+        m = sv.bibee_surface_charge(rhs, EPS_BIO, sv.BibeeVariant("m", 0.0))
+        c = sv.bibee_surface_charge(rhs, EPS_BIO, sv.BibeeVariant("cfa"))
         qm = np.sum(m.density * mesh_320.areas)
         qc = np.sum(c.density * mesh_320.areas)
         assert qm == pytest.approx(qc, rel=1e-12)
@@ -207,7 +210,7 @@ class TestExactSolve:
         surf = build_surface(mesh_1280.vertices * axes, mesh_1280.triangles.copy())
         eps = sv.DielectricPair(eps_in, eps_out)
         ball = random_ball_distribution(36, 0, count=5, margin=0.8)
-        d = sv.make_distribution(ball.positions() * axes, ball.magnitudes())
+        d = sv.make_distribution(ball.positions * axes, ball.magnitudes)
         rhs = sv.coulomb_field_rhs(d, surf, eps)
         system = np.eye(surf.num_panels) + eps.eps_hat * sv.assemble_dstar(surf)
         dense = sv.SurfaceCharge(np.linalg.solve(system, rhs.values), surf, "dense")
@@ -238,7 +241,7 @@ class TestExactSolve:
         s = 2.0
         d1 = random_ball_distribution(34, 0, count=5)
         e1 = sv.bem_energy(d1, mesh_320, EPS_BIO).value
-        d2 = sv.make_distribution(d1.positions() * s, d1.magnitudes())
+        d2 = sv.make_distribution(d1.positions * s, d1.magnitudes)
         e2 = sv.bem_energy(d2, scaled_surface(mesh_320, s), EPS_BIO).value
         assert e2 == pytest.approx(e1 / s, rel=1e-10)
 
@@ -253,15 +256,15 @@ class TestVariantEnergies:
     def test_bem_variants_track_analytic(self, mesh_1280):
         d = random_ball_distribution(35, 0)
         model = sv.SphereModel(5.0, EPS_BIO, 25)
-        for variant in (sv.BibeeVariant.cfa(), sv.BibeeVariant.p(),
-                        sv.BibeeVariant.hybrid(0.0)):
+        for variant in (sv.BibeeVariant("cfa"), sv.BibeeVariant("p"),
+                        sv.BibeeVariant("m", 0.0)):
             analytic = sv.bibee_energy(d, model, variant).value
             discrete = sv.bem_energy(d, mesh_1280, EPS_BIO, variant=variant).value
             assert abs(discrete - analytic) / abs(analytic) < 0.05
 
     def test_bem_bound_ordering(self, mesh_1280):
         d = random_ball_distribution(35, 1)
-        e_cfa = sv.bem_energy(d, mesh_1280, EPS_BIO, variant=sv.BibeeVariant.cfa()).value
+        e_cfa = sv.bem_energy(d, mesh_1280, EPS_BIO, variant=sv.BibeeVariant("cfa")).value
         e_ref = sv.bem_energy(d, mesh_1280, EPS_BIO).value
-        e_p = sv.bem_energy(d, mesh_1280, EPS_BIO, variant=sv.BibeeVariant.p()).value
+        e_p = sv.bem_energy(d, mesh_1280, EPS_BIO, variant=sv.BibeeVariant("p")).value
         assert e_cfa >= e_ref >= e_p

@@ -102,6 +102,48 @@ def test_unwritable_output_is_a_file_error_exit_3(tmp_path, monkeypatch, capsys)
     assert str(out) in err
 
 
+@pytest.mark.parametrize("source", ["inline", "pqr"])
+def test_nonfinite_charge_exit_4(source, tmp_path, monkeypatch, capsys):
+    pqr = tmp_path / "inf.pqr"
+    pqr.write_text("ATOM 1 N X 1 0 0 0 1.0 1.5\nATOM 2 N X 1 0 0 1 inf 1.5\n")
+    given = ["--charge", "0,0,nan,1"] if source == "inline" else ["--pqr", str(pqr)]
+    assert run(["sphere", "--radius", "5", *given], tmp_path, monkeypatch) == 4
+    assert "non-finite charge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "1e-320"])
+@pytest.mark.parametrize("command", ["sphere", "experiment"])
+def test_nonfinite_or_subnormal_dielectric_exit_4(command, value, tmp_path, monkeypatch,
+                                                 capsys, recwarn):
+    if command == "sphere":
+        argv = ["sphere", "--radius", "5", "--charge", "0,0,0,1", "--methods",
+                ",".join(SPHERE_METHODS), "--eps-in", value]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "num_configs": 1, "eps_in": float(value)}))
+        argv = ["experiment", "--config", str(cfg)]
+    assert run(argv, tmp_path, monkeypatch) == 4
+    err = capsys.readouterr().err
+    assert "dielectric constant eps_in" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_legendre_table_unallocatable_exit_4(tmp_path, monkeypatch, capsys):
+    zeros = np.zeros
+
+    def refuse_table(shape, *args, **kwargs):
+        if shape == (301, 301, 1):
+            raise MemoryError
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refuse_table)
+    code = run(["sphere", "--radius", "5", "--charge", "0,0,1,1", "--nmax", "300"],
+               tmp_path, monkeypatch)
+    assert code == 4
+    assert "Legendre table to n_max 300 at 1 points needs 724808 bytes" in capsys.readouterr().err
+
+
 def test_charge_outside_cavity_exit_4(tmp_path, monkeypatch):
     code = run(["sphere", "--radius", "5", "--charge", "0,0,9,1"],
                tmp_path, monkeypatch)
@@ -166,8 +208,8 @@ def test_sphere_cli_matches_run_comparison(method, tmp_path, monkeypatch):
             "--lambda", repr(cfg.lambda_value), "--eps-in", repr(cfg.eps_in),
             "--eps-out", repr(cfg.eps_out), "--nmax", str(cfg.n_max),
             "--format", "json", "--out", str(tmp_path / "e.json")]
-    for c in dist.charges:
-        argv.append("--charge=" + ",".join(repr(float(v)) for v in (*c.position, c.magnitude)))
+    for p, q in zip(dist.positions, dist.magnitudes):
+        argv.append("--charge=" + ",".join(repr(float(v)) for v in (*p, q)))
     assert run(argv, tmp_path, monkeypatch) == 0
     (row,) = json.loads((tmp_path / "e.json").read_text())
     assert row["energy_kcal_mol"] == report.rows[0]["energy_kcal_mol"]

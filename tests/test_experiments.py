@@ -61,8 +61,8 @@ class TestSampling:
         cfg = small_config()
         a = sv.random_sphere_config(101, 2, cfg)
         b = sv.random_sphere_config(101, 2, cfg)
-        np.testing.assert_array_equal(a.positions(), b.positions())
-        np.testing.assert_array_equal(a.magnitudes(), b.magnitudes())
+        np.testing.assert_array_equal(a.positions, b.positions)
+        np.testing.assert_array_equal(a.magnitudes, b.magnitudes)
 
     def test_streams_independent_of_ensemble_size(self):
         # Configuration 7 is the same whether or not 0..6 were generated.
@@ -73,21 +73,21 @@ class TestSampling:
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         r = 0.95 * 5.0 * rng_check.random(6) ** (1.0 / 3.0)
         q = rng_check.uniform(-0.5, 0.5, 6)
-        np.testing.assert_array_equal(direct.positions(), dirs * r[:, None])
-        np.testing.assert_array_equal(direct.magnitudes(), q)
+        np.testing.assert_array_equal(direct.positions, dirs * r[:, None])
+        np.testing.assert_array_equal(direct.magnitudes, q)
 
     def test_placement_stays_inside_margin(self):
         cfg = small_config(num_configs=50, charges_per_config=25)
         for index in range(50):
             d = sv.random_sphere_config(cfg.seed, index, cfg)
-            radii = np.linalg.norm(d.positions(), axis=1)
+            radii = np.linalg.norm(d.positions, axis=1)
             assert np.max(radii) <= 0.95 * 5.0 + 1e-12
 
     def test_charge_magnitude_statistics(self):
         # |q| ~ U(0, 0.5) gives mean 0.25; check the ensemble mean.
         cfg = small_config(num_configs=400, charges_per_config=25)
         mags = np.concatenate([
-            np.abs(sv.random_sphere_config(cfg.seed, i, cfg).magnitudes())
+            np.abs(sv.random_sphere_config(cfg.seed, i, cfg).magnitudes)
             for i in range(400)
         ])
         assert np.mean(mags) == pytest.approx(0.25, abs=0.01)
@@ -103,7 +103,7 @@ class TestComparison:
         for index in range(3):
             d = sv.random_sphere_config(cfg.seed, index, cfg)
             exact.append(sv.kirkwood_energy(d, model).value)
-            cfa.append(sv.bibee_energy(d, model, sv.BibeeVariant.cfa()).value)
+            cfa.append(sv.bibee_energy(d, model, sv.BibeeVariant("cfa")).value)
         exact = np.array(exact)
         cfa = np.array(cfa)
         s = summary_for(report, METHOD_CFA)

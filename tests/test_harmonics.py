@@ -7,6 +7,7 @@ from numpy.polynomial import polynomial as P
 import solvbie as sv
 from conftest import rotate_about_z
 from solvbie.errors import DomainError
+from solvbie import harmonics
 from solvbie.harmonics import KIND_REACTION, MultipoleCoefficients, legendre_table
 
 
@@ -73,6 +74,16 @@ def test_table_equals_scalar_recurrence():
         assert np.array_equal(legendre_table(n_max, xs), scalar_legendre_table(n_max, xs))
 
 
+def test_factorial_ratio_equals_scalar_loop():
+    for n_max in (0, 1, 2, 5, 25, 60, 85, 90, 200):
+        want = np.zeros((n_max + 1, n_max + 1))
+        for n in range(n_max + 1):
+            want[n, 0] = 1.0
+            for m in range(1, n + 1):
+                want[n, m] = want[n, m - 1] / ((n + m) * (n - m + 1))
+        assert np.array_equal(harmonics._factorial_ratio(n_max), want)
+
+
 def test_poles_zero_for_positive_order():
     for m in range(1, 6):
         for n in range(m, 8):
@@ -90,11 +101,10 @@ def test_domain_errors():
 def naive_source_moments(dist, n_max):
     """Direct-summation oracle over the defining formula."""
     coeffs = np.zeros((n_max + 1, 2 * n_max + 1), dtype=complex)
-    for c in dist.charges:
-        x, y, z = c.position
+    for (x, y, z), q in zip(dist.positions.tolist(), dist.magnitudes.tolist()):
         r = math.sqrt(x * x + y * y + z * z)
         if r == 0.0:
-            coeffs[0, n_max] += c.magnitude
+            coeffs[0, n_max] += q
             continue
         ct = z / r
         phi = math.atan2(y, x)
@@ -103,7 +113,7 @@ def naive_source_moments(dist, n_max):
                 am = abs(m)
                 ratio = math.factorial(n - am) / math.factorial(n + am)
                 coeffs[n, m + n_max] += (
-                    c.magnitude * r ** n * ratio * rodrigues_pnm(n, am, ct)
+                    q * r ** n * ratio * rodrigues_pnm(n, am, ct)
                     * np.exp(-1j * m * phi)
                 )
     return coeffs

@@ -52,14 +52,41 @@ def test_net_charge_random_sum():
 
 def test_empty_distribution_rejected():
     with pytest.raises(EmptyInputError):
-        sv.ChargeDistribution(charges=())
+        sv.make_distribution(np.empty((0, 3)), [])
 
 
 def test_nonfinite_charge_rejected():
     with pytest.raises(DomainError):
-        sv.Charge((0.0, 0.0, float("nan")), 1.0)
+        sv.make_distribution([[0.0, 0.0, float("nan")]], [1.0])
     with pytest.raises(DomainError):
-        sv.Charge((0.0, 0.0, 0.0), float("inf"))
+        sv.make_distribution([[0.0, 0.0, 0.0]], [float("inf")])
+    pos = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, float("nan"), 0.0]]
+    with pytest.raises(DomainError, match="^non-finite charge 1:"):
+        sv.make_distribution(pos, [1.0, float("-inf"), 1.0])
+
+
+def test_length_mismatch_rejected():
+    with pytest.raises(DomainError, match="2 positions but 1 magnitudes"):
+        sv.make_distribution([[0, 0, 0], [1, 0, 0]], [1.0])
+
+
+def test_distribution_arrays_read_only():
+    pos, q = np.zeros((2, 3)), np.array([1.0, -1.0])
+    d = sv.make_distribution(pos, q)
+    assert d.positions.shape == (2, 3) and d.magnitudes.shape == (2,)
+    for arr in (d.positions, d.magnitudes):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+    pos[0, 0] = q[0] = 9.0  # the caller's arrays stay theirs
+    assert d.positions[0, 0] == 0.0 and d.magnitudes[0] == 1.0
+
+
+@pytest.mark.parametrize("eps", [float("inf"), 1e-320])
+def test_dielectrics_must_be_finite_and_normal(eps):
+    with pytest.raises(DomainError, match="eps_in"):
+        sv.DielectricPair(eps, 80.0)
+    with pytest.raises(DomainError, match="eps_out"):
+        sv.DielectricPair(4.0, eps)
 
 
 def test_load_pqr_single_line(tmp_path):
@@ -67,8 +94,8 @@ def test_load_pqr_single_line(tmp_path):
     p.write_text("ATOM 1 N X 1 0.0 0.0 0.0 -0.30 1.85\n")
     d = sv.load_pqr(p)
     assert len(d) == 1
-    assert d.charges[0].position == (0.0, 0.0, 0.0)
-    assert d.charges[0].magnitude == -0.30
+    assert d.positions[0].tolist() == [0.0, 0.0, 0.0]
+    assert d.magnitudes[0] == -0.30
     assert d.metadata["pqr_radii"] == [1.85]
 
 
@@ -82,8 +109,8 @@ def test_load_pqr_with_chain_field(tmp_path):
     )
     d = sv.load_pqr(p)
     assert len(d) == 2
-    assert d.charges[0].position == (11.104, 6.134, -6.504)
-    assert d.charges[1].magnitude == 0.417
+    assert d.positions[0].tolist() == [11.104, 6.134, -6.504]
+    assert d.magnitudes[1] == 0.417
 
 
 def test_load_pqr_empty_file(tmp_path):
@@ -111,8 +138,8 @@ def test_load_pqr_roundtrip_precision(tmp_path):
     p = tmp_path / "rt.pqr"
     p.write_text("\n".join(lines) + "\n")
     d = sv.load_pqr(p)
-    np.testing.assert_allclose(d.positions(), pos, rtol=1e-11)
-    np.testing.assert_allclose(d.magnitudes(), q, rtol=1e-11)
+    np.testing.assert_allclose(d.positions, pos, rtol=1e-11)
+    np.testing.assert_allclose(d.magnitudes, q, rtol=1e-11)
 
 
 def test_energy_result_validation():

@@ -69,16 +69,16 @@ class TestKirkwood:
 class TestBibeeVariants:
     def test_lambda_range_enforced(self):
         with pytest.raises(DomainError):
-            sv.BibeeVariant.generic(-0.6)
+            sv.BibeeVariant("lambda", -0.6)
         with pytest.raises(DomainError):
-            sv.BibeeVariant.generic(0.1)
+            sv.BibeeVariant("lambda", 0.1)
 
     def test_lambda_half_equals_cfa(self):
         d = random_ball_distribution(2, 0)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
         e = sv.source_moments(d, 25)
-        bc = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant.cfa())
-        bl = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant.generic(-0.5))
+        bc = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant("cfa"))
+        bl = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant("lambda", -0.5))
         scale = np.max(np.abs(bc.coeffs))
         assert np.max(np.abs(bc.coeffs - bl.coeffs)) < 1e-14 * scale
 
@@ -86,8 +86,8 @@ class TestBibeeVariants:
         d = random_ball_distribution(2, 1)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
         e = sv.source_moments(d, 25)
-        bp = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant.p())
-        bl = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant.generic(0.0))
+        bp = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant("p"))
+        bl = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant("lambda", 0.0))
         np.testing.assert_array_equal(bp.coeffs, bl.coeffs)
 
     def test_per_mode_lambda_recovers_kirkwood(self):
@@ -105,8 +105,8 @@ class TestBibeeVariants:
         d = random_ball_distribution(2, 3)
         eps = sv.DielectricPair(4.0, 4.0)
         m = sv.SphereModel(5.0, eps, 20)
-        for variant in (sv.BibeeVariant.cfa(), sv.BibeeVariant.p(),
-                        sv.BibeeVariant.generic(-0.2), sv.BibeeVariant.hybrid(0.0)):
+        for variant in (sv.BibeeVariant("cfa"), sv.BibeeVariant("p"),
+                        sv.BibeeVariant("lambda", -0.2), sv.BibeeVariant("m", 0.0)):
             assert sv.bibee_energy(d, m, variant).value == 0.0
         assert sv.kirkwood_energy(d, m).value == 0.0
 
@@ -114,18 +114,18 @@ class TestBibeeVariants:
         d = sv.make_distribution([[0, 0, 0]], [1.0])
         m = sv.SphereModel(3.0, EPS_BIO, 10)
         ek = sv.kirkwood_energy(d, m).value
-        ec = sv.bibee_energy(d, m, sv.BibeeVariant.cfa()).value
+        ec = sv.bibee_energy(d, m, sv.BibeeVariant("cfa")).value
         assert ec == pytest.approx(ek, rel=1e-14)
 
     def test_hybrid_m_zero_mixes_cfa_and_p(self):
         m = sv.SphereModel(5.0, EPS_BIO, 8)
         e = single_mode_source(8, 0, 0)
-        bm = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant.hybrid(0.0))
-        bc = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant.cfa())
+        bm = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant("m", 0.0))
+        bc = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant("cfa"))
         np.testing.assert_array_equal(bm.coeffs, bc.coeffs)
         e3 = single_mode_source(8, 3, 1)
-        bm3 = sv.bibee_reaction_coefficients(e3, m, sv.BibeeVariant.hybrid(0.0))
-        bp3 = sv.bibee_reaction_coefficients(e3, m, sv.BibeeVariant.p())
+        bm3 = sv.bibee_reaction_coefficients(e3, m, sv.BibeeVariant("m", 0.0))
+        bp3 = sv.bibee_reaction_coefficients(e3, m, sv.BibeeVariant("p"))
         np.testing.assert_array_equal(bm3.coeffs, bp3.coeffs)
 
 
@@ -135,8 +135,8 @@ class TestBoundOrdering:
         d = random_ball_distribution(13, index)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
         ek = sv.kirkwood_energy(d, m).value
-        ec = sv.bibee_energy(d, m, sv.BibeeVariant.cfa()).value
-        ep = sv.bibee_energy(d, m, sv.BibeeVariant.p()).value
+        ec = sv.bibee_energy(d, m, sv.BibeeVariant("cfa")).value
+        ep = sv.bibee_energy(d, m, sv.BibeeVariant("p")).value
         slack = 1e-10 * abs(ek)
         assert ec >= ek - slack
         assert ek >= ep - slack
@@ -147,8 +147,8 @@ class TestBoundOrdering:
             assert abs(sv.net_charge(d)) > 1e-6
             m = sv.SphereModel(5.0, EPS_BIO, 25)
             ek = sv.kirkwood_energy(d, m).value
-            ep = sv.bibee_energy(d, m, sv.BibeeVariant.p()).value
-            em = sv.bibee_energy(d, m, sv.BibeeVariant.hybrid(0.0)).value
+            ep = sv.bibee_energy(d, m, sv.BibeeVariant("p")).value
+            em = sv.bibee_energy(d, m, sv.BibeeVariant("m", 0.0)).value
             slack = 1e-10 * abs(ek)
             assert ep - slack <= em <= ek + slack
 
@@ -159,8 +159,8 @@ class TestBoundOrdering:
         q -= np.mean(q)  # exactly neutral up to roundoff
         d = sv.make_distribution(pos, q)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
-        ep = sv.bibee_energy(d, m, sv.BibeeVariant.p()).value
-        em = sv.bibee_energy(d, m, sv.BibeeVariant.hybrid(0.0)).value
+        ep = sv.bibee_energy(d, m, sv.BibeeVariant("p")).value
+        em = sv.bibee_energy(d, m, sv.BibeeVariant("m", 0.0)).value
         assert em == pytest.approx(ep, rel=1e-12)
 
 
@@ -171,10 +171,10 @@ class TestEigenfunctionPreservation:
         e = single_mode_source(8, n, m)
         outputs = [
             sv.kirkwood_reaction_coefficients(e, model),
-            sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant.cfa()),
-            sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant.p()),
-            sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant.generic(-0.2)),
-            sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant.hybrid(-0.1)),
+            sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("cfa")),
+            sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("p")),
+            sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("lambda", -0.2)),
+            sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("m", -0.1)),
         ]
         for b in outputs:
             on_mode = abs(b.get(n, m))
@@ -188,14 +188,14 @@ class TestEigenfunctionPreservation:
 
 class TestModeRatios:
     def test_cfa_monopole_exact(self):
-        assert sv.mode_ratio(sv.BibeeVariant.cfa(), 0) == 1.0
+        assert sv.mode_ratio(sv.BibeeVariant("cfa"), 0) == 1.0
 
     def test_p_monopole_factor_two(self):
-        assert sv.mode_ratio(sv.BibeeVariant.p(), 0) == pytest.approx(2.0)
+        assert sv.mode_ratio(sv.BibeeVariant("p"), 0) == pytest.approx(2.0)
 
     def test_high_mode_limits(self):
-        assert sv.mode_ratio(sv.BibeeVariant.cfa(), 10 ** 6) == pytest.approx(0.5, rel=1e-5)
-        assert sv.mode_ratio(sv.BibeeVariant.p(), 10 ** 6) == pytest.approx(1.0, rel=1e-5)
+        assert sv.mode_ratio(sv.BibeeVariant("cfa"), 10 ** 6) == pytest.approx(0.5, rel=1e-5)
+        assert sv.mode_ratio(sv.BibeeVariant("p"), 10 ** 6) == pytest.approx(1.0, rel=1e-5)
 
     def test_limit_ratios_match_coefficients(self):
         # eps1/eps2 = 1e-8: per-mode coefficient ratios approach the closed forms.
@@ -204,13 +204,13 @@ class TestModeRatios:
         for n in range(11):
             e = single_mode_source(10, n, 0)
             bk = sv.kirkwood_reaction_coefficients(e, model).get(n, 0)
-            bc = sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant.cfa()).get(n, 0)
-            bp = sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant.p()).get(n, 0)
-            assert (bc / bk).real == pytest.approx(sv.mode_ratio(sv.BibeeVariant.cfa(), n), rel=1e-6)
-            assert (bp / bk).real == pytest.approx(sv.mode_ratio(sv.BibeeVariant.p(), n), rel=1e-6)
+            bc = sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("cfa")).get(n, 0)
+            bp = sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("p")).get(n, 0)
+            assert (bc / bk).real == pytest.approx(sv.mode_ratio(sv.BibeeVariant("cfa"), n), rel=1e-6)
+            assert (bp / bk).real == pytest.approx(sv.mode_ratio(sv.BibeeVariant("p"), n), rel=1e-6)
 
     def test_lambda_ratio_formula(self):
-        v = sv.BibeeVariant.generic(-0.25)
+        v = sv.BibeeVariant("lambda", -0.25)
         for n in (0, 1, 2, 5):
             expected = (n + 1) / ((n + 0.5) * 1.5)
             assert sv.mode_ratio(v, n) == pytest.approx(expected, rel=1e-14)
@@ -264,8 +264,8 @@ class TestModeSpectrum:
         configs.append(sv.make_distribution([[0, 0, 0], [1.0, -2.0, 0.5]], [1.0, -0.4]))
         configs.append(sv.make_distribution([[0, 0, 0.99 * 5.0], [0.3, 1.0, -2.0]], [0.7, 0.2]))
         lam = -0.15
-        variants = {"cfa": sv.BibeeVariant.cfa(), "p": sv.BibeeVariant.p(),
-                    "lambda": sv.BibeeVariant.generic(lam), "m": sv.BibeeVariant.hybrid(lam)}
+        variants = {"cfa": sv.BibeeVariant("cfa"), "p": sv.BibeeVariant("p"),
+                    "lambda": sv.BibeeVariant("lambda", lam), "m": sv.BibeeVariant("m", lam)}
         methods = ("kirkwood", *variants)
         for eps in (EPS_BIO, sv.DielectricPair(80.0, 2.0)):
             m = sv.SphereModel(5.0, eps, 25)
@@ -275,11 +275,11 @@ class TestModeSpectrum:
                     sv.bibee_reaction_coefficients(e, m, v) for v in variants.values()]
                 results = sv.sphere_energies(d, m, methods, lam)
                 for b, res in zip(coeffs, results):
-                    psi = eval_interior_potential_many(b, d.positions())
-                    direct = 0.5 * COULOMB_KCAL * float(d.magnitudes() @ psi)
+                    psi = eval_interior_potential_many(b, d.positions)
+                    direct = 0.5 * COULOMB_KCAL * float(d.magnitudes @ psi)
                     assert res.value == pytest.approx(direct, rel=1e-12), res.method
 
-                pos, q = d.positions(), d.magnitudes()
+                pos, q = d.positions, d.magnitudes
                 r = np.linalg.norm(pos, axis=1)
                 rr = np.outer(r, r)
                 cos_g = np.clip(np.divide(pos @ pos.T, rr, out=np.ones_like(rr), where=rr > 0),
@@ -308,7 +308,7 @@ class TestSeparability:
         # a pure material factor, identical across charge configurations.
         eps_a = sv.DielectricPair(2.0, 40.0)
         eps_b = sv.DielectricPair(4.0, 80.0)
-        for variant in (sv.BibeeVariant.cfa(), sv.BibeeVariant.p()):
+        for variant in (sv.BibeeVariant("cfa"), sv.BibeeVariant("p")):
             ratios = []
             for index in range(5):
                 d = random_ball_distribution(17, index)
