@@ -9,6 +9,7 @@ alongside its output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -220,7 +221,9 @@ def _resolved_params(args) -> dict:
             for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: it is a constant, so ``main`` reuses it."""
     parser = argparse.ArgumentParser(
         prog="solvbie",
         description="Electrostatic solvation free energies: exact sphere series, "

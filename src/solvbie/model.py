@@ -76,6 +76,22 @@ class DielectricPair:
             if not (math.isfinite(eps) and eps >= tiny):
                 raise DomainError(
                     f"dielectric constant {name} must be finite and at least {tiny:g}, got {eps}")
+        # Past a finite ratio the smaller constant vanishes against the larger.
+        if not (math.isfinite(self.eps_in / self.eps_out)
+                and math.isfinite(self.eps_out / self.eps_in)):
+            raise DomainError(f"dielectric ratio eps_in/eps_out = {self.eps_in:g}/"
+                              f"{self.eps_out:g} overflows")
+
+    def scaled(self) -> tuple[float, float, float]:
+        """(eps_in / s, eps_out / s, s), s the largest power of two <= max(eps_in, eps_out).
+
+        Dividing by a power of two is exact, so any ratio of the scaled pair
+        equals that of the pair bit for bit; but the scaled pair lies in
+        (0, 2), so its sums and products cannot overflow at extreme eps, and
+        the finite ratio keeps the smaller one above 5e-309.
+        """
+        s = math.ldexp(1.0, math.frexp(max(self.eps_in, self.eps_out))[1] - 1)
+        return self.eps_in / s, self.eps_out / s, s
 
     @property
     def eps_hat(self) -> float:
@@ -83,7 +99,8 @@ class DielectricPair:
 
         Always in (-2, 2) for positive dielectrics.
         """
-        return (self.eps_in - self.eps_out) / (0.5 * (self.eps_in + self.eps_out))
+        e1, e2, _ = self.scaled()
+        return (e1 - e2) / (0.5 * (e1 + e2))
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,7 @@ def _diagonal_solve(values, eps: DielectricPair, lams):
     (eps1 + eps2), a sum of nonnegative terms for lambda in [-1/2, 0].
     """
     lams = np.asarray(lams, dtype=float)
-    e1, e2 = eps.eps_in, eps.eps_out
+    e1, e2, _ = eps.scaled()
     denom = (e1 * (1.0 + 2.0 * lams) + e2 * (1.0 - 2.0 * lams)) / (e1 + e2)
     if np.any(denom <= 0):
         raise DomainError("degenerate scale: 1 + eps_hat*lambda <= 0")
@@ -157,8 +157,11 @@ def _mode_factors(model: SphereModel, method: str, lam: float = 0.0) -> tuple[st
     else:
         variant = BibeeVariant(method, lam)
         label, lams = variant.method_name(), variant.lambdas(model.n_max)
-    e1, e2 = model.dielectrics.eps_in, model.dielectrics.eps_out
-    p = 2.0 * (e1 - e2) * (n + 1) / (e1 * (e1 + e2) * (2 * n + 1) * model.radius ** (2 * n + 1))
+    # P_n is homogeneous of degree -1 in eps, P_n(eps) = P_n(eps / s) / s, and
+    # dividing the numerator by s first keeps both parts in range.
+    e1, e2, s = model.dielectrics.scaled()
+    p = (2.0 * (e1 - e2) / s * (n + 1)
+         / (e1 * (e1 + e2) * (2 * n + 1) * model.radius ** (2 * n + 1)))
     return label, _diagonal_solve(p, model.dielectrics, lams)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import solvbie as sv
-from solvbie.cli import main
+from solvbie.cli import build_parser, main
 from solvbie.model import COULOMB_KCAL
 from solvbie.sphere import SPHERE_METHODS
 
@@ -127,6 +127,45 @@ def test_nonfinite_or_subnormal_dielectric_exit_4(command, value, tmp_path, monk
     assert "dielectric constant eps_in" in err
     assert "RuntimeWarning" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps_in, eps_out, moderate", [
+    ("1e308", "1", ("1e12", "1")), ("1", "1e308", ("1", "1e12")), ("1e-300", "1e-300", None),
+])
+def test_extreme_finite_dielectrics(eps_in, eps_out, moderate, tmp_path, monkeypatch, capsys):
+    def kirkwood(e_in, e_out):
+        code = run(["sphere", "--radius", "5", "--charge", "0,0,1,1", "--eps-in", e_in,
+                    "--eps-out", e_out, "--methods", ",".join(SPHERE_METHODS),
+                    "--lambda", "-0.1", "--format", "json"], tmp_path, monkeypatch)
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert all(np.isfinite(r["energy_kcal_mol"]) for r in rows)
+        return rows[0]["energy_kcal_mol"]
+
+    energy = kirkwood(eps_in, eps_out)
+    if moderate is None:
+        assert energy == 0.0
+    else:  # the eps ratio is already at its limit at 1e12
+        assert energy == pytest.approx(kirkwood(*moderate), rel=1e-9)
+
+
+def test_parser_built_once_and_calls_independent(tmp_path, monkeypatch):
+    assert build_parser() is build_parser()
+    charges = (["0,0,1,1"], ["1,0,0,-0.5", "0,2,0,0.25"])
+    for i, specs in enumerate(charges):
+        argv = ["sphere", "--radius", "5", "--out", f"r{i}.csv"]
+        for spec in specs:
+            argv += ["--charge", spec]
+        assert run(argv, tmp_path, monkeypatch) == 0
+    model = sv.SphereModel(5.0, sv.DielectricPair(1.0, 80.0))
+    for i, specs in enumerate(charges):
+        params = json.loads((tmp_path / f"r{i}.csv.manifest.json").read_text())["parameters"]
+        assert params["charge"] == specs
+        rows = (tmp_path / f"r{i}.csv").read_text().splitlines()
+        cols = [[float(x) for x in spec.split(",")] for spec in specs]
+        dist = sv.make_distribution([c[:3] for c in cols], [c[3] for c in cols])
+        assert float(rows[1].split(",")[1]) == sv.kirkwood_energy(dist, model).value
 
 
 def test_legendre_table_unallocatable_exit_4(tmp_path, monkeypatch, capsys):

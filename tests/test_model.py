@@ -89,6 +89,25 @@ def test_dielectrics_must_be_finite_and_normal(eps):
         sv.DielectricPair(4.0, eps)
 
 
+@pytest.mark.parametrize("e1,e2", [(1e308, 1e-300), (1e-300, 1e308)])
+def test_dielectric_ratio_must_be_finite(e1, e2):
+    with pytest.raises(DomainError, match="eps_in/eps_out"):
+        sv.DielectricPair(e1, e2)
+
+
+@pytest.mark.parametrize("e1,e2", [(1.0, 80.0), (4.0, 80.0), (97.0, 0.5), (2.0, 2.0),
+                                   (1e308, 1.0), (1.0, 1e308), (1e-300, 1e-300)])
+def test_scaled_pair_is_exact(e1, e2):
+    eps = sv.DielectricPair(e1, e2)
+    s1, s2, s = eps.scaled()
+    assert math.frexp(s)[0] == 0.5  # a power of two
+    assert max(s1, s2) >= 1.0 and 0.0 < min(s1, s2) and max(s1, s2) < 2.0
+    assert (s1 * s, s2 * s) == (e1, e2)
+    if max(e1, e2) < 1e150:  # the unscaled form does not overflow here
+        assert eps.eps_hat == (e1 - e2) / (0.5 * (e1 + e2))
+    assert math.isfinite(eps.eps_hat) and -2.0 <= eps.eps_hat <= 2.0
+
+
 def test_load_pqr_single_line(tmp_path):
     p = tmp_path / "one.pqr"
     p.write_text("ATOM 1 N X 1 0.0 0.0 0.0 -0.30 1.85\n")
