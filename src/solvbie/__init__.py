@@ -31,7 +31,6 @@ from .model import (
 from .harmonics import (
     MultipoleCoefficients,
     assoc_legendre,
-    eval_interior_potential,
     mode_spectrum,
     source_moments,
     truncation_tail_estimate,
@@ -41,11 +40,8 @@ from .sphere import (
     GBParameters,
     bibee_energy,
     bibee_reaction_coefficients,
-    gb_epsilon_energy,
-    gb_still_energy,
     kirkwood_energy,
     kirkwood_reaction_coefficients,
-    mode_ratio,
     pair_interaction_kirkwood,
     pairwise_kirkwood_energy,
     sphere_energies,
@@ -59,7 +55,6 @@ from .bem import (
     bem_energy,
     bibee_surface_charge,
     coulomb_field_rhs,
-    dstar_spectrum_estimates,
     exact_surface_charge,
     reaction_energy,
 )

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh, gmres
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConvergenceError, DomainError
 from .mesh import PanelSurface
@@ -114,7 +114,12 @@ def coulomb_field_rhs(
     The kernel's area-weighted column sums are the charges' Gauss probes
     (about -1 inside), so the same (T, Q) pass rejects exterior charges.
     """
-    r2, dmin, c, p = _charge_panel_geometry(dist, surf)
+    return _field_rhs(dist, surf, eps, _charge_panel_geometry(dist, surf))
+
+
+def _field_rhs(dist, surf, eps, geometry) -> SurfaceField:
+    """``coulomb_field_rhs`` from the output of ``_charge_panel_geometry``, left unchanged."""
+    r2, dmin, c, p = geometry
     n = surf.normals
     kernel = np.column_stack([n, -np.einsum("td,td->t", n, c)]) @ (
         np.column_stack([p, np.ones(len(p))]).T / (4.0 * np.pi))
@@ -176,32 +181,6 @@ def assemble_dstar(surf: PanelSurface) -> np.ndarray:
     return dstar
 
 
-def dstar_spectrum_estimates(surf: PanelSurface, tol: float = 1e-5) -> dict:
-    """Extremal and dipole-mode eigenvalue estimates of the discrete D*.
-
-    D* is similar to sqrt(A) K sqrt(A) (K the bare kernel matrix), which is
-    symmetric up to discretization error on a sphere; the transform is
-    symmetrized in place in the assembled matrix and fed to Lanczos.
-    Returns the smallest eigenvalue (near -1/2 on spheres), the next
-    distinct mode (the dipole, -1/6), and the largest (near 0).
-    """
-    m = assemble_dstar(surf)
-    sq = np.sqrt(surf.areas)
-    blocks = _row_blocks(surf.num_panels)
-    for s, e in blocks:
-        m[s:e] *= sq[s:e, None] / sq
-    for s, e in blocks:
-        sym = 0.5 * (m[s:e, s:] + m[s:, s:e].T)
-        m[s:e, s:] = sym
-        m[s:, s:e] = sym.T
-    # A fixed start makes the estimates reproducible.  Not sqrt(A): that is
-    # the constant-density eigenvector, whose Krylov space is one-dimensional.
-    v0 = np.random.default_rng(0).standard_normal(surf.num_panels)
-    low = np.sort(eigsh(m, k=5, which="SA", tol=tol, v0=v0, return_eigenvectors=False))
-    high = eigsh(m, k=1, which="LA", tol=max(tol, 1e-4), v0=v0, return_eigenvectors=False)
-    return {"lowest": float(low[0]), "dipole": float(low[1]), "highest": float(high[0])}
-
-
 def bibee_surface_charge(
     rhs: SurfaceField, eps: DielectricPair, variant: BibeeVariant
 ) -> SurfaceCharge:
@@ -239,13 +218,17 @@ def exact_surface_charge(
         raise DomainError(f"GMRES tolerance must lie in (0, 1e-2], got {tol}")
     dstar = assemble_dstar(surf)
     eps_hat = eps.eps_hat
+    last = [None, None]
 
     def apply_system(x):
-        return x + eps_hat * (dstar @ x)
+        # gmres ends with a product at the x it returns; the residual below reuses it.
+        if last[0] is None or not np.array_equal(last[0], x):
+            last[:] = x.copy(), x + eps_hat * (dstar @ x)
+        return last[1].copy()
 
     density, info = gmres(
-        LinearOperator(dstar.shape, matvec=apply_system), rhs.values, rtol=tol, atol=0.0,
-        restart=DEFAULT_GMRES_RESTART, maxiter=DEFAULT_GMRES_MAXITER,
+        LinearOperator(dstar.shape, matvec=apply_system, dtype=float), rhs.values,
+        rtol=tol, atol=0.0, restart=DEFAULT_GMRES_RESTART, maxiter=DEFAULT_GMRES_MAXITER,
     )
     residual = float(np.linalg.norm(apply_system(density) - rhs.values))
     if info != 0:
@@ -271,7 +254,12 @@ def reaction_energy(
     ``_charge_panel_geometry``: relative rounding error about 1e-16
     (size of the surface / r)^2 per entry, exact for each nearest panel.
     """
-    inv_r = _charge_panel_geometry(dist, surf)[0]
+    return _reaction_energy(sigma, surf, dist, _charge_panel_geometry(dist, surf)[0])
+
+
+def _reaction_energy(sigma, surf, dist, r2) -> EnergyResult:
+    """``reaction_energy`` from the squared distances r2 (T, Q), which it overwrites."""
+    inv_r = r2
     np.sqrt(inv_r, out=inv_r)
     np.divide(1.0, inv_r, out=inv_r)
     psi = (sigma.density * surf.areas) @ inv_r
@@ -287,9 +275,10 @@ def bem_energy(
     tol: float = DEFAULT_GMRES_TOL,
 ) -> EnergyResult:
     """One-call BEM energy: exact GMRES solve to ``tol`` when ``variant`` is None."""
-    rhs = coulomb_field_rhs(dist, surf, eps)
+    geometry = _charge_panel_geometry(dist, surf)
+    rhs = _field_rhs(dist, surf, eps, geometry)
     if variant is None:
         sigma = exact_surface_charge(rhs, surf, eps, tol)
     else:
         sigma = bibee_surface_charge(rhs, eps, variant)
-    return reaction_energy(sigma, surf, dist)
+    return _reaction_energy(sigma, surf, dist, geometry[0])

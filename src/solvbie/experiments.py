@@ -26,7 +26,8 @@ from .sphere import (
     VARIANT_CFA as METHOD_CFA,
     VARIANT_M as METHOD_M,
     VARIANT_P as METHOD_P,
-    sphere_energies,
+    chunk_length,
+    ensemble_energies,
 )
 
 DEFAULT_LAMBDA_GRID = (-0.10, -0.12, -0.14, -0.16, -0.18, -0.20, -0.22)
@@ -117,7 +118,8 @@ def run_comparison(
     The default pairs are the configured methods at ``cfg.lambda_value``,
     with lambda None for the methods that take no eigenvalue.  The exact
     Kirkwood energy, the reference of the summary statistics, is computed
-    with every pair in one ``sphere_energies`` call per configuration.
+    with every pair in one ``ensemble_energies`` call per chunk of
+    configurations.
     """
     if methods is None:
         methods = [(m, cfg.lambda_value if m in LAMBDA_VARIANTS else None) for m in cfg.methods]
@@ -126,21 +128,19 @@ def run_comparison(
     names, lams = zip((METHOD_KIRKWOOD, None), *methods)
     rows = []
     energies = np.empty((cfg.num_configs, len(names)))
-    for index in range(cfg.num_configs):
-        dist = random_sphere_config(cfg.seed, index, cfg)
-        results = sphere_energies(dist, cfg.sphere, names, lams)
-        energies[index] = [res.value for res in results]
-        net = net_charge(dist)
-        for (method, lam), res in zip(methods, results[1:]):
-            rows.append({
-                "seed": cfg.seed,
-                "index": index,
-                "method": method,
-                "lambda": lam,
-                "energy_kcal_mol": res.value,
-                "truncation_estimate": res.truncation_error_estimate,
-                "net_charge": net,
-            })
+    step = chunk_length(cfg.n_max, cfg.charges_per_config)
+    for start in range(0, cfg.num_configs, step):
+        indices = range(start, min(start + step, cfg.num_configs))
+        dists = [random_sphere_config(cfg.seed, index, cfg) for index in indices]
+        chunk = ensemble_energies(dists, cfg.sphere, names, lams)
+        for index, dist, results in zip(indices, dists, chunk):
+            energies[index] = [res.value for res in results]
+            net = net_charge(dist)
+            for (method, lam), res in zip(methods, results[1:]):
+                rows.append({"seed": cfg.seed, "index": index, "method": method, "lambda": lam,
+                             "energy_kcal_mol": res.value,
+                             "truncation_estimate": res.truncation_error_estimate,
+                             "net_charge": net})
     exact_arr = energies[:, 0]
     summaries = []
     for (method, lam), vals in zip(methods, energies[:, 1:].T):
@@ -163,8 +163,8 @@ def run_comparison(
 def lambda_sweep(cfg: ExperimentConfig) -> dict:
     """Hybrid-M summary at each distinct grid lambda, in first-seen order, and the best one.
 
-    One ensemble pass scores every grid lambda from each configuration's one
-    spectrum.  Ties in mean deviation are broken toward smaller |lambda|.
+    One ensemble pass scores every grid lambda from each chunk's one stack
+    of spectra.  Ties in mean deviation are broken toward smaller |lambda|.
     """
     report = run_comparison(cfg, [(METHOD_M, lam) for lam in dict.fromkeys(cfg.lambda_grid)])
     best = min(report.summaries, key=lambda s: (s["mean_dev_pct"], abs(s["lambda"])))

@@ -26,10 +26,14 @@ is the inverse Still matrix 1/F of the charge set, and GB (alpha = 0) and
 GBeps are both pref(alpha) q @ (1/F + alpha beta/A) @ q with beta =
 eps1/eps2.
 
-``sphere_energies`` is the one entry point for every method named in
-``SPHERE_METHODS``: it builds the spectrum and, for the GB methods, 1/F
-once per charge set.  The reaction coefficients B_nm = f_n E_nm remain for
-evaluating the reaction potential at points.
+Over C charge sets the series energies are one product, E = (k_e/2) S F^T,
+of the (C x modes) spectra S and the (methods x modes) factor matrix F.
+``ensemble_energies``, the engine for every method in ``SPHERE_METHODS``,
+builds one Legendre table, S and F per chunk of ``chunk_length`` charge
+sets (a table of at most ``_CHUNK_BYTES``), and 1/F per set for the GB
+methods; ``sphere_energies`` is its one-set case.  The reaction
+coefficients B_nm = f_n E_nm remain for evaluating the reaction potential
+at points.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .harmonics import (
     KIND_REACTION,
     KIND_SOURCE,
     MultipoleCoefficients,
+    _stack,
     mode_spectrum,
     source_moments,
     truncation_tail_estimate,
@@ -72,11 +77,16 @@ _VARIANTS = {
 VARIANT_TAGS = tuple(_VARIANTS)
 #: Variants whose eigenvalue is the caller's lambda.
 LAMBDA_VARIANTS = tuple(tag for tag, (_, fixed) in _VARIANTS.items() if fixed is None)
+#: The Generalized Born methods, scored per charge set.
+GB_METHODS = ("gb", "gbeps")
 #: Every sphere method name accepted by ``sphere_energies``.
-SPHERE_METHODS = (METHOD_KIRKWOOD, *VARIANT_TAGS, "gb", "gbeps")
+SPHERE_METHODS = (METHOD_KIRKWOOD, *VARIANT_TAGS, *GB_METHODS)
 
 #: Fraction of the sphere radius beyond which charges are rejected.
 BOUNDARY_MARGIN = 0.999
+
+#: Bytes of an ensemble chunk's Legendre table, 8 (n_max+1)^2 per charge.
+_CHUNK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -149,20 +159,19 @@ def _diagonal_solve(values, eps: DielectricPair, lams):
     return values / denom
 
 
-def _mode_factors(model: SphereModel, method: str, lam: float = 0.0) -> tuple[str, np.ndarray]:
-    """Label and factors f_n = P_n / (1 + eps_hat lambda_n) of a series method."""
+def _mode_factors(model: SphereModel, methods, lams) -> tuple[list[str], np.ndarray]:
+    """Labels and factor matrix F, f_n = P_n / (1 + eps_hat lambda_n), one row per series method."""
     n = np.arange(model.n_max + 1, dtype=float)
-    if method == METHOD_KIRKWOOD:
-        label, lams = "Kirkwood", -0.5 / (2 * n + 1)
-    else:
-        variant = BibeeVariant(method, lam)
-        label, lams = variant.method_name(), variant.lambdas(model.n_max)
+    variants = [None if m == METHOD_KIRKWOOD else BibeeVariant(m, lam)
+                for m, lam in zip(methods, lams)]
+    labels = ["Kirkwood" if v is None else v.method_name() for v in variants]
+    rows = [-0.5 / (2 * n + 1) if v is None else v.lambdas(model.n_max) for v in variants]
     # P_n is homogeneous of degree -1 in eps, P_n(eps) = P_n(eps / s) / s, and
     # dividing the numerator by s first keeps both parts in range.
     e1, e2, s = model.dielectrics.scaled()
     p = (2.0 * (e1 - e2) / s * (n + 1)
          / (e1 * (e1 + e2) * (2 * n + 1) * model.radius ** (2 * n + 1)))
-    return label, _diagonal_solve(p, model.dielectrics, lams)
+    return labels, _diagonal_solve(p, model.dielectrics, np.reshape(rows, (-1, n.size)))
 
 
 def _reaction_coefficients(
@@ -173,7 +182,7 @@ def _reaction_coefficients(
         raise DomainError("expected source moments")
     if e.n_max != model.n_max:
         raise DomainError(f"moment cutoff {e.n_max} != model cutoff {model.n_max}")
-    coeffs = e.coeffs * _mode_factors(model, method, lam)[1][:, None]
+    coeffs = e.coeffs * _mode_factors(model, [method], [lam])[1][0][:, None]
     return MultipoleCoefficients(n_max=e.n_max, coeffs=coeffs, kind=KIND_REACTION)
 
 
@@ -191,13 +200,49 @@ def bibee_reaction_coefficients(
     return _reaction_coefficients(e, model, variant.tag, variant.lam)
 
 
-def _check_interior(dist: ChargeDistribution, model: SphereModel):
-    r = np.linalg.norm(dist.positions, axis=1)
-    if np.any(r > BOUNDARY_MARGIN * model.radius):
+def _check_interior(dist, model: SphereModel):
+    """DomainError for the first charge set, of one or a sequence, with a charge past the margin."""
+    rmax = np.max(np.linalg.norm(_stack(dist)[0], axis=-1), axis=-1)
+    bad = np.nonzero(rmax > BOUNDARY_MARGIN * model.radius)[0]
+    if bad.size:
         raise DomainError(
-            f"charge at |r| = {float(np.max(r)):g} too close to the boundary "
+            f"charge at |r| = {float(rmax[bad[0]]):g} too close to the boundary "
             f"(limit {BOUNDARY_MARGIN} * b = {BOUNDARY_MARGIN * model.radius:g})"
         )
+
+
+def chunk_length(n_max: int, charges: int) -> int:
+    """Charge sets of ``charges`` charges per ensemble chunk: a Legendre table of _CHUNK_BYTES."""
+    return max(1, _CHUNK_BYTES // (8 * (n_max + 1) ** 2 * charges))
+
+
+def ensemble_energies(dists, model: SphereModel, methods, lam=0.0) -> list[list[EnergyResult]]:
+    """Solvation energy of each named method for each charge set of a chunk, kcal/mol.
+
+    The chunk's charges are checked, and its spectra S, truncation estimates
+    and factor matrix F built, in one pass.  ``lam`` is the eigenvalue of the
+    lambda and m variants: one value for every method, or one per method,
+    which the other methods ignore (None stands for no eigenvalue).
+    """
+    _check_interior(dists, model)
+    spectra = mode_spectrum(source_moments(dists, model.n_max))
+    tails = truncation_tail_estimate(dists, model.radius, model.n_max)
+    lams = np.broadcast_to(np.asarray(lam, dtype=float), (len(methods),))
+    series = [i for i, method in enumerate(methods) if method not in GB_METHODS]
+    labels, factors = _mode_factors(model, [methods[i] for i in series], lams[series])
+    # S F^T summed along each row, so a charge set's energies do not depend
+    # on the chunk it is scored in, as a GEMM's blocking would.
+    values = 0.5 * COULOMB_KCAL * np.sum(spectra[:, None, :] * factors, axis=-1)
+    out = []
+    for dist, row, tail in zip(dists, values.tolist(), tails.tolist()):
+        results = iter([EnergyResult(value=v, method=label, truncation_error_estimate=tail)
+                        for v, label in zip(row, labels)])
+        if len(series) < len(methods):
+            gb = sphere_gb_parameters(dist, model)
+            inv_f = _inverse_still(dist, gb)
+        out.append([_gb_energy(dist.magnitudes, inv_f, gb, model.dielectrics, method)
+                    if method in GB_METHODS else next(results) for method in methods])
+    return out
 
 
 def sphere_energies(
@@ -205,28 +250,9 @@ def sphere_energies(
 ) -> list[EnergyResult]:
     """Solvation energy of each named method for one charge set, kcal/mol.
 
-    The charges are checked, and their mode spectrum, truncation estimate
-    and (for the GB methods) inverse Still matrix built, once; each series
-    method is then (k_e/2) f @ S.  ``lam`` is the eigenvalue of the lambda
-    and m variants: one value for every method, or one per method, which
-    the other methods ignore (None stands for no eigenvalue).
+    The one-configuration case of ``ensemble_energies``.
     """
-    _check_interior(dist, model)
-    spectrum = mode_spectrum(source_moments(dist, model.n_max))
-    tail = truncation_tail_estimate(dist, model.radius, model.n_max)
-    lams = np.broadcast_to(np.asarray(lam, dtype=float), (len(methods),))
-    if {"gb", "gbeps"} & set(methods):
-        gb = sphere_gb_parameters(dist, model)
-        inv_f = _inverse_still(dist, gb)
-    results = []
-    for method, lam_i in zip(methods, lams):
-        if method in ("gb", "gbeps"):
-            results.append(_gb_energy(dist.magnitudes, inv_f, gb, model.dielectrics, method))
-        else:
-            label, factors = _mode_factors(model, method, lam_i)
-            value = 0.5 * COULOMB_KCAL * float(factors @ spectrum)
-            results.append(EnergyResult(value=value, method=label, truncation_error_estimate=tail))
-    return results
+    return ensemble_energies([dist], model, methods, lam)[0]
 
 
 def kirkwood_energy(dist: ChargeDistribution, model: SphereModel) -> EnergyResult:
@@ -239,17 +265,6 @@ def bibee_energy(
 ) -> EnergyResult:
     """Approximate solvation energy for a diagonal-approximation variant."""
     return sphere_energies(dist, model, (variant.tag,), variant.lam)[0]
-
-
-def mode_ratio(variant: BibeeVariant, n: int) -> float:
-    """Approximate/exact coefficient ratio for mode n in the eps1/eps2 -> 0 limit.
-
-    (n+1) / ((n+1/2)(1 - 2 lambda_n)), the eps_hat -> -2 limit of the factor
-    ratio: (n+1)/(2n+1) for CFA, (n+1)/(n+1/2) for P, 1 for M at n = 0.
-    """
-    if n < 0:
-        raise DomainError(f"mode index must be >= 0, got {n}")
-    return (n + 1) / ((n + 0.5) * (1.0 - 2.0 * variant.lambdas(n)[n]))
 
 
 def pair_interaction_kirkwood(i_pos, i_q, j_pos, j_q, model: SphereModel) -> float:
@@ -336,24 +351,3 @@ def _gb_energy(q, inv_f, params: GBParameters, eps: DielectricPair, method: str)
     if method == "gb":
         return EnergyResult(value=value, method="GB")
     return EnergyResult(value=value, method="GBeps", metadata={"alpha": str(alpha)})
-
-
-def gb_still_energy(
-    dist: ChargeDistribution, params: GBParameters, eps: DielectricPair
-) -> EnergyResult:
-    """Generalized-Born energy via the Still equation, kcal/mol: GBeps at alpha = 0.
-
-    dG = -(k_e/2) (1/eps1 - 1/eps2) sum_ij q_i q_j / f_ij, double sum over
-    all ordered pairs including the diagonal (f_ii = R_i).
-    """
-    return _gb_energy(dist.magnitudes, _inverse_still(dist, params), params, eps, "gb")
-
-
-def gb_epsilon_energy(
-    dist: ChargeDistribution, params: GBParameters, eps: DielectricPair
-) -> EnergyResult:
-    """GB energy with the dielectric-dependent alpha correction, kcal/mol.
-
-    Collapses to the Still form when alpha = 0 or eps1/eps2 -> 0.
-    """
-    return _gb_energy(dist.magnitudes, _inverse_still(dist, params), params, eps, "gbeps")

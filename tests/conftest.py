@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 import solvbie as sv
+from solvbie.bem import _row_blocks, assemble_dstar
+from solvbie.errors import DomainError
+from solvbie.harmonics import eval_interior_potential_many
 from solvbie.mesh import build_surface
+from solvbie.sphere import _gb_energy, _inverse_still
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +55,67 @@ def summary_for(report, method):
         if s["method"] == method:
             return s
     raise KeyError(f"no summary for method {method!r}")
+
+
+def mode_ratio(variant, n: int) -> float:
+    """Approximate/exact coefficient ratio for mode n in the eps1/eps2 -> 0 limit.
+
+    (n+1) / ((n+1/2)(1 - 2 lambda_n)), the eps_hat -> -2 limit of the factor
+    ratio: (n+1)/(2n+1) for CFA, (n+1)/(n+1/2) for P, 1 for M at n = 0.
+    """
+    if n < 0:
+        raise DomainError(f"mode index must be >= 0, got {n}")
+    return (n + 1) / ((n + 0.5) * (1.0 - 2.0 * variant.lambdas(n)[n]))
+
+
+def gb_still_energy(dist, params, eps):
+    """Generalized-Born energy via the Still equation, kcal/mol: GBeps at alpha = 0.
+
+    dG = -(k_e/2) (1/eps1 - 1/eps2) sum_ij q_i q_j / f_ij, double sum over
+    all ordered pairs including the diagonal (f_ii = R_i).
+    """
+    return _gb_energy(dist.magnitudes, _inverse_still(dist, params), params, eps, "gb")
+
+
+def gb_epsilon_energy(dist, params, eps):
+    """GB energy with the dielectric-dependent alpha correction, kcal/mol.
+
+    Collapses to the Still form when alpha = 0 or eps1/eps2 -> 0.
+    """
+    return _gb_energy(dist.magnitudes, _inverse_still(dist, params), params, eps, "gbeps")
+
+
+def eval_interior_potential(b_coeffs, point) -> float:
+    """Reaction potential at an interior point, pre-Coulomb-constant units.
+
+    psi = sum_nm B_nm r^n P_n^|m|(cos theta) exp(+i m phi), truncated at n_max.
+    Raises ConsistencyError if the imaginary part is not negligible.
+    """
+    vals = eval_interior_potential_many(b_coeffs, np.asarray(point, dtype=float).reshape(1, 3))
+    return float(vals[0])
+
+
+def dstar_spectrum_estimates(surf, tol: float = 1e-5) -> dict:
+    """Extremal and dipole-mode eigenvalue estimates of the discrete D*.
+
+    D* is similar to sqrt(A) K sqrt(A) (K the bare kernel matrix), which is
+    symmetric up to discretization error on a sphere; the transform is
+    symmetrized in place in the assembled matrix and fed to Lanczos.
+    Returns the smallest eigenvalue (near -1/2 on spheres), the next
+    distinct mode (the dipole, -1/6), and the largest (near 0).
+    """
+    m = assemble_dstar(surf)
+    sq = np.sqrt(surf.areas)
+    blocks = _row_blocks(surf.num_panels)
+    for s, e in blocks:
+        m[s:e] *= sq[s:e, None] / sq
+    for s, e in blocks:
+        sym = 0.5 * (m[s:e, s:] + m[s:, s:e].T)
+        m[s:e, s:] = sym
+        m[s:, s:e] = sym.T
+    # A fixed start makes the estimates reproducible.  Not sqrt(A): that is
+    # the constant-density eigenvector, whose Krylov space is one-dimensional.
+    v0 = np.random.default_rng(0).standard_normal(surf.num_panels)
+    low = np.sort(eigsh(m, k=5, which="SA", tol=tol, v0=v0, return_eigenvectors=False))
+    high = eigsh(m, k=1, which="LA", tol=max(tol, 1e-4), v0=v0, return_eigenvectors=False)
+    return {"lowest": float(low[0]), "dipole": float(low[1]), "highest": float(high[0])}

@@ -9,7 +9,8 @@ import time
 import numpy as np
 
 import solvbie as sv
-from conftest import random_ball_distribution
+from conftest import (dstar_spectrum_estimates, gb_epsilon_energy, gb_still_energy,
+                      random_ball_distribution)
 from solvbie.experiments import ROW_COLUMNS, rows_to_csv
 from solvbie.harmonics import KIND_SOURCE, MultipoleCoefficients
 from solvbie.model import COULOMB_KCAL
@@ -59,8 +60,8 @@ def test_02_equal_dielectric_identity(mesh_320):
         sv.bibee_energy(d, model, sv.BibeeVariant("p")).value,
         sv.bibee_energy(d, model, sv.BibeeVariant("lambda", -0.2)).value,
         sv.bibee_energy(d, model, sv.BibeeVariant("m", 0.0)).value,
-        sv.gb_still_energy(d, params, eps).value,
-        sv.gb_epsilon_energy(d, params, eps).value,
+        gb_still_energy(d, params, eps).value,
+        gb_epsilon_energy(d, params, eps).value,
         float(np.max(np.abs(sv.coulomb_field_rhs(d, mesh_320, eps).values))),
     ]
     _report("equal interior/exterior dielectric gives exactly zero",
@@ -184,7 +185,7 @@ def test_08_bem_convergence(sphere_meshes):
 
 def test_09_discrete_operator_spectrum(sphere_meshes):
     start = time.time()
-    est = sv.dstar_spectrum_estimates(sphere_meshes[5120])
+    est = dstar_spectrum_estimates(sphere_meshes[5120])
     elapsed = time.time() - start
     ok = (abs(est["lowest"] + 0.5) < 0.02
           and abs(est["dipole"] + 1.0 / 6.0) < 0.02
@@ -207,7 +208,7 @@ def test_10_gb_epsilon_alpha_optimality():
         for alpha in errors:
             params = sv.GBParameters(base.electrostatic_radius,
                                      base.effective_radii, alpha=alpha)
-            approx = sv.gb_epsilon_energy(d, params, EPS_WATER).value
+            approx = gb_epsilon_energy(d, params, EPS_WATER).value
             errors[alpha].append(abs(approx - exact) / abs(exact))
     means = {a: float(np.mean(v)) for a, v in errors.items()}
     elapsed = time.time() - start

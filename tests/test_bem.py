@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import solvbie as sv
-from conftest import random_ball_distribution, scaled_surface
+from conftest import dstar_spectrum_estimates, random_ball_distribution, scaled_surface
 from solvbie import bem
-from solvbie.errors import DomainError
+from scipy.sparse.linalg import LinearOperator
+from solvbie.errors import ConvergenceError, DomainError
 from solvbie.mesh import build_surface
 from solvbie.model import COULOMB_KCAL
 
@@ -181,13 +182,13 @@ class TestDstar:
         assert np.max(np.abs(out + 0.5)) < 0.02
 
     def test_spectrum_on_sphere(self, mesh_1280):
-        est = sv.dstar_spectrum_estimates(mesh_1280)
+        est = dstar_spectrum_estimates(mesh_1280)
         assert est["lowest"] == pytest.approx(-0.5, abs=0.01)
         assert est["dipole"] == pytest.approx(-1.0 / 6.0, abs=0.01)
         assert est["highest"] == pytest.approx(0.0, abs=0.02)
 
     def test_spectrum_estimates_reproducible(self, mesh_320):
-        assert sv.dstar_spectrum_estimates(mesh_320) == sv.dstar_spectrum_estimates(mesh_320)
+        assert dstar_spectrum_estimates(mesh_320) == dstar_spectrum_estimates(mesh_320)
 
     def test_rows_scale_free(self, mesh_320):
         # D* entries are dimensionless: scaling the surface leaves D* fixed.
@@ -243,6 +244,44 @@ class TestExactSolve:
         d = sv.make_distribution([[0, 0, 0]], [1.0])
         got = sv.bem_energy(d, mesh_1280, EPS_WATER).value
         assert got == pytest.approx(born_energy(1.0, 5.0, 1.0, 80.0), rel=0.01)
+
+    @pytest.mark.parametrize("restart, maxiter", [(50, 500), (2, 1)])
+    def test_one_dense_product_per_gmres_product(self, mesh_320, monkeypatch, restart, maxiter):
+        # The residual reuses GMRES's last product; (2, 1) stops unconverged.
+        products, gmres_products, iterates = [], [], []
+        assemble, gmres = bem.assemble_dstar, bem.gmres
+
+        class CountedMatrix:
+            def __init__(self, a):
+                self.a, self.shape = a, a.shape
+
+            def __matmul__(self, x):
+                products.append(1)
+                return self.a @ x
+
+        def counted_gmres(a, b, **kwargs):
+            def matvec(x):
+                gmres_products.append(1)
+                return a.matvec(x)
+            x, info = gmres(LinearOperator(a.shape, matvec=matvec, dtype=a.dtype), b, **kwargs)
+            iterates.append(x.copy())
+            return x, info
+
+        monkeypatch.setattr(bem, "assemble_dstar", lambda surf: CountedMatrix(assemble(surf)))
+        monkeypatch.setattr(bem, "gmres", counted_gmres)
+        monkeypatch.setattr(bem, "DEFAULT_GMRES_RESTART", restart)
+        monkeypatch.setattr(bem, "DEFAULT_GMRES_MAXITER", maxiter)
+        rhs = sv.coulomb_field_rhs(random_ball_distribution(34, 0, count=5), mesh_320, EPS_BIO)
+        try:
+            reported = sv.exact_surface_charge(rhs, mesh_320, EPS_BIO).metadata["residual"]
+        except ConvergenceError as exc:
+            reported = exc.residual
+        assert len(products) == len(gmres_products) > 0
+        # The residual of the returned iterate, from an independently assembled D*.
+        x = iterates[-1]
+        residual = float(np.linalg.norm(x + EPS_BIO.eps_hat * (assemble(mesh_320) @ x)
+                                        - rhs.values))
+        assert reported == (residual if maxiter == 1 else f"{residual:.3e}")
 
     def test_direct_and_gmres_agree(self, mesh_320):
         d = random_ball_distribution(33, 0, count=5)

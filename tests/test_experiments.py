@@ -6,6 +6,7 @@ import pytest
 
 import solvbie as sv
 from conftest import summary_for
+from solvbie import sphere
 from solvbie.errors import DomainError
 from solvbie.experiments import (
     METHOD_CFA,
@@ -220,3 +221,23 @@ class TestSerialization:
         payload = json.loads(report_to_json(report))
         assert payload["config"]["seed"] == 101
         assert len(payload["rows"]) == 9
+
+
+class TestChunks:
+    def test_chunks_match_one_set_calls(self, monkeypatch):
+        cfg = small_config(num_configs=7, methods=sphere.SPHERE_METHODS, lambda_value=-0.15)
+        whole = sv.run_comparison(cfg)
+        table = 8 * (cfg.n_max + 1) ** 2 * cfg.charges_per_config
+        monkeypatch.setattr(sphere, "_CHUNK_BYTES", 3 * table)
+        assert sphere.chunk_length(cfg.n_max, cfg.charges_per_config) == 3
+        report = sv.run_comparison(cfg)
+        # Chunks of 3, 3 and 1 sets give the rows of one chunk of 7, bit for bit.
+        assert report.rows == whole.rows
+        rows = iter(report.rows)
+        lams = [cfg.lambda_value if m in ("lambda", "m") else None for m in cfg.methods]
+        for index in range(cfg.num_configs):
+            d = sv.random_sphere_config(cfg.seed, index, cfg)
+            for res in sv.sphere_energies(d, cfg.sphere, cfg.methods, lams):
+                row = next(rows)
+                assert row["index"] == index
+                assert row["energy_kcal_mol"] == pytest.approx(res.value, rel=1e-14, abs=0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import solvbie as sv
-from conftest import random_ball_distribution
+from conftest import gb_epsilon_energy, gb_still_energy, mode_ratio, random_ball_distribution
 from solvbie import sphere
 from solvbie.errors import DomainError
 from solvbie.harmonics import KIND_SOURCE, MultipoleCoefficients, eval_interior_potential_many
@@ -188,14 +188,14 @@ class TestEigenfunctionPreservation:
 
 class TestModeRatios:
     def test_cfa_monopole_exact(self):
-        assert sv.mode_ratio(sv.BibeeVariant("cfa"), 0) == 1.0
+        assert mode_ratio(sv.BibeeVariant("cfa"), 0) == 1.0
 
     def test_p_monopole_factor_two(self):
-        assert sv.mode_ratio(sv.BibeeVariant("p"), 0) == pytest.approx(2.0)
+        assert mode_ratio(sv.BibeeVariant("p"), 0) == pytest.approx(2.0)
 
     def test_high_mode_limits(self):
-        assert sv.mode_ratio(sv.BibeeVariant("cfa"), 10 ** 6) == pytest.approx(0.5, rel=1e-5)
-        assert sv.mode_ratio(sv.BibeeVariant("p"), 10 ** 6) == pytest.approx(1.0, rel=1e-5)
+        assert mode_ratio(sv.BibeeVariant("cfa"), 10 ** 6) == pytest.approx(0.5, rel=1e-5)
+        assert mode_ratio(sv.BibeeVariant("p"), 10 ** 6) == pytest.approx(1.0, rel=1e-5)
 
     def test_limit_ratios_match_coefficients(self):
         # eps1/eps2 = 1e-8: per-mode coefficient ratios approach the closed forms.
@@ -206,14 +206,14 @@ class TestModeRatios:
             bk = sv.kirkwood_reaction_coefficients(e, model).get(n, 0)
             bc = sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("cfa")).get(n, 0)
             bp = sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("p")).get(n, 0)
-            assert (bc / bk).real == pytest.approx(sv.mode_ratio(sv.BibeeVariant("cfa"), n), rel=1e-6)
-            assert (bp / bk).real == pytest.approx(sv.mode_ratio(sv.BibeeVariant("p"), n), rel=1e-6)
+            assert (bc / bk).real == pytest.approx(mode_ratio(sv.BibeeVariant("cfa"), n), rel=1e-6)
+            assert (bp / bk).real == pytest.approx(mode_ratio(sv.BibeeVariant("p"), n), rel=1e-6)
 
     def test_lambda_ratio_formula(self):
         v = sv.BibeeVariant("lambda", -0.25)
         for n in (0, 1, 2, 5):
             expected = (n + 1) / ((n + 0.5) * 1.5)
-            assert sv.mode_ratio(v, n) == pytest.approx(expected, rel=1e-14)
+            assert mode_ratio(v, n) == pytest.approx(expected, rel=1e-14)
 
 
 class TestPairInteraction:
@@ -302,6 +302,67 @@ class TestModeSpectrum:
         assert got[0].value != got[1].value
 
 
+
+class TestEnsembleEngine:
+    def test_chunk_matches_one_set_calls(self):
+        # Sets of different sizes share one stack, padded with zero charges.
+        dists = [random_ball_distribution(41, i, count=c) for i, c in enumerate((3, 12, 7, 1))]
+        model = sv.SphereModel(5.0, EPS_BIO, 25)
+        got = sphere.ensemble_energies(dists, model, sphere.SPHERE_METHODS, -0.15)
+        assert len(got) == len(dists)
+        for d, results in zip(dists, got):
+            want = sv.sphere_energies(d, model, sphere.SPHERE_METHODS, -0.15)
+            assert [r.method for r in results] == [r.method for r in want]
+            for a, b in zip(results, want):
+                assert a.value == pytest.approx(b.value, rel=1e-14, abs=0), a.method
+                if b.truncation_error_estimate is None:
+                    assert a.truncation_error_estimate is None
+                else:
+                    assert a.truncation_error_estimate == pytest.approx(
+                        b.truncation_error_estimate, rel=1e-14, abs=0)
+
+    def test_charge_at_origin_only_in_monopole(self):
+        origin = sv.make_distribution([[0, 0, 0]], [0.7])
+        dists = [random_ball_distribution(42, 0, count=5), origin]
+        spectra = sv.mode_spectrum(sv.source_moments(dists, 10))
+        assert spectra.shape == (2, 11)
+        assert spectra[1, 0] == pytest.approx(0.49, rel=1e-15)
+        assert np.all(spectra[1, 1:] == 0.0)
+        model = sv.SphereModel(5.0, EPS_WATER, 10)
+        for res in sphere.ensemble_energies(dists, model, ["kirkwood", "cfa"])[1]:
+            assert res.value == pytest.approx(born_energy(0.7, 5.0, 1.0, 80.0), rel=1e-12)
+
+    def test_first_set_past_the_margin_reported(self):
+        model = sv.SphereModel(5.0, EPS_BIO, 25)
+        ok = random_ball_distribution(43, 0, count=4)
+        near = [sv.make_distribution([[0, 0, z], [0.1, 0.2, 0.3]], [1.0, -1.0])
+                for z in (4.9975, 4.9999)]
+        with pytest.raises(DomainError) as want:
+            sv.sphere_energies(near[0], model, ["kirkwood"])
+        with pytest.raises(DomainError) as got:
+            sphere.ensemble_energies([ok, near[0], ok, near[1]], model, ["kirkwood", "gb"])
+        assert str(got.value) == str(want.value)
+        assert "|r| = 4.9975 too close to the boundary" in str(got.value)
+
+    @pytest.mark.parametrize("n_max", [0, 1])
+    def test_lowest_cutoffs_closed_form(self, n_max):
+        # S_0 is the squared net charge, S_1 the squared dipole moment.
+        dists = [random_ball_distribution(44, i, count=6) for i in range(3)]
+        model = sv.SphereModel(5.0, EPS_BIO, n_max)
+        e1, e2, b = 4.0, 80.0, 5.0
+        n = np.arange(n_max + 1)
+        p_n = 2 * (e1 - e2) * (n + 1) / (e1 * (e1 + e2) * (2 * n + 1) * b ** (2 * n + 1))
+        factors = {"kirkwood": kirkwood_factors(e1, e2, b, n_max),
+                   "cfa": p_n / (1 - EPS_BIO.eps_hat / 2), "p": p_n}
+        got = sphere.ensemble_energies(dists, model, list(factors))
+        for d, results in zip(dists, got):
+            q, pos = d.magnitudes, d.positions
+            spectrum = np.array([q.sum() ** 2, np.sum((q @ pos) ** 2)])[:n_max + 1]
+            for res, f in zip(results, factors.values()):
+                assert res.value == pytest.approx(0.5 * COULOMB_KCAL * f @ spectrum, rel=1e-13)
+            assert results[0].value == pytest.approx(
+                sv.pairwise_kirkwood_energy(d, model), rel=1e-13)
+
 class TestSeparability:
     def test_cfa_p_ratio_independent_of_configuration(self):
         # Separable methods: the energy ratio between two dielectric pairs is
@@ -349,7 +410,7 @@ class TestGeneralizedBorn:
     def test_still_single_charge_is_born(self):
         d = sv.make_distribution([[0, 0, 0]], [1.0])
         p = sv.GBParameters(electrostatic_radius=5.0, effective_radii=(5.0,))
-        got = sv.gb_still_energy(d, p, EPS_WATER).value
+        got = gb_still_energy(d, p, EPS_WATER).value
         assert got == pytest.approx(born_energy(1.0, 5.0, 1.0, 80.0), rel=1e-14)
 
     def test_still_long_distance_screened_coulomb(self):
@@ -366,15 +427,15 @@ class TestGeneralizedBorn:
         d = sv.make_distribution([[0, 0, 0], [1, 0, 0]], [1.0, -1.0])
         p = sv.GBParameters(electrostatic_radius=5.0, effective_radii=(5.0,))
         with pytest.raises(DomainError):
-            sv.gb_still_energy(d, p, EPS_WATER)
+            gb_still_energy(d, p, EPS_WATER)
 
     def test_gbeps_alpha_zero_matches_still(self):
         d = random_ball_distribution(18, 0, count=6)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
         p0 = sv.sphere_gb_parameters(d, m)
         p0 = sv.GBParameters(p0.electrostatic_radius, p0.effective_radii, alpha=0.0)
-        a = sv.gb_epsilon_energy(d, p0, EPS_BIO).value
-        b = sv.gb_still_energy(d, p0, EPS_BIO).value
+        a = gb_epsilon_energy(d, p0, EPS_BIO).value
+        b = gb_still_energy(d, p0, EPS_BIO).value
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_gbeps_conductor_interior_limit_matches_still(self):
@@ -382,15 +443,15 @@ class TestGeneralizedBorn:
         eps = sv.DielectricPair(1.0, 1e12)  # eps1/eps2 -> 0
         m = sv.SphereModel(5.0, eps, 25)
         p = sv.sphere_gb_parameters(d, m)
-        a = sv.gb_epsilon_energy(d, p, eps).value
-        b = sv.gb_still_energy(d, p, eps).value
+        a = gb_epsilon_energy(d, p, eps).value
+        b = gb_still_energy(d, p, eps).value
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_gb_methods_share_one_still_kernel(self, monkeypatch):
         d = random_ball_distribution(18, 2, count=12)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
         p = sv.sphere_gb_parameters(d, m)
-        want = [sv.gb_still_energy(d, p, EPS_BIO), sv.gb_epsilon_energy(d, p, EPS_BIO)]
+        want = [gb_still_energy(d, p, EPS_BIO), gb_epsilon_energy(d, p, EPS_BIO)]
         calls = []
         monkeypatch.setattr(sphere, "_still_f_matrix",
                             lambda *args: calls.append(args) or _still_f_matrix(*args))
@@ -408,6 +469,6 @@ class TestGeneralizedBorn:
             m = sv.SphereModel(5.0, EPS_WATER, 40)
             exact = sv.pairwise_kirkwood_energy(d, m)
             p = sv.sphere_gb_parameters(d, m)
-            approx = sv.gb_epsilon_energy(d, p, EPS_WATER).value
+            approx = gb_epsilon_energy(d, p, EPS_WATER).value
             errs.append(abs(approx - exact) / abs(exact))
         assert np.mean(errs) < 0.10
