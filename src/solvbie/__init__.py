@@ -30,7 +30,7 @@ from .model import (
 )
 from .harmonics import (
     MultipoleCoefficients,
-    assoc_legendre,
+    legendre_table,
     mode_spectrum,
     source_moments,
     truncation_tail_estimate,
@@ -38,12 +38,10 @@ from .harmonics import (
 from .sphere import (
     BibeeVariant,
     GBParameters,
-    bibee_energy,
-    bibee_reaction_coefficients,
     kirkwood_energy,
-    kirkwood_reaction_coefficients,
     pair_interaction_kirkwood,
     pairwise_kirkwood_energy,
+    reaction_coefficients,
     sphere_energies,
     sphere_gb_parameters,
 )

@@ -204,19 +204,16 @@ def bibee_surface_charge(
 
 
 def exact_surface_charge(
-    rhs: SurfaceField,
-    surf: PanelSurface,
-    eps: DielectricPair,
-    tol: float = DEFAULT_GMRES_TOL,
+    rhs: SurfaceField, eps: DielectricPair, tol: float = DEFAULT_GMRES_TOL
 ) -> SurfaceCharge:
-    """Solve (I + eps_hat D*) sigma = rhs for the reference surface charge.
+    """Solve (I + eps_hat D*) sigma = rhs on the surface of ``rhs``.
 
     Restarted GMRES on the dense D*, to relative residual ``tol``.  Memory is
     that one 8 T^2-byte matrix: 210 MB at 5120 panels, 3.4 GB at 20480.
     """
     if not (0 < tol <= 1e-2):
         raise DomainError(f"GMRES tolerance must lie in (0, 1e-2], got {tol}")
-    dstar = assemble_dstar(surf)
+    dstar = assemble_dstar(rhs.surface)
     eps_hat = eps.eps_hat
     last = [None, None]
 
@@ -241,28 +238,26 @@ def exact_surface_charge(
             f"solve residual {residual:g} exceeds {max(tol, 1e-10):g} * ||rhs||",
             residual=residual)
     return SurfaceCharge(
-        density=density, surface=surf, method="BEM-exact",
+        density=density, surface=rhs.surface, method="BEM-exact",
         metadata={"solver": "gmres", "residual": f"{residual:.3e}"})
 
 
-def reaction_energy(
-    sigma: SurfaceCharge, surf: PanelSurface, dist: ChargeDistribution
-) -> EnergyResult:
-    """Reaction energy (k_e/2) sum_k q_k sum_j sigma_j A_j / |r_k - c_j|.
+def reaction_energy(sigma: SurfaceCharge, dist: ChargeDistribution) -> EnergyResult:
+    """Reaction energy (k_e/2) sum_k q_k sum_j sigma_j A_j / |r_k - c_j| on sigma's surface.
 
     Computed as (k_e/2) q @ ((sigma A) @ (1 / sqrt(r2))) with r2 from
     ``_charge_panel_geometry``: relative rounding error about 1e-16
     (size of the surface / r)^2 per entry, exact for each nearest panel.
     """
-    return _reaction_energy(sigma, surf, dist, _charge_panel_geometry(dist, surf)[0])
+    return _reaction_energy(sigma, dist, _charge_panel_geometry(dist, sigma.surface)[0])
 
 
-def _reaction_energy(sigma, surf, dist, r2) -> EnergyResult:
+def _reaction_energy(sigma, dist, r2) -> EnergyResult:
     """``reaction_energy`` from the squared distances r2 (T, Q), which it overwrites."""
     inv_r = r2
     np.sqrt(inv_r, out=inv_r)
     np.divide(1.0, inv_r, out=inv_r)
-    psi = (sigma.density * surf.areas) @ inv_r
+    psi = (sigma.density * sigma.surface.areas) @ inv_r
     value = 0.5 * COULOMB_KCAL * float(dist.magnitudes @ psi)
     return EnergyResult(value=value, method=sigma.method, metadata=dict(sigma.metadata))
 
@@ -278,7 +273,7 @@ def bem_energy(
     geometry = _charge_panel_geometry(dist, surf)
     rhs = _field_rhs(dist, surf, eps, geometry)
     if variant is None:
-        sigma = exact_surface_charge(rhs, surf, eps, tol)
+        sigma = exact_surface_charge(rhs, eps, tol)
     else:
         sigma = bibee_surface_charge(rhs, eps, variant)
-    return _reaction_energy(sigma, surf, dist, geometry[0])
+    return _reaction_energy(sigma, dist, geometry[0])

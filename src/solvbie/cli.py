@@ -31,6 +31,7 @@ from .experiments import (
     SUMMARY_COLUMNS,
     ExperimentConfig,
     lambda_sweep,
+    report_to_json,
     rows_to_csv,
     run_comparison,
 )
@@ -157,16 +158,10 @@ def _experiment_config(args) -> tuple[ExperimentConfig, list]:
             raise ParseError(f"{args.config}: the config must be a JSON object")
         inputs.append(args.config)
     # Flag overrides beat the config file.
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.num_configs is not None:
-        data["num_configs"] = args.num_configs
-    if args.eps_in is not None:
-        data["eps_in"] = args.eps_in
-    if args.eps_out is not None:
-        data["eps_out"] = args.eps_out
-    if args.nmax is not None:
-        data["n_max"] = args.nmax
+    for flag, key in (("seed", "seed"), ("num_configs", "num_configs"), ("eps_in", "eps_in"),
+                      ("eps_out", "eps_out"), ("nmax", "n_max")):
+        if getattr(args, flag) is not None:
+            data[key] = getattr(args, flag)
     if "seed" not in data:
         raise ParseError("a seed is required (config file or --seed)")
     try:
@@ -180,8 +175,6 @@ def cmd_experiment(args) -> int:
     report = run_comparison(cfg)
     out = Path(args.out) if args.out else Path(f"experiment_seed{cfg.seed}")
     if args.format == "json":
-        from .experiments import report_to_json
-
         path = out.with_suffix(".json")
         path.write_text(report_to_json(report))
         written = [path]

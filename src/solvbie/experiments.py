@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -92,7 +91,6 @@ class ComparisonReport:
     config: ExperimentConfig
     rows: tuple[dict, ...]             # one dict per (config index, method, lambda)
     summaries: tuple[dict, ...]        # one dict per (method, lambda)
-    metadata: dict = field(default_factory=dict, compare=False)
 
 
 def random_sphere_config(seed: int, index: int, cfg: ExperimentConfig) -> ChargeDistribution:
@@ -156,8 +154,7 @@ def run_comparison(
             "mean_dev_pct": mean_dev,
             "n": cfg.num_configs,
         })
-    return ComparisonReport(config=cfg, rows=tuple(rows), summaries=tuple(summaries),
-                            metadata={"seed": cfg.seed})
+    return ComparisonReport(config=cfg, rows=tuple(rows), summaries=tuple(summaries))
 
 
 def lambda_sweep(cfg: ExperimentConfig) -> dict:
@@ -175,8 +172,6 @@ def _format_value(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
         return repr(v)
     return str(v)
 

@@ -19,25 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .model import ChargeDistribution
+from .model import COULOMB_KCAL, ChargeDistribution
 
 #: Relative tolerance on the imaginary part of reconstructed potentials.
 IMAG_TOL = 1e-9
 
 KIND_SOURCE = "source"
 KIND_REACTION = "reaction"
-
-
-def assoc_legendre(n: int, m: int, x: float) -> float:
-    """Unnormalized associated Legendre value P_n^m(x), no Condon-Shortley phase.
-
-    Upward recurrence in n at fixed m (the numerically stable direction).
-    """
-    if n < 0 or m < 0 or m > n:
-        raise DomainError(f"invalid Legendre degree/order (n={n}, m={m})")
-    if abs(x) > 1:
-        raise DomainError(f"Legendre argument out of range: {x}")
-    return float(legendre_table(n, np.array([x]))[n, m, 0])
 
 
 def legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -109,6 +97,8 @@ class MultipoleCoefficients:
         self.coeffs.setflags(write=False)
 
     def get(self, n: int, m: int) -> complex:
+        if self.coeffs.ndim == 3:
+            raise DomainError("get needs one charge set's coefficients, not a chunk's")
         if abs(m) > n or n > self.n_max:
             raise DomainError(f"(n={n}, m={m}) outside coefficient triangle")
         return complex(self.coeffs[n, m + self.n_max])
@@ -216,8 +206,6 @@ def truncation_tail_estimate(dist, b: float, n_max: int):
     the true truncation error for eps_in >= 1 (constant 1; see tests).  A
     float for one charge set, a (C,) array for a sequence.
     """
-    from .model import COULOMB_KCAL
-
     pos, q = _stack(dist)
     rmax = np.max(np.linalg.norm(pos, axis=-1), axis=-1)
     bad = np.nonzero(rmax >= b)[0]

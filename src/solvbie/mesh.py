@@ -106,11 +106,9 @@ def build_surface(vertices, triangles) -> PanelSurface:
     surf = PanelSurface(vertices, triangles, centroids, normals, areas)
     probe = np.mean(vertices, axis=0)
     g = gauss_probe(surf, probe)
-    if g > 0.5:  # inward-oriented: flip winding
-        flipped = triangles[:, [0, 2, 1]].copy()
-        centroids, normals, areas = _derive_panels(vertices, flipped)
-        surf = PanelSurface(vertices, flipped, centroids, normals, areas)
-        g = gauss_probe(surf, probe)
+    if g > 0.5:  # inward-oriented: reversing the winding negates each cross product exactly
+        surf = PanelSurface(vertices, triangles[:, [0, 2, 1]], centroids, -normals, areas)
+        g = -g
     if not g < -0.5:
         raise TopologyError(
             f"cannot establish outward orientation (Gauss probe {g:.3f} at mesh centroid)"

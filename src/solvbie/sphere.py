@@ -174,30 +174,19 @@ def _mode_factors(model: SphereModel, methods, lams) -> tuple[list[str], np.ndar
     return labels, _diagonal_solve(p, model.dielectrics, np.reshape(rows, (-1, n.size)))
 
 
-def _reaction_coefficients(
-    e: MultipoleCoefficients, model: SphereModel, method: str, lam: float = 0.0
+def reaction_coefficients(
+    e: MultipoleCoefficients, model: SphereModel, method: str = METHOD_KIRKWOOD, lam: float = 0.0
 ) -> MultipoleCoefficients:
-    """B_nm = f_n E_nm for a series method."""
+    """Reaction-field coefficients B_nm = f_n E_nm of a series method, for potentials at points.
+
+    ``method`` and ``lam`` name the eigenvalues as in ``sphere_energies``.
+    """
     if e.kind != KIND_SOURCE:
         raise DomainError("expected source moments")
     if e.n_max != model.n_max:
         raise DomainError(f"moment cutoff {e.n_max} != model cutoff {model.n_max}")
     coeffs = e.coeffs * _mode_factors(model, [method], [lam])[1][0][:, None]
     return MultipoleCoefficients(n_max=e.n_max, coeffs=coeffs, kind=KIND_REACTION)
-
-
-def kirkwood_reaction_coefficients(
-    e: MultipoleCoefficients, model: SphereModel
-) -> MultipoleCoefficients:
-    """Exact reaction-field coefficients: the sphere's eigenvalues -1/(2(2n+1))."""
-    return _reaction_coefficients(e, model, METHOD_KIRKWOOD)
-
-
-def bibee_reaction_coefficients(
-    e: MultipoleCoefficients, model: SphereModel, variant: BibeeVariant
-) -> MultipoleCoefficients:
-    """Approximate reaction coefficients for a diagonal operator approximation."""
-    return _reaction_coefficients(e, model, variant.tag, variant.lam)
 
 
 def _check_interior(dist, model: SphereModel):
@@ -256,15 +245,11 @@ def sphere_energies(
 
 
 def kirkwood_energy(dist: ChargeDistribution, model: SphereModel) -> EnergyResult:
-    """Exact series solvation energy for the sphere."""
+    """Exact series solvation energy: ``sphere_energies`` for Kirkwood alone.
+
+    Kept because ``perfbench/selftest.py`` imports ``solvbie.sphere.kirkwood_energy``.
+    """
     return sphere_energies(dist, model, (METHOD_KIRKWOOD,))[0]
-
-
-def bibee_energy(
-    dist: ChargeDistribution, model: SphereModel, variant: BibeeVariant
-) -> EnergyResult:
-    """Approximate solvation energy for a diagonal-approximation variant."""
-    return sphere_energies(dist, model, (variant.tag,), variant.lam)[0]
 
 
 def pair_interaction_kirkwood(i_pos, i_q, j_pos, j_q, model: SphereModel) -> float:

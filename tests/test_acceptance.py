@@ -43,7 +43,7 @@ def test_01_born_exactness():
         model = sv.SphereModel(b, sv.DielectricPair(e1, e2), 25)
         born = -0.5 * COULOMB_KCAL * q * q / b * (1.0 / e1 - 1.0 / e2)
         for energy in (sv.kirkwood_energy(d, model).value,
-                       sv.bibee_energy(d, model, sv.BibeeVariant("cfa")).value):
+                       sv.sphere_energies(d, model, ["cfa"])[0].value):
             worst = max(worst, abs(energy - born) / abs(born))
     _report("centered-charge Born closed form, Kirkwood and CFA",
             worst < 1e-12, f"max rel err {worst:.2e}")
@@ -56,10 +56,10 @@ def test_02_equal_dielectric_identity(mesh_320):
     params = sv.sphere_gb_parameters(d, model)
     values = [
         sv.kirkwood_energy(d, model).value,
-        sv.bibee_energy(d, model, sv.BibeeVariant("cfa")).value,
-        sv.bibee_energy(d, model, sv.BibeeVariant("p")).value,
-        sv.bibee_energy(d, model, sv.BibeeVariant("lambda", -0.2)).value,
-        sv.bibee_energy(d, model, sv.BibeeVariant("m", 0.0)).value,
+        sv.sphere_energies(d, model, ["cfa"])[0].value,
+        sv.sphere_energies(d, model, ["p"])[0].value,
+        sv.sphere_energies(d, model, ["lambda"], -0.2)[0].value,
+        sv.sphere_energies(d, model, ["m"], 0.0)[0].value,
         gb_still_energy(d, params, eps).value,
         gb_epsilon_energy(d, params, eps).value,
         float(np.max(np.abs(sv.coulomb_field_rhs(d, mesh_320, eps).values))),
@@ -89,17 +89,13 @@ def test_03_bound_ordering_1000_configs():
 
 def test_04_eigenfunction_preservation():
     model = sv.SphereModel(5.0, EPS_BIO, 6)
-    variants = (None, sv.BibeeVariant("cfa"), sv.BibeeVariant("p"),
-                sv.BibeeVariant("lambda", -0.2), sv.BibeeVariant("m", -0.1))
+    methods = (("kirkwood", 0.0), ("cfa", 0.0), ("p", 0.0), ("lambda", -0.2), ("m", -0.1))
     worst = 0.0
     for n in range(7):
         for m in range(0, n + 1):
             e = _single_mode(6, n, m)
-            for variant in variants:
-                if variant is None:
-                    b = sv.kirkwood_reaction_coefficients(e, model)
-                else:
-                    b = sv.bibee_reaction_coefficients(e, model, variant)
+            for method, lam in methods:
+                b = sv.reaction_coefficients(e, model, method, lam)
                 on = abs(b.get(n, m))
                 mask = np.ones_like(b.coeffs, dtype=bool)
                 mask[n, m + 6] = False
@@ -115,9 +111,9 @@ def test_05_asymptotic_mode_ratios():
     worst = 0.0
     for n in range(11):
         e = _single_mode(10, n, 0)
-        bk = sv.kirkwood_reaction_coefficients(e, model).get(n, 0).real
-        bc = sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("cfa")).get(n, 0).real
-        bp = sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("p")).get(n, 0).real
+        bk = sv.reaction_coefficients(e, model).get(n, 0).real
+        bc = sv.reaction_coefficients(e, model, "cfa").get(n, 0).real
+        bp = sv.reaction_coefficients(e, model, "p").get(n, 0).real
         worst = max(worst, abs(bc / bk - (n + 1) / (2 * n + 1)) / ((n + 1) / (2 * n + 1)))
         worst = max(worst, abs(bp / bk - (n + 1) / (n + 0.5)) / ((n + 1) / (n + 0.5)))
     _report("high-contrast per-mode ratios (n+1)/(2n+1) and (n+1)/(n+1/2)",
@@ -134,7 +130,7 @@ def test_06_per_mode_exact_recovery():
     e1, e2, b = 4.0, 80.0, 5.0
     exact = (e1 - e2) * (n + 1) / (e1 * (e1 * n + e2 * (n + 1)) * b ** (2 * n + 1))
     bk = e.coeffs * exact[:, None]
-    bl = sv.kirkwood_reaction_coefficients(e, model)
+    bl = sv.reaction_coefficients(e, model)
     err = float(np.max(np.abs(bl.coeffs - bk))) / float(np.max(np.abs(bk)))
     _report("per-mode eigenvalue -1/(2(2n+1)) recovers the exact coefficients",
             err < 1e-13, f"max rel err {err:.2e}")
@@ -170,7 +166,7 @@ def test_08_bem_convergence(sphere_meshes):
     variant_worst = 0.0
     for variant in (sv.BibeeVariant("cfa"), sv.BibeeVariant("p"),
                     sv.BibeeVariant("m", 0.0)):
-        analytic = sv.bibee_energy(d, model, variant).value
+        analytic = sv.sphere_energies(d, model, [variant.tag], variant.lam)[0].value
         discrete = sv.bem_energy(d, sphere_meshes[5120], EPS_WATER,
                                  variant=variant).value
         rel = abs(discrete - analytic) / abs(analytic)

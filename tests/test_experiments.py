@@ -104,7 +104,7 @@ class TestComparison:
         for index in range(3):
             d = sv.random_sphere_config(cfg.seed, index, cfg)
             exact.append(sv.kirkwood_energy(d, model).value)
-            cfa.append(sv.bibee_energy(d, model, sv.BibeeVariant("cfa")).value)
+            cfa.append(sv.sphere_energies(d, model, ["cfa"])[0].value)
         exact = np.array(exact)
         cfa = np.array(cfa)
         s = summary_for(report, METHOD_CFA)

@@ -23,21 +23,21 @@ def rodrigues_pnm(n, m, x):
 
 def test_p00_is_one():
     for x in (-1.0, -0.3, 0.0, 0.9, 1.0):
-        assert sv.assoc_legendre(0, 0, x) == 1.0
+        assert sv.legendre_table(0, [x])[0, 0, 0] == 1.0
 
 
 def test_p10_is_x():
-    assert sv.assoc_legendre(1, 0, 0.5) == pytest.approx(0.5, rel=1e-15)
+    assert sv.legendre_table(1, [0.5])[1, 0, 0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_p53_frozen_rodrigues_value():
     # Frozen from the Rodrigues oracle above at 64-bit precision.
-    assert sv.assoc_legendre(5, 3, 0.3) == pytest.approx(-8.65914461606197, rel=1e-13)
+    assert sv.legendre_table(5, [0.3])[5, 3, 0] == pytest.approx(-8.65914461606197, rel=1e-13)
 
 
 def test_no_condon_shortley_phase():
     # P_1^1(0) = +1 without the CS phase.
-    assert sv.assoc_legendre(1, 1, 0.0) == pytest.approx(1.0, rel=1e-15)
+    assert sv.legendre_table(1, [0.0])[1, 1, 0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_recurrence_matches_rodrigues_grid():
@@ -87,15 +87,13 @@ def test_factorial_ratio_equals_scalar_loop():
 def test_poles_zero_for_positive_order():
     for m in range(1, 6):
         for n in range(m, 8):
-            assert sv.assoc_legendre(n, m, 1.0) == 0.0
-            assert sv.assoc_legendre(n, m, -1.0) == 0.0
+            assert sv.legendre_table(n, [1.0])[n, m, 0] == 0.0
+            assert sv.legendre_table(n, [-1.0])[n, m, 0] == 0.0
 
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        sv.assoc_legendre(2, 3, 0.5)
-    with pytest.raises(DomainError):
-        sv.assoc_legendre(2, 1, 1.5)
+        sv.legendre_table(2, [1.5])
 
 
 def naive_source_moments(dist, n_max):
@@ -126,6 +124,12 @@ def test_charge_at_origin_only_e00():
     coeffs = e.coeffs.copy()
     coeffs[0, 8] = 0.0
     assert np.max(np.abs(coeffs)) == 0.0
+
+
+def test_get_rejects_chunked_moments():
+    d = sv.make_distribution([[0, 0, 1.0]], [1.0])
+    with pytest.raises(DomainError, match="one charge set"):
+        sv.source_moments([d, d], 3).get(1, 0)
 
 
 def test_on_axis_charge_excites_only_m0():

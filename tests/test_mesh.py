@@ -4,7 +4,7 @@ import pytest
 import solvbie as sv
 from solvbie.errors import GeometryError, ParseError, TopologyError
 from conftest import scaled_surface
-from solvbie.mesh import build_surface, gauss_probe
+from solvbie.mesh import _derive_panels, build_surface, gauss_probe
 
 TET_VERTS = np.array([
     [0.0, 0.0, 0.0],
@@ -36,6 +36,17 @@ def test_tetrahedron_orientation_autofix():
     assert gauss_probe(s, interior) < -0.5
     # Normals point away from the interior point.
     assert np.all(np.sum(s.normals * (s.centroids - interior), axis=1) > 0)
+
+
+def test_inward_icosphere_negates_normals():
+    # Reversing the winding negates each cross product exactly.
+    ico = sv.icosphere(5.0, 2)
+    inward = ico.triangles[:, [0, 2, 1]]
+    _, normals, areas = _derive_panels(ico.vertices, inward)
+    s = build_surface(ico.vertices, inward)
+    np.testing.assert_array_equal(s.triangles, ico.triangles)
+    np.testing.assert_array_equal(s.normals, -normals)
+    np.testing.assert_array_equal(s.areas, areas)
 
 
 def test_contains_tetrahedron():

@@ -47,7 +47,7 @@ class TestKirkwood:
         d = random_ball_distribution(1, 0)
         m = sv.SphereModel(5.0, sv.DielectricPair(4.0, 4.0), 20)
         e = sv.source_moments(d, 20)
-        b = sv.kirkwood_reaction_coefficients(e, m)
+        b = sv.reaction_coefficients(e, m)
         assert np.max(np.abs(b.coeffs)) == 0.0
         assert sv.kirkwood_energy(d, m).value == 0.0
 
@@ -55,7 +55,7 @@ class TestKirkwood:
         # B_00 = (e1 - e2) / (e1 e2 b) * E_00
         d = sv.make_distribution([[0, 0, 0]], [1.0])
         m = sv.SphereModel(5.0, EPS_BIO, 4)
-        b = sv.kirkwood_reaction_coefficients(sv.source_moments(d, 4), m)
+        b = sv.reaction_coefficients(sv.source_moments(d, 4), m)
         expected = (4.0 - 80.0) / (4.0 * 80.0 * 5.0)
         assert b.get(0, 0) == pytest.approx(expected, rel=1e-14)
 
@@ -77,8 +77,8 @@ class TestBibeeVariants:
         d = random_ball_distribution(2, 0)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
         e = sv.source_moments(d, 25)
-        bc = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant("cfa"))
-        bl = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant("lambda", -0.5))
+        bc = sv.reaction_coefficients(e, m, "cfa")
+        bl = sv.reaction_coefficients(e, m, "lambda", -0.5)
         scale = np.max(np.abs(bc.coeffs))
         assert np.max(np.abs(bc.coeffs - bl.coeffs)) < 1e-14 * scale
 
@@ -86,8 +86,8 @@ class TestBibeeVariants:
         d = random_ball_distribution(2, 1)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
         e = sv.source_moments(d, 25)
-        bp = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant("p"))
-        bl = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant("lambda", 0.0))
+        bp = sv.reaction_coefficients(e, m, "p")
+        bl = sv.reaction_coefficients(e, m, "lambda", 0.0)
         np.testing.assert_array_equal(bp.coeffs, bl.coeffs)
 
     def test_per_mode_lambda_recovers_kirkwood(self):
@@ -96,7 +96,7 @@ class TestBibeeVariants:
         d = random_ball_distribution(2, 2)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
         e = sv.source_moments(d, 25)
-        bl = sv.kirkwood_reaction_coefficients(e, m)
+        bl = sv.reaction_coefficients(e, m)
         expected = e.coeffs * kirkwood_factors(4.0, 80.0, 5.0, 25)[:, None]
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(bl.coeffs - expected)) < 1e-13 * scale
@@ -105,27 +105,26 @@ class TestBibeeVariants:
         d = random_ball_distribution(2, 3)
         eps = sv.DielectricPair(4.0, 4.0)
         m = sv.SphereModel(5.0, eps, 20)
-        for variant in (sv.BibeeVariant("cfa"), sv.BibeeVariant("p"),
-                        sv.BibeeVariant("lambda", -0.2), sv.BibeeVariant("m", 0.0)):
-            assert sv.bibee_energy(d, m, variant).value == 0.0
+        for tag, lam in (("cfa", 0.0), ("p", 0.0), ("lambda", -0.2), ("m", 0.0)):
+            assert sv.sphere_energies(d, m, [tag], lam)[0].value == 0.0
         assert sv.kirkwood_energy(d, m).value == 0.0
 
     def test_cfa_exact_for_centered_charge(self):
         d = sv.make_distribution([[0, 0, 0]], [1.0])
         m = sv.SphereModel(3.0, EPS_BIO, 10)
         ek = sv.kirkwood_energy(d, m).value
-        ec = sv.bibee_energy(d, m, sv.BibeeVariant("cfa")).value
+        ec = sv.sphere_energies(d, m, ["cfa"])[0].value
         assert ec == pytest.approx(ek, rel=1e-14)
 
     def test_hybrid_m_zero_mixes_cfa_and_p(self):
         m = sv.SphereModel(5.0, EPS_BIO, 8)
         e = single_mode_source(8, 0, 0)
-        bm = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant("m", 0.0))
-        bc = sv.bibee_reaction_coefficients(e, m, sv.BibeeVariant("cfa"))
+        bm = sv.reaction_coefficients(e, m, "m", 0.0)
+        bc = sv.reaction_coefficients(e, m, "cfa")
         np.testing.assert_array_equal(bm.coeffs, bc.coeffs)
         e3 = single_mode_source(8, 3, 1)
-        bm3 = sv.bibee_reaction_coefficients(e3, m, sv.BibeeVariant("m", 0.0))
-        bp3 = sv.bibee_reaction_coefficients(e3, m, sv.BibeeVariant("p"))
+        bm3 = sv.reaction_coefficients(e3, m, "m", 0.0)
+        bp3 = sv.reaction_coefficients(e3, m, "p")
         np.testing.assert_array_equal(bm3.coeffs, bp3.coeffs)
 
 
@@ -135,8 +134,8 @@ class TestBoundOrdering:
         d = random_ball_distribution(13, index)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
         ek = sv.kirkwood_energy(d, m).value
-        ec = sv.bibee_energy(d, m, sv.BibeeVariant("cfa")).value
-        ep = sv.bibee_energy(d, m, sv.BibeeVariant("p")).value
+        ec = sv.sphere_energies(d, m, ["cfa"])[0].value
+        ep = sv.sphere_energies(d, m, ["p"])[0].value
         slack = 1e-10 * abs(ek)
         assert ec >= ek - slack
         assert ek >= ep - slack
@@ -147,8 +146,8 @@ class TestBoundOrdering:
             assert abs(sv.net_charge(d)) > 1e-6
             m = sv.SphereModel(5.0, EPS_BIO, 25)
             ek = sv.kirkwood_energy(d, m).value
-            ep = sv.bibee_energy(d, m, sv.BibeeVariant("p")).value
-            em = sv.bibee_energy(d, m, sv.BibeeVariant("m", 0.0)).value
+            ep = sv.sphere_energies(d, m, ["p"])[0].value
+            em = sv.sphere_energies(d, m, ["m"], 0.0)[0].value
             slack = 1e-10 * abs(ek)
             assert ep - slack <= em <= ek + slack
 
@@ -159,8 +158,8 @@ class TestBoundOrdering:
         q -= np.mean(q)  # exactly neutral up to roundoff
         d = sv.make_distribution(pos, q)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
-        ep = sv.bibee_energy(d, m, sv.BibeeVariant("p")).value
-        em = sv.bibee_energy(d, m, sv.BibeeVariant("m", 0.0)).value
+        ep = sv.sphere_energies(d, m, ["p"])[0].value
+        em = sv.sphere_energies(d, m, ["m"], 0.0)[0].value
         assert em == pytest.approx(ep, rel=1e-12)
 
 
@@ -170,11 +169,11 @@ class TestEigenfunctionPreservation:
         model = sv.SphereModel(5.0, EPS_BIO, 8)
         e = single_mode_source(8, n, m)
         outputs = [
-            sv.kirkwood_reaction_coefficients(e, model),
-            sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("cfa")),
-            sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("p")),
-            sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("lambda", -0.2)),
-            sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("m", -0.1)),
+            sv.reaction_coefficients(e, model),
+            sv.reaction_coefficients(e, model, "cfa"),
+            sv.reaction_coefficients(e, model, "p"),
+            sv.reaction_coefficients(e, model, "lambda", -0.2),
+            sv.reaction_coefficients(e, model, "m", -0.1),
         ]
         for b in outputs:
             on_mode = abs(b.get(n, m))
@@ -203,9 +202,9 @@ class TestModeRatios:
         model = sv.SphereModel(5.0, eps, 10)
         for n in range(11):
             e = single_mode_source(10, n, 0)
-            bk = sv.kirkwood_reaction_coefficients(e, model).get(n, 0)
-            bc = sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("cfa")).get(n, 0)
-            bp = sv.bibee_reaction_coefficients(e, model, sv.BibeeVariant("p")).get(n, 0)
+            bk = sv.reaction_coefficients(e, model).get(n, 0)
+            bc = sv.reaction_coefficients(e, model, "cfa").get(n, 0)
+            bp = sv.reaction_coefficients(e, model, "p").get(n, 0)
             assert (bc / bk).real == pytest.approx(mode_ratio(sv.BibeeVariant("cfa"), n), rel=1e-6)
             assert (bp / bk).real == pytest.approx(mode_ratio(sv.BibeeVariant("p"), n), rel=1e-6)
 
@@ -264,15 +263,12 @@ class TestModeSpectrum:
         configs.append(sv.make_distribution([[0, 0, 0], [1.0, -2.0, 0.5]], [1.0, -0.4]))
         configs.append(sv.make_distribution([[0, 0, 0.99 * 5.0], [0.3, 1.0, -2.0]], [0.7, 0.2]))
         lam = -0.15
-        variants = {"cfa": sv.BibeeVariant("cfa"), "p": sv.BibeeVariant("p"),
-                    "lambda": sv.BibeeVariant("lambda", lam), "m": sv.BibeeVariant("m", lam)}
-        methods = ("kirkwood", *variants)
+        methods = ("kirkwood", "cfa", "p", "lambda", "m")
         for eps in (EPS_BIO, sv.DielectricPair(80.0, 2.0)):
             m = sv.SphereModel(5.0, eps, 25)
             for d in configs:
                 e = sv.source_moments(d, m.n_max)
-                coeffs = [sv.kirkwood_reaction_coefficients(e, m)] + [
-                    sv.bibee_reaction_coefficients(e, m, v) for v in variants.values()]
+                coeffs = [sv.reaction_coefficients(e, m, method, lam) for method in methods]
                 results = sv.sphere_energies(d, m, methods, lam)
                 for b, res in zip(coeffs, results):
                     psi = eval_interior_potential_many(b, d.positions)
@@ -369,12 +365,12 @@ class TestSeparability:
         # a pure material factor, identical across charge configurations.
         eps_a = sv.DielectricPair(2.0, 40.0)
         eps_b = sv.DielectricPair(4.0, 80.0)
-        for variant in (sv.BibeeVariant("cfa"), sv.BibeeVariant("p")):
+        for tag in ("cfa", "p"):
             ratios = []
             for index in range(5):
                 d = random_ball_distribution(17, index)
-                ea = sv.bibee_energy(d, sv.SphereModel(5.0, eps_a, 25), variant).value
-                eb = sv.bibee_energy(d, sv.SphereModel(5.0, eps_b, 25), variant).value
+                ea = sv.sphere_energies(d, sv.SphereModel(5.0, eps_a, 25), [tag])[0].value
+                eb = sv.sphere_energies(d, sv.SphereModel(5.0, eps_b, 25), [tag])[0].value
                 ratios.append(ea / eb)
             assert np.ptp(ratios) < 1e-10 * abs(np.mean(ratios))
 
