@@ -7,8 +7,9 @@ real charge sets the moments satisfy E(n, -m) = conj(E(n, m)) and every
 reconstructed interior potential is real up to roundoff.
 
 ``source_moments``, ``mode_spectrum`` and ``truncation_tail_estimate`` also
-take a sequence of C charge sets, with one Legendre table over all charges,
-and then return results with a leading axis of length C.
+take a sequence of C charge sets, or such a sequence stacked once by
+``_stack``, with one Legendre table over all charges, and then return
+results with a leading axis of length C.
 """
 
 from __future__ import annotations
@@ -117,8 +118,11 @@ def _spherical_angles(positions: np.ndarray):
 def _stack(dist) -> tuple[np.ndarray, np.ndarray]:
     """Positions (C, Q, 3) and magnitudes (C, Q) of one charge set (C = 1) or a sequence.
 
-    Shorter sets are padded with zero charges at the origin, which change no result.
+    Shorter sets are padded with zero charges at the origin, which change no
+    result.  A pair of arrays, a chunk stacked before, is returned as it is.
     """
+    if isinstance(dist, tuple) and isinstance(dist[0], np.ndarray):
+        return dist
     dists = [dist] if isinstance(dist, ChargeDistribution) else dist
     size = max(len(d) for d in dists)
     pos, q = np.zeros((len(dists), size, 3)), np.zeros((len(dists), size))
@@ -175,6 +179,8 @@ def eval_interior_potential_many(b_coeffs: MultipoleCoefficients, points: np.nda
     """Vectorized reaction potential at several interior points."""
     if b_coeffs.kind != KIND_REACTION:
         raise DomainError("potential evaluation requires reaction coefficients")
+    if b_coeffs.coeffs.ndim == 3:
+        raise DomainError("potential evaluation needs one charge set's coefficients, not a chunk's")
     n_max = b_coeffs.n_max
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     r, cos_theta, phi = _spherical_angles(points)

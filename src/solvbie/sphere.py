@@ -22,18 +22,19 @@ electric-field operator D* that they assume for mode n:
     M(lambda):         lambda_0 = -1/2, lambda_n = lambda for n >= 1
 
 The Generalized Born methods separate the same way: their geometry term
-is the inverse Still matrix 1/F of the charge set, and GB (alpha = 0) and
-GBeps are both pref(alpha) q @ (1/F + alpha beta/A) @ q with beta =
-eps1/eps2.
+is the pair sum s = q^T (1/F) q of the Still matrix F of the charge set,
+and GB (alpha = 0) and GBeps are both pref(alpha) (s + alpha beta/A (sum
+q)^2) with beta = eps1/eps2.
 
 Over C charge sets the series energies are one product, E = (k_e/2) S F^T,
 of the (C x modes) spectra S and the (methods x modes) factor matrix F.
 ``ensemble_energies``, the engine for every method in ``SPHERE_METHODS``,
-builds one Legendre table, S and F per chunk of ``chunk_length`` charge
-sets (a table of at most ``_CHUNK_BYTES``), and 1/F per set for the GB
-methods; ``sphere_energies`` is its one-set case.  The reaction
-coefficients B_nm = f_n E_nm remain for evaluating the reaction potential
-at points.
+stacks a chunk of ``chunk_length`` charge sets once and builds one
+Legendre table, S and F for it, and for the GB methods one stack of Still
+matrices 1/F from one batched Gram GEMM; a chunk's table, or one of its
+two Still buffers, holds at most ``_CHUNK_BYTES``.  ``sphere_energies``
+is its one-set case.  The reaction coefficients B_nm = f_n E_nm remain
+for evaluating the reaction potential at points.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ _VARIANTS = {
 VARIANT_TAGS = tuple(_VARIANTS)
 #: Variants whose eigenvalue is the caller's lambda.
 LAMBDA_VARIANTS = tuple(tag for tag, (_, fixed) in _VARIANTS.items() if fixed is None)
-#: The Generalized Born methods, scored per charge set.
+#: The Generalized Born methods, scored from one Still kernel per chunk.
 GB_METHODS = ("gb", "gbeps")
 #: Every sphere method name accepted by ``sphere_energies``.
 SPHERE_METHODS = (METHOD_KIRKWOOD, *VARIANT_TAGS, *GB_METHODS)
@@ -85,7 +86,7 @@ SPHERE_METHODS = (METHOD_KIRKWOOD, *VARIANT_TAGS, *GB_METHODS)
 #: Fraction of the sphere radius beyond which charges are rejected.
 BOUNDARY_MARGIN = 0.999
 
-#: Bytes of an ensemble chunk's Legendre table, 8 (n_max+1)^2 per charge.
+#: Bytes of an ensemble chunk's Legendre table, or of one of its Still pair buffers.
 _CHUNK_BYTES = 1 << 23
 
 
@@ -181,6 +182,8 @@ def reaction_coefficients(
 
     ``method`` and ``lam`` name the eigenvalues as in ``sphere_energies``.
     """
+    if method in GB_METHODS:
+        raise DomainError(f"GB method {method!r} has no reaction coefficients")
     if e.kind != KIND_SOURCE:
         raise DomainError("expected source moments")
     if e.n_max != model.n_max:
@@ -201,37 +204,46 @@ def _check_interior(dist, model: SphereModel):
 
 
 def chunk_length(n_max: int, charges: int) -> int:
-    """Charge sets of ``charges`` charges per ensemble chunk: a Legendre table of _CHUNK_BYTES."""
-    return max(1, _CHUNK_BYTES // (8 * (n_max + 1) ** 2 * charges))
+    """Charge sets of ``charges`` charges per ensemble chunk, within _CHUNK_BYTES.
+
+    A set counts with its larger footprint: its Legendre table, 8 (n_max+1)^2 Q
+    bytes, or one Still buffer, 8 Q^2 bytes.
+    """
+    return max(1, _CHUNK_BYTES // (8 * charges * max((n_max + 1) ** 2, charges)))
 
 
 def ensemble_energies(dists, model: SphereModel, methods, lam=0.0) -> list[list[EnergyResult]]:
     """Solvation energy of each named method for each charge set of a chunk, kcal/mol.
 
-    The chunk's charges are checked, and its spectra S, truncation estimates
-    and factor matrix F built, in one pass.  ``lam`` is the eigenvalue of the
-    lambda and m variants: one value for every method, or one per method,
-    which the other methods ignore (None stands for no eigenvalue).
+    The chunk is stacked once; its charges are checked, and its spectra S,
+    truncation estimates, factor matrix F and Still matrices built, in one
+    pass.  ``lam`` is the eigenvalue of the lambda and m variants: one value
+    for every method, or one per method, which the other methods ignore
+    (None stands for no eigenvalue).
     """
-    _check_interior(dists, model)
-    spectra = mode_spectrum(source_moments(dists, model.n_max))
-    tails = truncation_tail_estimate(dists, model.radius, model.n_max)
+    chunk = _stack(dists)
+    _check_interior(chunk, model)
+    tails = truncation_tail_estimate(chunk, model.radius, model.n_max).tolist()
     lams = np.broadcast_to(np.asarray(lam, dtype=float), (len(methods),))
     series = [i for i, method in enumerate(methods) if method not in GB_METHODS]
-    labels, factors = _mode_factors(model, [methods[i] for i in series], lams[series])
-    # S F^T summed along each row, so a charge set's energies do not depend
-    # on the chunk it is scored in, as a GEMM's blocking would.
-    values = 0.5 * COULOMB_KCAL * np.sum(spectra[:, None, :] * factors, axis=-1)
-    out = []
-    for dist, row, tail in zip(dists, values.tolist(), tails.tolist()):
-        results = iter([EnergyResult(value=v, method=label, truncation_error_estimate=tail)
-                        for v, label in zip(row, labels)])
-        if len(series) < len(methods):
-            gb = sphere_gb_parameters(dist, model)
-            inv_f = _inverse_still(dist, gb)
-        out.append([_gb_energy(dist.magnitudes, inv_f, gb, model.dielectrics, method)
-                    if method in GB_METHODS else next(results) for method in methods])
-    return out
+    gb = [i for i, method in enumerate(methods) if method in GB_METHODS]
+    # Past the cutoff whose weights and factors fit a float, S and F hold inf
+    # or nan; the energy check reports that, without numpy warnings first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectra = mode_spectrum(source_moments(chunk, model.n_max))
+        labels, factors = _mode_factors(model, [methods[i] for i in series], lams[series])
+        # S F^T summed along each row, so a charge set's energies do not depend
+        # on the chunk it is scored in, as a GEMM's blocking would.
+        values = 0.5 * COULOMB_KCAL * np.sum(spectra[:, None, :] * factors, axis=-1)
+    columns = {i: [EnergyResult(value=v, method=label, truncation_error_estimate=tail)
+                   for v, tail in zip(column, tails)]
+               for i, label, column in zip(series, labels, values.T.tolist())}
+    if gb:
+        # R_i = b - r_i^2/b, formed as in ``sphere_gb_parameters``.
+        b, r = model.radius, np.linalg.norm(chunk[0], axis=-1)
+        columns.update(zip(gb, _gb_energies(chunk, b - r * r / b, b, GBParameters.alpha,
+                                            model.dielectrics, [methods[i] for i in gb])))
+    return [[columns[i][c] for i in range(len(methods))] for c in range(len(tails))]
 
 
 def sphere_energies(
@@ -306,33 +318,56 @@ def sphere_gb_parameters(dist: ChargeDistribution, model: SphereModel) -> GBPara
     return GBParameters(electrostatic_radius=b, effective_radii=b - r * r / b)
 
 
-def _still_f_matrix(dist: ChargeDistribution, radii: np.ndarray) -> np.ndarray:
-    """Still equation f_ij = sqrt(r_ij^2 + Ri Rj exp(-r_ij^2 / (4 Ri Rj)))."""
-    pos = dist.positions
-    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
-    rr = radii[:, None] * radii[None, :]
-    return np.sqrt(d * d + rr * np.exp(-d * d / (4.0 * rr)))
+def _inverse_still(pos: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """1/f_ij, f_ij = sqrt(d_ij^2 + R_i R_j exp(-d_ij^2 / (4 R_i R_j))) of Still, per charge set.
 
-
-def _inverse_still(dist: ChargeDistribution, params: GBParameters) -> np.ndarray:
-    """1/f_ij of the Still equation, the geometry term of both GB methods."""
-    radii = params.effective_radii
-    if radii.size != len(dist):
-        raise DomainError(f"{radii.size} effective radii for {len(dist)} charges")
-    return 1.0 / _still_f_matrix(dist, radii)
-
-
-def _gb_energy(q, inv_f, params: GBParameters, eps: DielectricPair, method: str) -> EnergyResult:
-    """GBeps, or Still's GB for method "gb" (alpha = 0), from the inverse Still matrix.
-
-    Pair term: -(k_e/2)(1/eps1 - 1/eps2) q_i q_j / (1 + alpha eps1/eps2)
-               * [1/f_ij + (alpha eps1/eps2) / A].
+    Positions (C, Q, 3), effective radii R (C, Q).  d^2 = r_i^2 + r_j^2 - 2 G_ij
+    from one batched Gram GEMM G = P P^T, clamped at 0 with a zero diagonal
+    (f_ij >= sqrt(R_i R_j) > 0, so its cancellation is harmless); the rest
+    is in-place ufuncs on two (C, Q, Q) buffers, d^2 and the result.
     """
-    alpha = 0.0 if method == "gb" else params.alpha
+    c, n = pos.shape[:2]
+    if radii.shape != (c, n):
+        raise DomainError(f"{radii.shape[-1]} effective radii for {n} charges")
+    try:
+        d2, inv_f = np.empty((c, n, n)), np.empty((c, n, n))
+    except MemoryError:
+        raise DomainError(
+            f"Still matrices of {c} sets of {n} charges need {16 * c * n * n} bytes") from None
+    r2 = np.sum(pos * pos, axis=-1)
+    np.matmul(pos, -2.0 * pos.transpose(0, 2, 1), out=d2)
+    d2 += r2[:, :, None]
+    d2 += r2[:, None, :]
+    np.maximum(d2, 0.0, out=d2)
+    d2[:, np.arange(n), np.arange(n)] = 0.0
+    # R_i R_j applied as row and column scalings: no outer-product buffer.
+    np.multiply(d2, -0.25 / radii[:, :, None], out=inv_f)
+    inv_f /= radii[:, None, :]
+    np.exp(inv_f, out=inv_f)
+    inv_f *= radii[:, :, None]
+    inv_f *= radii[:, None, :]
+    inv_f += d2
+    np.sqrt(inv_f, out=inv_f)
+    return np.reciprocal(inv_f, out=inv_f)
+
+
+def _gb_energies(chunk, radii, a: float, alpha: float, eps: DielectricPair, methods):
+    """GB (alpha = 0) or GBeps energies of each charge set of a chunk: a list of C per method.
+
+    pref(alpha) (s + (alpha eps1/eps2) / A (sum q)^2), A = ``a``, from the pair
+    sums s = q^T (1/F) q of one ``_inverse_still`` of the effective radii (C, Q).
+    """
+    pos, q = chunk
+    # Batched matrix products, so a set's sum does not depend on C.
+    pair = (q[:, None, :] @ _inverse_still(pos, radii) @ q[:, :, None])[:, 0, 0]
+    net2 = np.sum(q, axis=-1) ** 2
     beta = eps.eps_in / eps.eps_out
-    kernel = inv_f + alpha * beta / params.electrostatic_radius
-    pref = -0.5 * COULOMB_KCAL * (1.0 / eps.eps_in - 1.0 / eps.eps_out) / (1.0 + alpha * beta)
-    value = pref * float(q @ kernel @ q)
-    if method == "gb":
-        return EnergyResult(value=value, method="GB")
-    return EnergyResult(value=value, method="GBeps", metadata={"alpha": str(alpha)})
+    out = []
+    for method in methods:
+        alpha_m = 0.0 if method == "gb" else alpha
+        pref = -0.5 * COULOMB_KCAL * (1.0 / eps.eps_in - 1.0 / eps.eps_out) / (1.0 + alpha_m * beta)
+        values = (pref * (pair + alpha_m * beta / a * net2)).tolist()
+        out.append([EnergyResult(value=v, method="GB") if method == "gb" else
+                    EnergyResult(value=v, method="GBeps", metadata={"alpha": str(alpha_m)})
+                    for v in values])
+    return out

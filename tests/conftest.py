@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import eigsh
@@ -5,9 +7,9 @@ from scipy.sparse.linalg import eigsh
 import solvbie as sv
 from solvbie.bem import _row_blocks, assemble_dstar
 from solvbie.errors import DomainError
-from solvbie.harmonics import eval_interior_potential_many
+from solvbie.harmonics import _stack, eval_interior_potential_many
 from solvbie.mesh import build_surface
-from solvbie.sphere import _gb_energy, _inverse_still
+from solvbie.sphere import _gb_energies
 
 
 @pytest.fixture(scope="session")
@@ -74,7 +76,8 @@ def gb_still_energy(dist, params, eps):
     dG = -(k_e/2) (1/eps1 - 1/eps2) sum_ij q_i q_j / f_ij, double sum over
     all ordered pairs including the diagonal (f_ii = R_i).
     """
-    return _gb_energy(dist.magnitudes, _inverse_still(dist, params), params, eps, "gb")
+    return _gb_energies(_stack(dist), params.effective_radii[None], params.electrostatic_radius,
+                        params.alpha, eps, ["gb"])[0][0]
 
 
 def gb_epsilon_energy(dist, params, eps):
@@ -82,7 +85,19 @@ def gb_epsilon_energy(dist, params, eps):
 
     Collapses to the Still form when alpha = 0 or eps1/eps2 -> 0.
     """
-    return _gb_energy(dist.magnitudes, _inverse_still(dist, params), params, eps, "gbeps")
+    return _gb_energies(_stack(dist), params.effective_radii[None], params.electrostatic_radius,
+                        params.alpha, eps, ["gbeps"])[0][0]
+
+
+def still_inverse_reference(dist, radii):
+    """1/f_ij of the Still equation, one pair at a time from its difference vector."""
+    pos = dist.positions
+    inv = np.empty((len(dist), len(dist)))
+    for i, j in np.ndindex(inv.shape):
+        d2 = math.dist(pos[i], pos[j]) ** 2
+        rr = radii[i] * radii[j]
+        inv[i, j] = 1.0 / math.sqrt(d2 + rr * math.exp(-d2 / (4.0 * rr)))
+    return inv
 
 
 def eval_interior_potential(b_coeffs, point) -> float:

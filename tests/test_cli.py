@@ -183,6 +183,31 @@ def test_legendre_table_unallocatable_exit_4(tmp_path, monkeypatch, capsys):
     assert "Legendre table to n_max 300 at 1 points needs 724808 bytes" in capsys.readouterr().err
 
 
+def test_still_matrices_unallocatable_exit_4(tmp_path, monkeypatch, capsys):
+    empty = np.empty
+
+    def refuse_pairs(shape, *args, **kwargs):
+        if shape == (1, 2, 2):
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse_pairs)
+    code = run(["sphere", "--radius", "5", "--charge", "0,0,1,1", "--charge", "1,0,0,-1",
+                "--methods", "kirkwood,gb"], tmp_path, monkeypatch)
+    assert code == 4
+    assert "Still matrices of 1 sets of 2 charges need 64 bytes" in capsys.readouterr().err
+
+
+def test_cutoff_past_float_range_exit_4_without_warnings(tmp_path, monkeypatch, capsys):
+    # The mode weights overflow past n ~ 85; the energy check alone reports it.
+    code = run(["sphere", "--radius", "5", "--charge", "0,0,4.9,1", "--nmax", "90"],
+               tmp_path, monkeypatch)
+    assert code == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "solvbie: domain error: non-finite energy nan for method Kirkwood\n"
+
+
 def test_charge_outside_cavity_exit_4(tmp_path, monkeypatch):
     code = run(["sphere", "--radius", "5", "--charge", "0,0,9,1"],
                tmp_path, monkeypatch)

@@ -8,7 +8,8 @@ import solvbie as sv
 from conftest import eval_interior_potential, rotate_about_z
 from solvbie.errors import DomainError
 from solvbie import harmonics
-from solvbie.harmonics import KIND_REACTION, MultipoleCoefficients, legendre_table
+from solvbie.harmonics import (KIND_REACTION, MultipoleCoefficients, eval_interior_potential_many,
+                               legendre_table)
 
 
 def rodrigues_pnm(n, m, x):
@@ -130,6 +131,14 @@ def test_get_rejects_chunked_moments():
     d = sv.make_distribution([[0, 0, 1.0]], [1.0])
     with pytest.raises(DomainError, match="one charge set"):
         sv.source_moments([d, d], 3).get(1, 0)
+
+
+def test_potential_rejects_chunked_coefficients():
+    d = sv.make_distribution([[0, 0, 1.0]], [1.0])
+    model = sv.SphereModel(5.0, sv.DielectricPair(1.0, 80.0), 6)
+    b = sv.reaction_coefficients(sv.source_moments([d, d], 6), model)
+    with pytest.raises(DomainError, match="one charge set"):
+        eval_interior_potential_many(b, [[0.0, 0.0, 0.5]])
 
 
 def test_on_axis_charge_excites_only_m0():

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import solvbie as sv
-from conftest import gb_epsilon_energy, gb_still_energy, mode_ratio, random_ball_distribution
+from conftest import (gb_epsilon_energy, gb_still_energy, mode_ratio, random_ball_distribution,
+                      still_inverse_reference)
 from solvbie import sphere
 from solvbie.errors import DomainError
 from solvbie.harmonics import KIND_SOURCE, MultipoleCoefficients, eval_interior_potential_many
 from solvbie.model import COULOMB_KCAL
-from solvbie.sphere import _still_f_matrix
+from solvbie.sphere import _inverse_still
 
 EPS_BIO = sv.DielectricPair(4.0, 80.0)
 EPS_WATER = sv.DielectricPair(1.0, 80.0)
@@ -411,12 +414,12 @@ class TestGeneralizedBorn:
 
     def test_still_long_distance_screened_coulomb(self):
         r = 1e4
-        d = sv.make_distribution([[0, 0, 0], [r, 0, 0]], [1.0, 1.0])
-        assert _still_f_matrix(d, np.array([2.0, 3.0]))[0, 1] == pytest.approx(r, rel=1e-12)
+        pos = np.array([[[0, 0, 0], [r, 0, 0]]], dtype=float)
+        f = 1.0 / _inverse_still(pos, np.array([[2.0, 3.0]]))[0]
+        assert f[0, 1] == pytest.approx(r, rel=1e-12)
 
     def test_still_coincident_pair_finite(self):
-        d = sv.make_distribution([[0, 0, 0], [0, 0, 0]], [1.0, 1.0])
-        f = _still_f_matrix(d, np.array([2.0, 4.5]))
+        f = 1.0 / _inverse_still(np.zeros((1, 2, 3)), np.array([[2.0, 4.5]]))[0]
         assert f[0, 1] == pytest.approx(np.sqrt(9.0), rel=1e-14)
 
     def test_radii_count_mismatch(self):
@@ -449,12 +452,77 @@ class TestGeneralizedBorn:
         p = sv.sphere_gb_parameters(d, m)
         want = [gb_still_energy(d, p, EPS_BIO), gb_epsilon_energy(d, p, EPS_BIO)]
         calls = []
-        monkeypatch.setattr(sphere, "_still_f_matrix",
-                            lambda *args: calls.append(args) or _still_f_matrix(*args))
+        monkeypatch.setattr(sphere, "_inverse_still",
+                            lambda *args: calls.append(args) or _inverse_still(*args))
         got = sv.sphere_energies(d, m, ["gb", "kirkwood", "gbeps"])
         assert len(calls) == 1
         assert [got[0].value, got[2].value] == [r.value for r in want]
         assert [got[0].method, got[2].method] == ["GB", "GBeps"]
+        # One kernel call per chunk, not per set.
+        sphere.ensemble_energies([d, random_ball_distribution(18, 3, count=12)], m, ["gbeps", "gb"])
+        assert len(calls) == 2 and calls[1][0].shape == (2, 12, 3)
+
+    @pytest.mark.parametrize("case", ["random", "coincident_and_origin"])
+    def test_still_kernel_matches_pair_reference(self, case):
+        d = random_ball_distribution(18, 4, count=15)
+        if case == "coincident_and_origin":
+            pos = d.positions.copy()
+            pos[3] = pos[7]
+            pos[0] = 0.0
+            d = sv.make_distribution(pos, d.magnitudes)
+        m = sv.SphereModel(5.0, EPS_BIO, 25)
+        radii = sv.sphere_gb_parameters(d, m).effective_radii
+        want = still_inverse_reference(d, radii)
+        got = _inverse_still(d.positions[None], radii[None])[0]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        q = d.magnitudes
+        pref = -0.5 * COULOMB_KCAL * (1.0 / 4.0 - 1.0 / 80.0)
+        assert gb_still_energy(d, sv.GBParameters(5.0, radii), EPS_BIO).value == pytest.approx(
+            pref * float(q @ want @ q), rel=1e-13)
+
+    def test_still_kernel_single_charge_is_born(self):
+        d = sv.make_distribution([[1.0, -2.0, 0.5]], [0.8])
+        got = _inverse_still(d.positions[None], np.array([[3.5]]))
+        assert got.shape == (1, 1, 1)
+        assert 1.0 / got[0, 0, 0] == pytest.approx(3.5, rel=1e-14)
+        assert gb_still_energy(d, sv.GBParameters(5.0, (3.5,)), EPS_BIO).value == pytest.approx(
+            born_energy(0.8, 3.5, 4.0, 80.0), rel=1e-14)
+
+    def test_gb_energies_independent_of_chunk(self):
+        dists = [random_ball_distribution(18, 10 + i, count=20) for i in range(7)]
+        m = sv.SphereModel(5.0, EPS_BIO, 10)
+        whole = sphere.ensemble_energies(dists, m, ["gb", "gbeps"])
+        for d, results in zip(dists, whole):
+            alone = sv.sphere_energies(d, m, ["gb", "gbeps"])
+            assert [r.value for r in results] == [r.value for r in alone]
+
+    def test_still_kernel_memory(self):
+        q = 1000
+        d = random_ball_distribution(18, 5, count=q)
+        m = sv.SphereModel(5.0, EPS_BIO, 10)
+        tracemalloc.start()
+        try:
+            sv.sphere_energies(d, m, ["gb", "gbeps"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * q * q
+
+    def test_still_allocation_failure_is_domain_error(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(sphere.np, "empty", refuse)
+        message = "Still matrices of 2 sets of 3 charges need 288 bytes"
+        with pytest.raises(DomainError, match=message):
+            _inverse_still(np.zeros((2, 3, 3)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("method", sphere.GB_METHODS)
+    def test_gb_methods_have_no_reaction_coefficients(self, method):
+        d = sv.make_distribution([[0, 0, 1.0]], [1.0])
+        m = sv.SphereModel(5.0, EPS_BIO, 6)
+        with pytest.raises(DomainError, match=f"GB method '{method}' has no reaction coefficients"):
+            sv.reaction_coefficients(sv.source_moments(d, 6), m, method)
 
     def test_gbeps_tracks_kirkwood_pairs(self):
         # Accuracy is approximate; assert a loose envelope and record typical
