@@ -32,6 +32,7 @@ from .harmonics import (
     MultipoleCoefficients,
     legendre_table,
     mode_spectrum,
+    pair_spectrum,
     source_moments,
     truncation_tail_estimate,
 )

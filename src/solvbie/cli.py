@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     SolvbieError,
     TopologyError,
+    read_text,
 )
 from .experiments import (
     ROW_COLUMNS,
@@ -151,7 +152,7 @@ def _experiment_config(args) -> tuple[ExperimentConfig, list]:
     data = {}
     if args.config:
         try:
-            data = json.loads(Path(args.config).read_text())
+            data = json.loads(read_text(args.config))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{args.config}: invalid JSON ({exc})") from None
         if not isinstance(data, dict):

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all solvbie modules.
+"""Exception hierarchy shared by all solvbie modules, and the one text-input reader.
 
 The CLI maps these onto stable exit codes: parse errors -> 3,
 domain/precondition errors -> 4, numerical failures -> 5.
@@ -39,3 +39,12 @@ class ConvergenceError(SolvbieError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+def read_text(path) -> str:
+    """The text of an input file, decoded as UTF-8; ParseError naming the file if it is not."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

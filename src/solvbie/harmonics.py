@@ -10,6 +10,13 @@ reconstructed interior potential is real up to roundoff.
 take a sequence of C charge sets, or such a sequence stacked once by
 ``_stack``, with one Legendre table over all charges, and then return
 results with a leading axis of length C.
+
+The mode spectrum S_n of a charge set has two forms, equal up to rounding:
+``mode_spectrum(source_moments(...))`` from the multipole moments, at a
+cost of order Q n_max^2 per set, and ``pair_spectrum`` from Kirkwood's
+addition theorem over the charge pairs, at a cost of order Q^2 n_max and
+with no Legendre table.  ``sphere.ensemble_energies`` takes the pairwise
+form for sets of at most ``sphere.PAIR_CROSSOVER`` (n_max+1) charges.
 """
 
 from __future__ import annotations
@@ -173,6 +180,53 @@ def mode_spectrum(e: MultipoleCoefficients) -> np.ndarray:
     abs_m = np.abs(np.arange(-e.n_max, e.n_max + 1))
     power = e.coeffs.real ** 2 + e.coeffs.imag ** 2
     return np.sum(power * weight[:, abs_m], axis=-1)
+
+
+def pair_spectrum(dist, n_max: int) -> np.ndarray:
+    """Per-mode power S_n of a charge set, or of each of a sequence, from its charge pairs.
+
+    Kirkwood's addition theorem gives S_n = sum_ij q_i q_j u_n[i, j] with
+    u_n = (r_i r_j)^n P_n(cos gamma_ij), the spectrum of ``mode_spectrum``
+    in the same units.  Over the Gram matrices G = P P^T of the positions
+    and R_ij = r_i^2 r_j^2, the Legendre recurrence becomes
+
+        u_n = ((2n-1) G o u_{n-1} - (n-1) R o u_{n-2}) / n,
+
+    which runs here on w_n = q_i q_j u_n, in place on five (C, Q, Q)
+    buffers.  R is built from the diagonal of G, so that the self pairs
+    have cos gamma = 1 exactly.  Each S_n is one batched matrix product
+    per set, so a set's spectrum does not depend on the chunk it is in.
+    Returns (n_max+1,) for one charge set and (C, n_max+1) for a sequence.
+    """
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    pos, q = _stack(dist)
+    c, k = q.shape
+    try:
+        gram, rr, older, old, new = np.empty((5, c, k, k))
+    except MemoryError:
+        raise DomainError(
+            f"pair spectra of {c} sets of {k} charges need {40 * c * k * k} bytes") from None
+    np.matmul(pos, pos.transpose(0, 2, 1), out=gram)
+    r2 = gram.diagonal(axis1=1, axis2=2)
+    np.multiply(r2[:, :, None], r2[:, None, :], out=rr)
+    # S_n = sum_ij w_n, one (1 x Q^2) (Q^2 x 1) product per set.
+    spectra, ones = np.empty((n_max + 1, c, 1, 1)), np.ones((k * k, 1))
+    np.multiply(q[:, :, None], q[:, None, :], out=older)
+    np.matmul(older.reshape(c, 1, k * k), ones, out=spectra[0])
+    if n_max >= 1:
+        np.multiply(older, gram, out=old)
+        np.matmul(old.reshape(c, 1, k * k), ones, out=spectra[1])
+    for n in range(2, n_max + 1):
+        np.multiply(old, gram, out=new)
+        new *= (2 * n - 1) / n
+        older *= rr
+        older *= (n - 1) / n
+        new -= older
+        np.matmul(new.reshape(c, 1, k * k), ones, out=spectra[n])
+        older, old, new = old, new, older
+    spectra = spectra[:, :, 0, 0].T.copy()
+    return spectra[0] if isinstance(dist, ChargeDistribution) else spectra
 
 
 def eval_interior_potential_many(b_coeffs: MultipoleCoefficients, points: np.ndarray) -> np.ndarray:

@@ -9,11 +9,12 @@ at any interior probe for outward normals.
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, ParseError, TopologyError
+from .errors import GeometryError, ParseError, TopologyError, read_text
 
 #: Triangles with area below this (Angstrom^2) are rejected as degenerate.
 MIN_TRIANGLE_AREA = 1e-12
@@ -116,10 +117,26 @@ def build_surface(vertices, triangles) -> PanelSurface:
     return surf
 
 
+def _int_block(text: str) -> np.ndarray:
+    """Whitespace-separated integers of ``text`` in one parsing pass; ValueError if one is not."""
+    # fromstring reads a lone sign as 0, or joins it to the next token.
+    if ("-" in text or "+" in text) and re.search(r"[-+](?![0-9])", text):
+        raise ValueError("sign without digits")
+    with warnings.catch_warnings():
+        # Older NumPy ends the read at a token that is not an integer with a warning.
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.fromstring(text, dtype=np.int64, sep=" ")
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from None
+
+
 def load_off(path) -> PanelSurface:
     """Read an ASCII OFF file (counts header, vertex list, triangle list)."""
-    with open(path) as fh:
-        tokens = re.sub(r"#.*", "", fh.read()).split()
+    text = read_text(path)
+    if "#" in text:
+        text = re.sub(r"#.*", "", text)
+    tokens = text.split(None, 4)
     if not tokens:
         raise ParseError(f"{path}: empty OFF file")
     idx = 0
@@ -130,9 +147,11 @@ def load_off(path) -> PanelSurface:
         if min(nv, nt) < 0:  # reshape would read -1 as "infer this count"
             raise ValueError(f"negative count {min(nv, nt)}")
         idx += 3  # skip edge count
+        # Header and vertex tokens, then the face block as one string.
+        tokens = text.split(None, idx + 3 * nv)
         vertices = np.array(tokens[idx:idx + 3 * nv], dtype=float).reshape(nv, 3)
-        idx += 3 * nv
-        faces = np.array(tokens[idx:idx + 4 * nt], dtype=int).reshape(nt, 4)
+        block = tokens[idx + 3 * nv] if len(tokens) > idx + 3 * nv else ""
+        faces = _int_block(block)[:4 * nt].reshape(nt, 4)
     except (ValueError, IndexError) as exc:
         raise ParseError(f"{path}: malformed OFF file ({exc})") from None
     # Rows before the first non-triangle are aligned, so its row is its face.
@@ -153,12 +172,11 @@ def load_msms(vert_path, face_path) -> PanelSurface:
 
     def data_lines(path, ncols):
         lines = []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                fields = line.split()
-                if not fields or fields[0].startswith("#"):
-                    continue
-                lines.append((lineno, fields))
+        for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            lines.append((lineno, fields))
         if lines and len(lines) > 1:
             try:
                 declared = int(float(lines[0][1][0]))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EmptyInputError, ParseError
+from .errors import DomainError, EmptyInputError, ParseError, read_text
 
 #: Coulomb constant, kcal mol^-1 Angstrom e^-2 (CHARMM convention).
 COULOMB_KCAL = 332.0636
@@ -149,17 +149,16 @@ def load_pqr(path) -> ChargeDistribution:
     construction; per-atom radii are kept in the distribution metadata.
     """
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields or fields[0] not in ("ATOM", "HETATM"):
-                continue
-            if len(fields) < 7:
-                raise ParseError(f"{path}:{lineno}: too few fields in PQR record")
-            try:
-                rows.append([float(v) for v in fields[-5:]])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        fields = line.split()
+        if not fields or fields[0] not in ("ATOM", "HETATM"):
+            continue
+        if len(fields) < 7:
+            raise ParseError(f"{path}:{lineno}: too few fields in PQR record")
+        try:
+            rows.append([float(v) for v in fields[-5:]])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric field ({exc})") from None
     if not rows:
         raise EmptyInputError(f"{path}: no ATOM/HETATM records found")
     data = np.array(rows)

@@ -29,12 +29,16 @@ q)^2) with beta = eps1/eps2.
 Over C charge sets the series energies are one product, E = (k_e/2) S F^T,
 of the (C x modes) spectra S and the (methods x modes) factor matrix F.
 ``ensemble_energies``, the engine for every method in ``SPHERE_METHODS``,
-stacks a chunk of ``chunk_length`` charge sets once and builds one
-Legendre table, S and F for it, and for the GB methods one stack of Still
-matrices 1/F from one batched Gram GEMM; a chunk's table, or one of its
-two Still buffers, holds at most ``_CHUNK_BYTES``.  ``sphere_energies``
-is its one-set case.  The reaction coefficients B_nm = f_n E_nm remain
-for evaluating the reaction potential at points.
+stacks a chunk of ``chunk_length`` charge sets once and builds S and F
+for it, and for the GB methods one stack of Still matrices 1/F from one
+batched Gram GEMM.  S has two forms, chosen by the size of the sets: sets
+of Q <= ``PAIR_CROSSOVER`` (n_max+1) charges take it from their charge
+pairs (``harmonics.pair_spectrum``, cost Q^2 n_max per set), larger sets
+from one Legendre table and their moments (``harmonics.source_moments``,
+cost Q n_max^2).  A chunk's table or pair buffers, or one of its two Still
+buffers, hold at most ``_CHUNK_BYTES``.  ``sphere_energies`` is its
+one-set case.  The reaction coefficients B_nm = f_n E_nm remain for
+evaluating the reaction potential at points.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .harmonics import (
     MultipoleCoefficients,
     _stack,
     mode_spectrum,
+    pair_spectrum,
     source_moments,
     truncation_tail_estimate,
 )
@@ -86,8 +91,17 @@ SPHERE_METHODS = (METHOD_KIRKWOOD, *VARIANT_TAGS, *GB_METHODS)
 #: Fraction of the sphere radius beyond which charges are rejected.
 BOUNDARY_MARGIN = 0.999
 
-#: Bytes of an ensemble chunk's Legendre table, or of one of its Still pair buffers.
+#: Bytes of an ensemble chunk's Legendre table or pair-spectrum buffers, or
+#: of one of its Still pair buffers.
 _CHUNK_BYTES = 1 << 23
+
+#: Charge sets of at most PAIR_CROSSOVER (n_max+1) charges take their mode
+#: spectra from their charge pairs, larger sets from their moments.  The
+#: pairwise form costs Q^2 n_max per set and the moments Q n_max^2; 2 is the
+#: largest ratio Q/(n_max+1) at which the pairwise form was faster at every
+#: measured n_max (10, 25, 50) and chunk size (2, 16 sets), on a shared
+#: 2-CPU x86 host with one BLAS thread.
+PAIR_CROSSOVER = 2
 
 
 @dataclass(frozen=True)
@@ -206,20 +220,22 @@ def _check_interior(dist, model: SphereModel):
 def chunk_length(n_max: int, charges: int) -> int:
     """Charge sets of ``charges`` charges per ensemble chunk, within _CHUNK_BYTES.
 
-    A set counts with its larger footprint: its Legendre table, 8 (n_max+1)^2 Q
-    bytes, or one Still buffer, 8 Q^2 bytes.
+    A set counts with its larger footprint: a Legendre table, 8 (n_max+1)^2 Q
+    bytes, or five pair-spectrum buffers, 40 Q^2 bytes, which also bound
+    one Still buffer, 8 Q^2 bytes.
     """
-    return max(1, _CHUNK_BYTES // (8 * charges * max((n_max + 1) ** 2, charges)))
+    return max(1, _CHUNK_BYTES // (8 * charges * max((n_max + 1) ** 2, 5 * charges)))
 
 
 def ensemble_energies(dists, model: SphereModel, methods, lam=0.0) -> list[list[EnergyResult]]:
     """Solvation energy of each named method for each charge set of a chunk, kcal/mol.
 
-    The chunk is stacked once; its charges are checked, and its spectra S,
-    truncation estimates, factor matrix F and Still matrices built, in one
-    pass.  ``lam`` is the eigenvalue of the lambda and m variants: one value
-    for every method, or one per method, which the other methods ignore
-    (None stands for no eigenvalue).
+    The chunk is stacked once; its charges are checked, and its spectra S
+    (pairwise or from moments, by the size of its sets), truncation
+    estimates, factor matrix F and Still matrices built, in one pass.
+    ``lam`` is the eigenvalue of the lambda and m variants: one value for
+    every method, or one per method, which the other methods ignore (None
+    stands for no eigenvalue).
     """
     chunk = _stack(dists)
     _check_interior(chunk, model)
@@ -230,7 +246,10 @@ def ensemble_energies(dists, model: SphereModel, methods, lam=0.0) -> list[list[
     # Past the cutoff whose weights and factors fit a float, S and F hold inf
     # or nan; the energy check reports that, without numpy warnings first.
     with np.errstate(over="ignore", invalid="ignore"):
-        spectra = mode_spectrum(source_moments(chunk, model.n_max))
+        if chunk[1].shape[1] <= PAIR_CROSSOVER * (model.n_max + 1):
+            spectra = pair_spectrum(chunk, model.n_max)
+        else:
+            spectra = mode_spectrum(source_moments(chunk, model.n_max))
         labels, factors = _mode_factors(model, [methods[i] for i in series], lams[series])
         # S F^T summed along each row, so a charge set's energies do not depend
         # on the chunk it is scored in, as a GEMM's blocking would.

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import solvbie as sv
 from solvbie.cli import build_parser, main
 from solvbie.model import COULOMB_KCAL
-from solvbie.sphere import SPHERE_METHODS
+from solvbie.sphere import PAIR_CROSSOVER, SPHERE_METHODS
 
 
 def run(argv, tmp_path, monkeypatch):
@@ -169,18 +170,23 @@ def test_parser_built_once_and_calls_independent(tmp_path, monkeypatch):
 
 
 def test_legendre_table_unallocatable_exit_4(tmp_path, monkeypatch, capsys):
+    # Past the pairwise crossover, so the spectrum comes from a Legendre table.
+    charges = 700
+    assert charges > PAIR_CROSSOVER * 301
     zeros = np.zeros
 
     def refuse_table(shape, *args, **kwargs):
-        if shape == (301, 301, 1):
+        if shape == (301, 301, charges):
             raise MemoryError
         return zeros(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", refuse_table)
-    code = run(["sphere", "--radius", "5", "--charge", "0,0,1,1", "--nmax", "300"],
+    code = run(["sphere", "--radius", "5", "--nmax", "300",
+                *(f"--charge=0,0,{i / charges:g},1" for i in range(charges))],
                tmp_path, monkeypatch)
     assert code == 4
-    assert "Legendre table to n_max 300 at 1 points needs 724808 bytes" in capsys.readouterr().err
+    assert ("Legendre table to n_max 300 at 700 points needs 507365600 bytes"
+            in capsys.readouterr().err)
 
 
 def test_still_matrices_unallocatable_exit_4(tmp_path, monkeypatch, capsys):
@@ -199,13 +205,29 @@ def test_still_matrices_unallocatable_exit_4(tmp_path, monkeypatch, capsys):
 
 
 def test_cutoff_past_float_range_exit_4_without_warnings(tmp_path, monkeypatch, capsys):
-    # The mode weights overflow past n ~ 85; the energy check alone reports it.
-    code = run(["sphere", "--radius", "5", "--charge", "0,0,4.9,1", "--nmax", "90"],
+    # The moments' mode weights overflow past n ~ 85; the energy check alone
+    # reports it.  200 charges on the z axis are past the pairwise crossover.
+    axis = [f"--charge=0,0,{-4.5 + 0.045 * i:g},0.5" for i in range(199)]
+    assert 1 + len(axis) > PAIR_CROSSOVER * 91
+    code = run(["sphere", "--radius", "5", "--charge", "0,0,4.9,1", *axis, "--nmax", "90"],
                tmp_path, monkeypatch)
     assert code == 4
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "solvbie: domain error: non-finite energy nan for method Kirkwood\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_charge_past_the_moment_range_is_scored_pairwise(tmp_path, monkeypatch, capsys):
+    code = run(["sphere", "--radius", "5", "--charge", "0,0,4.9,1", "--nmax", "90"],
+               tmp_path, monkeypatch)
+    assert code == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    energy = float(out.out.splitlines()[1].split(",")[1])
+    model = sv.SphereModel(5.0, sv.DielectricPair(1.0, 80.0), 90)
+    exact = sv.pairwise_kirkwood_energy(sv.make_distribution([[0, 0, 4.9]], [1.0]), model)
+    assert energy == pytest.approx(exact, rel=1e-12)
 
 
 def test_charge_outside_cavity_exit_4(tmp_path, monkeypatch):
@@ -429,3 +451,117 @@ def test_sweep_json_format(tmp_path, monkeypatch, capsys):
     payload = json.loads((tmp_path / "sw.json").read_text())
     assert "best_lambda" in payload
     assert len(payload["summaries"]) == len(sv.ExperimentConfig(seed=9).lambda_grid)
+
+
+TET_VERTS = "0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+TET_OFF_FACES = "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"
+#: Input files of the exit-code table, by name; bytes are written as they are.
+EXIT_FIXTURES = {
+    "not_utf8.json": b"\xff\xfe{}",
+    "not_utf8.off": b"\xff\xfeOFF\n",
+    "not_utf8.pqr": b"\xff\xfeATOM\n",
+    "not_utf8.vert": b"\xff\xfe0 0 0\n",
+    "not_utf8.face": b"\xff\xfe1 2 3\n",
+    "tet.vert": TET_VERTS,
+    "tet.face": "1 3 2\n1 2 4\n1 4 3\n2 3 4\n",
+    "text.pqr": "ATOM 1 N X 1 0 0 0 oops 1.5\n",
+    "no_atoms.pqr": "REMARK nothing here\n",
+    "invalid.json": "{not json",
+    "array.json": "[1, 2]",
+    "seed_text.json": '{"seed": "x"}',
+    "unknown_key.json": '{"seed": 1, "wibble": true}',
+    "infinite_eps.json": '{"seed": 1, "num_configs": 1, "eps_in": Infinity}',
+    "empty.off": "",
+    "negative_count.off": "OFF\n4 -1 0\n" + TET_VERTS + TET_OFF_FACES,
+    "truncated.off": "OFF\n4 4 0\n" + TET_VERTS + "3 0 2 1\n3 0 1",
+    "quad.off": "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n",
+    "lone_sign.off": "OFF\n4 4 0\n" + TET_VERTS + "3 0 2 1\n3 0 1 3\n3 0 - 2\n3 1 2 3\n",
+    "float_index.off": "OFF\n4 4 0\n" + TET_VERTS + "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3.0\n",
+    "open.off": "OFF\n4 3 0\n" + TET_VERTS + "3 0 2 1\n3 0 1 3\n3 0 3 2\n",
+    "index_past_end.off": "OFF\n4 4 0\n" + TET_VERTS + "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 4\n",
+    "collinear.off": "OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0.5 0 0\n" + TET_OFF_FACES,
+    "tet.off": "OFF\n4 4 0\n" + TET_VERTS + TET_OFF_FACES,
+}
+SPHERE = ["sphere", "--radius", "5"]
+BEM = ["bem", "--charge", "0.1,0.1,0.1,1", "--mesh"]
+#: (argv, exit code, text the one stderr line must contain); "{d}" is the fixture directory.
+EXIT_CASES = {
+    "sweep config not UTF-8": (["sweep", "--config", "{d}/not_utf8.json"], 3,
+                               "input error: {d}/not_utf8.json: not UTF-8 text"),
+    "OFF mesh not UTF-8": ([*BEM, "{d}/not_utf8.off"], 3,
+                           "input error: {d}/not_utf8.off: not UTF-8 text"),
+    "PQR not UTF-8": ([*SPHERE, "--pqr", "{d}/not_utf8.pqr"], 3,
+                      "input error: {d}/not_utf8.pqr: not UTF-8 text"),
+    "MSMS vert not UTF-8": ([*BEM, "{d}/not_utf8.vert", "--mesh-format", "msms",
+                             "--face", "{d}/tet.face"], 3,
+                            "input error: {d}/not_utf8.vert: not UTF-8 text"),
+    "MSMS face not UTF-8": ([*BEM, "{d}/tet.vert", "--mesh-format", "msms",
+                             "--face", "{d}/not_utf8.face"], 3,
+                            "input error: {d}/not_utf8.face: not UTF-8 text"),
+    "missing PQR": ([*SPHERE, "--pqr", "{d}/missing.pqr"], 3, "file error:"),
+    "missing mesh": ([*BEM, "{d}/missing.off"], 3, "file error:"),
+    "inline charge of three fields": ([*SPHERE, "--charge", "0,0,0"], 3,
+                                      "inline charge must be 'x,y,z,q'"),
+    "no charges": ([*SPHERE], 3, "no charges given"),
+    "non-numeric PQR field": ([*SPHERE, "--pqr", "{d}/text.pqr"], 3, "non-numeric field"),
+    "PQR without atoms": ([*SPHERE, "--pqr", "{d}/no_atoms.pqr"], 3,
+                          "no ATOM/HETATM records found"),
+    "unknown sphere method": ([*SPHERE, "--charge", "0,0,0,1", "--methods", "bogus"], 3,
+                              "unknown sphere method 'bogus'"),
+    "invalid config JSON": (["experiment", "--config", "{d}/invalid.json"], 3, "invalid JSON"),
+    "config not an object": (["sweep", "--config", "{d}/array.json"], 3,
+                             "must be a JSON object"),
+    "config without seed": (["experiment"], 3, "a seed is required"),
+    "config seed of text": (["experiment", "--config", "{d}/seed_text.json"], 3,
+                            "bad experiment config: seed must be int"),
+    "empty OFF": ([*BEM, "{d}/empty.off"], 3, "empty OFF file"),
+    "negative OFF count": ([*BEM, "{d}/negative_count.off"], 3, "negative count -1"),
+    "truncated OFF faces": ([*BEM, "{d}/truncated.off"], 3, "cannot reshape array of size 7"),
+    "OFF quad": ([*BEM, "{d}/quad.off"], 3, "face 0 has 4 vertices"),
+    "OFF lone sign": ([*BEM, "{d}/lone_sign.off"], 3, "sign without digits"),
+    "OFF float index": ([*BEM, "{d}/float_index.off"], 3, "malformed OFF file"),
+    "open OFF surface": ([*BEM, "{d}/open.off"], 3, "surface is open or non-manifold"),
+    "OFF index past last vertex": ([*BEM, "{d}/index_past_end.off"], 3,
+                                   "has vertex index 4, outside [0, 4)"),
+    "unknown BEM variant": ([*BEM, "{d}/tet.off", "--variant", "bogus"], 3,
+                            "unknown BEM variant 'bogus'"),
+    "charge outside the sphere": ([*SPHERE, "--charge", "0,0,9,1"], 4,
+                                  "too close to the boundary"),
+    "non-finite charge": ([*SPHERE, "--charge", "0,0,nan,1"], 4, "non-finite charge 0"),
+    "infinite eps_in": ([*SPHERE, "--charge", "0,0,0,1", "--eps-in", "inf"], 4,
+                        "dielectric constant eps_in"),
+    "nan eps_out": ([*SPHERE, "--charge", "0,0,0,1", "--eps-out", "nan"], 4,
+                    "dielectric constant eps_out"),
+    "infinite eps_in in a config": (["sweep", "--config", "{d}/infinite_eps.json"], 4,
+                                    "dielectric constant eps_in"),
+    "negative n_max": ([*SPHERE, "--charge", "0,0,0,1", "--nmax", "-1"], 4,
+                       "n_max must be >= 0"),
+    "n_max 100000": ([*SPHERE, "--charge", "0,0,4.9,1", "--nmax", "100000"], 4,
+                     "non-finite energy nan for method Kirkwood"),
+    "unknown config key": (["experiment", "--config", "{d}/unknown_key.json"], 4,
+                           "unknown config keys: ['wibble']"),
+    "zero-area OFF triangle": ([*BEM, "{d}/collinear.off"], 4, "degenerate triangle 1"),
+    "charge outside the mesh": (["bem", "--charge", "5,5,5,1", "--mesh", "{d}/tet.off"], 4,
+                                "is not inside the surface"),
+    "GMRES tolerance too loose": ([*BEM, "{d}/tet.off", "--tol", "0.9"], 4,
+                                  "GMRES tolerance must lie in"),
+    "GMRES tolerance unreachable": ([*BEM, "{d}/tet.off", "--tol", "1e-300"], 5,
+                                    "GMRES did not converge within 1 iterations"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_malformed_input_exit_code_and_one_stderr_line(case, tmp_path, monkeypatch, capsys):
+    for name, content in EXIT_FIXTURES.items():
+        path = tmp_path / name
+        path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
+    # One restart cycle, so that the unreachable tolerance fails fast.
+    monkeypatch.setattr(sv.bem, "DEFAULT_GMRES_MAXITER", 1)
+    argv, code, text = EXIT_CASES[case]
+    assert run([arg.format(d=tmp_path) for arg in argv], tmp_path, monkeypatch) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    label = {3: "(input|file)", 4: "domain", 5: "numerical"}[code]
+    assert re.fullmatch(rf"solvbie: {label} error: [^\n]*\n", out.err), out.err
+    assert text.format(d=tmp_path) in out.err
