@@ -19,8 +19,9 @@ settings.load_profile("solvbie")
 
 RADIUS = 5.0
 EPS_BIO = sv.DielectricPair(4.0, 80.0)
-SERIES = ("kirkwood", "cfa", "p", "lambda", "m")
-METHODS = (*SERIES, "gb", "gbeps")
+METHODS = ("kirkwood", "cfa", "p", "lambda", "m", "gb", "gbeps")
+#: Set sizes on both sides of the crossover at n_max 25.
+MAX_CHARGES = (PAIR_CROSSOVER + 1) * 26
 
 # Each coordinate within 2.8 puts every charge within 4.85 < 0.999 b of the center.
 coordinate = st.floats(-2.8, 2.8, allow_subnormal=False)
@@ -58,7 +59,7 @@ def test_pair_spectrum_equals_moment_spectrum(case):
     assert np.all(np.abs(pairs - moments) <= 1e-12 * scale)
 
 
-@given(charge_sets(3 * 26), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+@given(charge_sets(MAX_CHARGES), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
 def test_energies_invariant_under_rotation(dist, quaternion):
     w, x, y, z = quaternion
     norm = np.sqrt(w * w + x * x + y * y + z * z)
@@ -75,14 +76,14 @@ def test_energies_invariant_under_rotation(dist, quaternion):
     assert np.all(np.abs(energies(turned) - energies(dist)) <= 1e-11 * energy_scale(dist))
 
 
-@given(charge_sets(3 * 26), st.floats(-4.0, 4.0, allow_subnormal=False))
+@given(charge_sets(MAX_CHARGES), st.floats(-4.0, 4.0, allow_subnormal=False))
 def test_energies_homogeneous_of_degree_two_in_charge(dist, factor):
     scaled = sv.make_distribution(dist.positions, factor * dist.magnitudes)
     assert np.all(np.abs(energies(scaled) - factor ** 2 * energies(dist))
                   <= 1e-11 * factor ** 2 * energy_scale(dist))
 
 
-@given(charge_sets(3 * 26), st.integers(0, 30))  # both spectrum forms, by size
+@given(charge_sets(MAX_CHARGES), st.integers(0, 30))
 def test_cfa_bounds_kirkwood_bounds_p(dist, n_max):
     kirkwood, cfa, p = energies(dist, n_max)[:3]
     slack = 1e-12 * energy_scale(dist)
