@@ -33,6 +33,7 @@ from .harmonics import (
     legendre_table,
     mode_spectrum,
     pair_spectrum,
+    solid_spectrum,
     source_moments,
     truncation_tail_estimate,
 )

@@ -1,22 +1,29 @@
-"""Associated Legendre functions and multipole moments of interior charges.
+"""Associated Legendre functions, solid harmonics and multipole moments of interior charges.
 
 Convention: the associated Legendre functions here exclude the
 Condon-Shortley phase, and the (n-|m|)!/(n+|m|)! prefactor lives inside the
 source moments.  Negative orders are handled by evaluating P at |m|, so for
 real charge sets the moments satisfy E(n, -m) = conj(E(n, m)) and every
-reconstructed interior potential is real up to roundoff.
+reconstructed interior potential is real up to roundoff.  The Legendre
+table serves the potential evaluation; the moments come from the real
+recurrences of the Schmidt-seminormalized regular solid harmonics
+(``_solid_moments``), with no trigonometry and no factorials.
 
-``source_moments``, ``mode_spectrum`` and ``truncation_tail_estimate`` also
-take a sequence of C charge sets, or such a sequence stacked once by
-``_stack``, with one Legendre table over all charges, and then return
-results with a leading axis of length C.
+``source_moments``, ``mode_spectrum``, ``solid_spectrum``, ``pair_spectrum``
+and ``truncation_tail_estimate`` also take a sequence of C charge sets, or
+such a sequence stacked once by ``_stack``, and then return results with a
+leading axis of length C.
 
-The mode spectrum S_n of a charge set has two forms, equal up to rounding:
-``mode_spectrum(source_moments(...))`` from the multipole moments, at a
-cost of order Q n_max^2 per set, and ``pair_spectrum`` from Kirkwood's
-addition theorem over the charge pairs, at a cost of order Q^2 n_max and
-with no Legendre table.  ``sphere.ensemble_energies`` takes the pairwise
-form for sets of at most ``sphere.PAIR_CROSSOVER`` (n_max+1) charges.
+The mode spectrum S_n of a charge set has two forms, equal up to rounding.
+``solid_spectrum`` sums S_n = sum_{m>=0} |M_nm|^2 over the seminormalized
+solid-harmonic moments, at a cost of order Q n_max^2 per set.
+``pair_spectrum`` uses Kirkwood's addition theorem over the charge pairs,
+S_n = sum_ij q_i q_j (r_i r_j)^n P_n(cos gamma_ij), at a cost of order
+Q^2 n_max.  ``sphere.ensemble_energies`` takes the pairwise form for sets of
+at most ``sphere.PAIR_CROSSOVER`` (n_max+1) charges and the solid-harmonic
+form above.  ``mode_spectrum(source_moments(...))`` gives the same spectrum
+from the factorial-weighted moments; its weights leave the float range
+past n ~ 85.
 """
 
 from __future__ import annotations
@@ -31,6 +38,9 @@ from .model import COULOMB_KCAL, ChargeDistribution
 
 #: Relative tolerance on the imaginary part of reconstructed potentials.
 IMAG_TOL = 1e-9
+
+#: Natural log of the largest float: x^n overflows once n log x exceeds it.
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 KIND_SOURCE = "source"
 KIND_REACTION = "reaction"
@@ -138,25 +148,104 @@ def _stack(dist) -> tuple[np.ndarray, np.ndarray]:
     return pos, q
 
 
-def source_moments(dist, n_max: int) -> MultipoleCoefficients:
-    """Multipole moments E_nm of a charge set, or of each of a sequence, about the cavity center.
+@functools.lru_cache(maxsize=8)
+def _solid_coefficients(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only constants (beta, g, c) of the scaled solid-harmonic recurrence to n_max.
 
-    E_nm = sum_k q_k r_k^n (n-|m|)!/(n+|m|)! P_n^|m|(cos theta_k) exp(-i m phi_k).
-    A charge exactly at the origin contributes only to E_00 (0.0**0 == 1).
+    The recurrence of the Schmidt-seminormalized Pi_n^m (see ``_solid_moments``),
+
+        Pi_n^m = ((2n-1) z Pi_{n-1}^m - sqrt((n-1)^2-m^2) r^2 Pi_{n-2}^m) / sqrt(n^2-m^2),
+
+    runs on Pi_n^m / g_nm, with g_nm = prod_{j=m+1..n} (2j-1) / (2 sqrt(j^2-m^2)),
+    which turns it into
+
+        Phi_n^m = 2 z Phi_{n-1}^m - beta_nm r^2 Phi_{n-2}^m,
+        beta_nm = 4 ((n-1)^2 - m^2) / ((2n-1)(2n-3)),
+
+    with one multiplication fewer per entry; g stays within 1e-2 .. 1e193
+    up to n_max 2000.  Phi_m^m = Pi_m^m = c_m, with c_0 = c_1 = 1 and
+    c_m = c_{m-1} sqrt((2m-1)/(2m)).  beta is (n_max+1, n_max+1, 1), zero
+    for m >= n-1; g is laid out (m, 1, n, 1) for the moments of
+    ``_solid_moments`` and is 1 for m >= n.  Built once per n_max (the
+    last 8 are kept).
+    """
+    n, m = np.ogrid[:n_max + 1, :n_max + 1]
+    lower = m < n
+    beta = np.where(m < n - 1, 4.0 * ((n - 1) ** 2 - m * m) / ((2 * n - 1) * (2 * n - 3)), 0.0)
+    half_a = np.where(lower, (2 * n - 1) / (2 * np.sqrt(np.where(lower, n * n - m * m, 1))), 1.0)
+    g = np.cumprod(half_a, axis=0)
+    steps = np.arange(2, n_max + 1)
+    c = np.concatenate([[1.0, 1.0], np.cumprod(np.sqrt((2 * steps - 1) / (2 * steps)))])
+    out = beta[:, :, None], g.T[:, None, :, None].copy(), c[:n_max + 1]
+    for array in out:
+        array.setflags(write=False)
+    return out
+
+
+def _solid_moments(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
+    """Moments M_nm = sum_k q_k R_n^m(k) of stacked charge sets, as (m, C, n, [Re, Im]).
+
+    R_n^m = u^m Pi_n^m, u = x + iy, are the regular solid harmonics
+    r^n Pbar_n^m(cos theta) exp(i m phi), with Pbar_n^m = P_n^m
+    sqrt((2 - delta_m0) (n-m)!/(n+m)!) Schmidt-seminormalized and without
+    the Condon-Shortley phase.  Pi_n^m is a real polynomial in z and r^2;
+    its scaled form Phi_n^m = Pi_n^m / g_nm (``_solid_coefficients``) runs
+    upward in n for every m at once on one (n_max+1, n_max+1, C, Q) table.
+    Each (m, set) then gives its moments from one matrix product of Phi
+    against [Re, Im] of w_m = q u^m, scaled by g.  Entries with m > n are
+    zero.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
+    c, k = q.shape
+    try:
+        table = np.zeros((n_max + 1, n_max + 1, c, k))
+    except MemoryError:
+        raise DomainError(
+            f"solid harmonics to n_max {n_max} of {c} sets of {k} charges need "
+            f"{8 * (n_max + 1) ** 2 * c * k} bytes") from None
+    beta, g, sectoral = _solid_coefficients(n_max)
+    # Charges of every set along one contiguous axis for the recurrence.
+    flat = table.reshape(n_max + 1, n_max + 1, c * k)
+    z2 = 2.0 * pos[..., 2].reshape(-1)
+    r2 = np.sum(pos * pos, axis=-1).reshape(-1)
+    orders = np.arange(n_max + 1)
+    flat[orders, orders] = sectoral[:, None]
+    if n_max >= 1:
+        flat[1, 0] = z2  # Phi_1^0 = 2 z Phi_0^0
+    scratch = np.empty((n_max, c * k))
+    for n in range(2, n_max + 1):
+        row, older = flat[n, :n], scratch[:n]
+        np.multiply(flat[n - 1, :n], z2, out=row)
+        np.multiply(flat[n - 2, :n], r2, out=older)
+        older *= beta[n, :n]
+        row -= older
+    w = np.empty((n_max + 1, c, k), dtype=complex)
+    w[0] = q
+    w[1:] = pos[..., 0] + 1j * pos[..., 1]
+    np.cumprod(w, axis=0, out=w)
+    # (m, C) batches of (n x Q) (Q x 2) products; w viewed as float is [Re, Im] pairs.
+    moments = np.matmul(table.transpose(1, 2, 0, 3), w.view(float).reshape(n_max + 1, c, k, 2))
+    moments *= g
+    return moments
+
+
+def source_moments(dist, n_max: int) -> MultipoleCoefficients:
+    """Multipole moments E_nm of a charge set, or of each of a sequence, about the cavity center.
+
+    E_nm = sum_k q_k r_k^n (n-|m|)!/(n+|m|)! P_n^|m|(cos theta_k) exp(-i m phi_k),
+    formed from the solid-harmonic moments M_nm of ``_solid_moments`` as
+    E_nm = conj(M_nm) sqrt((n-|m|)!/((n+|m|)! (2 - delta_m0))).
+    A charge exactly at the origin contributes only to E_00.
+    """
     pos, q = _stack(dist)
-    r, cos_theta, phi = _spherical_angles(pos.reshape(-1, 3))
-    grid = (n_max + 1, *q.shape)
-    ptab = legendre_table(n_max, cos_theta).reshape(n_max + 1, *grid)   # (n+1, m+1, C, Q)
-    w = q * (r[None, :] ** np.arange(n_max + 1)[:, None]).reshape(grid)  # q r^n, (n+1, C, Q)
-    phase = np.exp(-1j * np.arange(n_max + 1)[:, None] * phi[None, :]).reshape(grid)
-    # Real and imaginary parts apart: the real table is never cast to complex.
-    e_pos = np.empty((q.shape[0], n_max + 1, n_max + 1), dtype=complex)
-    for part in ("real", "imag"):
-        np.einsum("nmck,nck,mck->cnm", ptab, w, getattr(phase, part), out=getattr(e_pos, part))
-    e_pos *= _factorial_ratio(n_max)
+    moments = _solid_moments(pos, q, n_max).transpose(1, 2, 0, 3)   # (C, n, m, [Re, Im])
+    weight = _factorial_ratio(n_max).copy()
+    weight[:, 1:] *= 0.5
+    np.sqrt(weight, out=weight)
+    e_pos = np.empty(moments.shape[:-1], dtype=complex)
+    np.multiply(moments[..., 0], weight, out=e_pos.real)
+    np.multiply(moments[..., 1], -weight, out=e_pos.imag)
     # Columns m = -n_max..n_max; E(n, -m) = conj(E(n, m)).
     coeffs = np.concatenate([np.conj(e_pos[..., :0:-1]), e_pos], axis=-1)
     if isinstance(dist, ChargeDistribution):
@@ -195,7 +284,10 @@ def pair_spectrum(dist, n_max: int) -> np.ndarray:
     which runs here on w_n = q_i q_j u_n, in place on five (C, Q, Q)
     buffers.  R is built from the diagonal of G, so that the self pairs
     have cos gamma = 1 exactly.  Each S_n is one batched matrix product
-    per set, so a set's spectrum does not depend on the chunk it is in.
+    per set, so a set's spectrum does not depend on the other sets of a
+    chunk of equal-sized sets.  From the first n at which r_max^(2n) of a
+    set exceeds the float range its S_n are inf, and the recurrence stops
+    once every set is there.
     Returns (n_max+1,) for one charge set and (C, n_max+1) for a sequence.
     """
     if n_max < 0:
@@ -210,6 +302,11 @@ def pair_spectrum(dist, n_max: int) -> np.ndarray:
     np.matmul(pos, pos.transpose(0, 2, 1), out=gram)
     r2 = gram.diagonal(axis1=1, axis2=2)
     np.multiply(r2[:, :, None], r2[:, None, :], out=rr)
+    # (r_i r_j)^n leaves the float range from n = stop on; S_n is inf there.
+    r2_max = r2.max(axis=1)
+    past = np.log(np.maximum(r2_max, 1.0)) * n_max > _LOG_FLOAT_MAX
+    stop = np.full(c, n_max + 1)
+    stop[past] = _LOG_FLOAT_MAX // np.log(r2_max[past]) + 1
     # S_n = sum_ij w_n, one (1 x Q^2) (Q^2 x 1) product per set.
     spectra, ones = np.empty((n_max + 1, c, 1, 1)), np.ones((k * k, 1))
     np.multiply(q[:, :, None], q[:, None, :], out=older)
@@ -217,7 +314,11 @@ def pair_spectrum(dist, n_max: int) -> np.ndarray:
     if n_max >= 1:
         np.multiply(older, gram, out=old)
         np.matmul(old.reshape(c, 1, k * k), ones, out=spectra[1])
-    for n in range(2, n_max + 1):
+    stopping = set(stop[past].tolist())
+    for n in range(2, stop.max()):
+        if n in stopping:
+            # A set past its range carries zeros from here on, which cannot overflow.
+            old[stop == n] = older[stop == n] = 0.0
         np.multiply(old, gram, out=new)
         new *= (2 * n - 1) / n
         older *= rr
@@ -226,6 +327,26 @@ def pair_spectrum(dist, n_max: int) -> np.ndarray:
         np.matmul(new.reshape(c, 1, k * k), ones, out=spectra[n])
         older, old, new = old, new, older
     spectra = spectra[:, :, 0, 0].T.copy()
+    spectra[np.arange(n_max + 1) >= stop[:, None]] = np.inf
+    return spectra[0] if isinstance(dist, ChargeDistribution) else spectra
+
+
+def solid_spectrum(dist, n_max: int) -> np.ndarray:
+    """Per-mode power S_n of a charge set, or of each of a sequence, from its solid-harmonic moments.
+
+    With the Schmidt-seminormalized moments M_nm of ``_solid_moments`` the
+    addition theorem gives S_n = sum_{m>=0} |M_nm|^2 (the 2 - delta_m0
+    weight is inside the normalization): the spectrum of ``pair_spectrum``
+    and ``mode_spectrum`` in the same units, at a cost of order Q n_max^2
+    per set, with no trigonometry and no factorials.  Each set's moments
+    are their own matrix products, so a set's spectrum does not depend on
+    the other sets of a chunk of equal-sized sets.  Returns (n_max+1,) for
+    one charge set and (C, n_max+1) for a sequence.
+    """
+    pos, q = _stack(dist)
+    moments = _solid_moments(pos, q, n_max)
+    np.square(moments, out=moments)
+    spectra = moments.sum(axis=-1).sum(axis=0)
     return spectra[0] if isinstance(dist, ChargeDistribution) else spectra
 
 

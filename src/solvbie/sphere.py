@@ -5,8 +5,8 @@ approximations (CFA, P, generic-lambda, and the hybrid M variant), and the
 Generalized Born / GB-epsilon estimators with sphere-analytic parameters.
 
 Geometry and material separate.  The charges enter every series method
-only through their mode spectrum S_n (``harmonics.mode_spectrum``), the
-dielectrics only through one factor f_n per mode:
+only through their mode spectrum S_n, the dielectrics only through one
+factor f_n per mode:
 
     E   = (k_e/2) sum_n f_n S_n,
     f_n = P_n / (1 + eps_hat lambda_n),
@@ -31,14 +31,17 @@ of the (C x modes) spectra S and the (methods x modes) factor matrix F.
 ``ensemble_energies``, the engine for every method in ``SPHERE_METHODS``,
 stacks a chunk of ``chunk_length`` charge sets once and builds S and F
 for it, and for the GB methods one stack of Still matrices 1/F from one
-batched Gram GEMM.  S has two forms, chosen by the size of the sets: sets
-of Q <= ``PAIR_CROSSOVER`` (n_max+1) charges take it from their charge
-pairs (``harmonics.pair_spectrum``, cost Q^2 n_max per set), larger sets
-from one Legendre table and their moments (``harmonics.source_moments``,
-cost Q n_max^2).  A chunk's table or pair buffers, or one of its two Still
-buffers, hold at most ``_CHUNK_BYTES``.  ``sphere_energies`` is its
-one-set case.  The reaction coefficients B_nm = f_n E_nm remain for
-evaluating the reaction potential at points.
+batched Gram GEMM.  S has two forms, equal up to rounding and chosen by
+the size of the sets: sets of Q <= ``PAIR_CROSSOVER`` (n_max+1) charges
+take it from their charge pairs by Kirkwood's addition theorem
+(``harmonics.pair_spectrum``, one Legendre recurrence over the Gram
+matrix, cost Q^2 n_max per set), larger sets from their real solid-harmonic
+moments, S_n = sum_{m>=0} |M_nm|^2 (``harmonics.solid_spectrum``, one
+recurrence table in z and r^2, cost Q n_max^2).  A chunk's solid-harmonic
+table or pair buffers, or one of its two Still buffers, hold at most
+``_CHUNK_BYTES``.  ``sphere_energies`` is its one-set case.  The reaction
+coefficients B_nm = f_n E_nm remain for evaluating the reaction potential
+at points.
 """
 
 from __future__ import annotations
@@ -53,9 +56,9 @@ from .harmonics import (
     KIND_SOURCE,
     MultipoleCoefficients,
     _stack,
-    mode_spectrum,
     pair_spectrum,
-    source_moments,
+    solid_spectrum,
+    source_moments,  # re-exported as sphere.source_moments
     truncation_tail_estimate,
 )
 from .model import (
@@ -91,17 +94,18 @@ SPHERE_METHODS = (METHOD_KIRKWOOD, *VARIANT_TAGS, *GB_METHODS)
 #: Fraction of the sphere radius beyond which charges are rejected.
 BOUNDARY_MARGIN = 0.999
 
-#: Bytes of an ensemble chunk's Legendre table or pair-spectrum buffers, or
-#: of one of its Still pair buffers.
+#: Bytes of an ensemble chunk's solid-harmonic table or pair-spectrum
+#: buffers, or of one of its Still pair buffers.
 _CHUNK_BYTES = 1 << 23
 
 #: Charge sets of at most PAIR_CROSSOVER (n_max+1) charges take their mode
-#: spectra from their charge pairs, larger sets from their moments.  The
-#: pairwise form costs Q^2 n_max per set and the moments Q n_max^2; 2 is the
-#: largest ratio Q/(n_max+1) at which the pairwise form was faster at every
-#: measured n_max (10, 25, 50) and chunk size (2, 16 sets), on a shared
-#: 2-CPU x86 host with one BLAS thread.
-PAIR_CROSSOVER = 2
+#: spectra from their charge pairs, larger sets from their solid-harmonic
+#: moments.  The pairwise form costs Q^2 n_max per set and the moments
+#: Q n_max^2; of the ratios Q/(n_max+1) = 1, 1.5, 2, 2.5, 3, 4, 5, 1 is the
+#: largest at which the pairwise form was faster at every measured n_max
+#: (10, 25, 50) and chunk size (2, 16 sets), on a shared 2-CPU x86 host with
+#: one BLAS thread.
+PAIR_CROSSOVER = 1
 
 
 @dataclass(frozen=True)
@@ -220,9 +224,9 @@ def _check_interior(dist, model: SphereModel):
 def chunk_length(n_max: int, charges: int) -> int:
     """Charge sets of ``charges`` charges per ensemble chunk, within _CHUNK_BYTES.
 
-    A set counts with its larger footprint: a Legendre table, 8 (n_max+1)^2 Q
-    bytes, or five pair-spectrum buffers, 40 Q^2 bytes, which also bound
-    one Still buffer, 8 Q^2 bytes.
+    A set counts with its larger footprint: a solid-harmonic table,
+    8 (n_max+1)^2 Q bytes, or five pair-spectrum buffers, 40 Q^2 bytes,
+    which also bound one Still buffer, 8 Q^2 bytes.
     """
     return max(1, _CHUNK_BYTES // (8 * charges * max((n_max + 1) ** 2, 5 * charges)))
 
@@ -231,7 +235,7 @@ def ensemble_energies(dists, model: SphereModel, methods, lam=0.0) -> list[list[
     """Solvation energy of each named method for each charge set of a chunk, kcal/mol.
 
     The chunk is stacked once; its charges are checked, and its spectra S
-    (pairwise or from moments, by the size of its sets), truncation
+    (pairwise or from solid harmonics, by the size of its sets), truncation
     estimates, factor matrix F and Still matrices built, in one pass.
     ``lam`` is the eigenvalue of the lambda and m variants: one value for
     every method, or one per method, which the other methods ignore (None
@@ -243,13 +247,13 @@ def ensemble_energies(dists, model: SphereModel, methods, lam=0.0) -> list[list[
     lams = np.broadcast_to(np.asarray(lam, dtype=float), (len(methods),))
     series = [i for i, method in enumerate(methods) if method not in GB_METHODS]
     gb = [i for i, method in enumerate(methods) if method in GB_METHODS]
-    # Past the cutoff whose weights and factors fit a float, S and F hold inf
+    # Past the cutoff whose powers and factors fit a float, S and F hold inf
     # or nan; the energy check reports that, without numpy warnings first.
     with np.errstate(over="ignore", invalid="ignore"):
         if chunk[1].shape[1] <= PAIR_CROSSOVER * (model.n_max + 1):
             spectra = pair_spectrum(chunk, model.n_max)
         else:
-            spectra = mode_spectrum(source_moments(chunk, model.n_max))
+            spectra = solid_spectrum(chunk, model.n_max)
         labels, factors = _mode_factors(model, [methods[i] for i in series], lams[series])
         # S F^T summed along each row, so a charge set's energies do not depend
         # on the chunk it is scored in, as a GEMM's blocking would.

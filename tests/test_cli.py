@@ -169,14 +169,14 @@ def test_parser_built_once_and_calls_independent(tmp_path, monkeypatch):
         assert float(rows[1].split(",")[1]) == sv.kirkwood_energy(dist, model).value
 
 
-def test_legendre_table_unallocatable_exit_4(tmp_path, monkeypatch, capsys):
-    # Past the pairwise crossover, so the spectrum comes from a Legendre table.
+def test_solid_harmonic_table_unallocatable_exit_4(tmp_path, monkeypatch, capsys):
+    # Past the pairwise crossover, so the spectrum comes from a solid-harmonic table.
     charges = 700
     assert charges > PAIR_CROSSOVER * 301
     zeros = np.zeros
 
     def refuse_table(shape, *args, **kwargs):
-        if shape == (301, 301, charges):
+        if shape == (301, 301, 1, charges):
             raise MemoryError
         return zeros(shape, *args, **kwargs)
 
@@ -185,8 +185,10 @@ def test_legendre_table_unallocatable_exit_4(tmp_path, monkeypatch, capsys):
                 *(f"--charge=0,0,{i / charges:g},1" for i in range(charges))],
                tmp_path, monkeypatch)
     assert code == 4
-    assert ("Legendre table to n_max 300 at 700 points needs 507365600 bytes"
-            in capsys.readouterr().err)
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("solvbie: domain error: solid harmonics to n_max 300 of 1 sets of "
+                       "700 charges need 507365600 bytes\n")
 
 
 def test_still_matrices_unallocatable_exit_4(tmp_path, monkeypatch, capsys):
@@ -204,17 +206,24 @@ def test_still_matrices_unallocatable_exit_4(tmp_path, monkeypatch, capsys):
     assert "Still matrices of 1 sets of 2 charges need 64 bytes" in capsys.readouterr().err
 
 
-def test_cutoff_past_float_range_exit_4_without_warnings(tmp_path, monkeypatch, capsys):
-    # The moments' mode weights overflow past n ~ 85; the energy check alone
-    # reports it.  200 charges on the z axis are past the pairwise crossover.
+@pytest.mark.filterwarnings("error")
+def test_large_set_past_the_factorial_range_equals_pairwise(tmp_path, monkeypatch, capsys):
+    # (n+m)!/(n-m)! leaves the float range past n ~ 85; the solid harmonics
+    # never form it.  200 charges are past the pairwise crossover.
     axis = [f"--charge=0,0,{-4.5 + 0.045 * i:g},0.5" for i in range(199)]
     assert 1 + len(axis) > PAIR_CROSSOVER * 91
     code = run(["sphere", "--radius", "5", "--charge", "0,0,4.9,1", *axis, "--nmax", "90"],
                tmp_path, monkeypatch)
-    assert code == 4
+    assert code == 0
     out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == "solvbie: domain error: non-finite energy nan for method Kirkwood\n"
+    assert out.err == ""
+    energy = float(out.out.splitlines()[1].split(",")[1])
+    positions = [[0.0, 0.0, 4.9]] + [[0.0, 0.0, float(a.split(",")[2])] for a in axis]
+    dist = sv.make_distribution(positions, [1.0] + [0.5] * 199)
+    model = sv.SphereModel(5.0, sv.DielectricPair(1.0, 80.0), 90)
+    factors = sv.sphere._mode_factors(model, ["kirkwood"], [0.0])[1][0]
+    pairwise = 0.5 * COULOMB_KCAL * np.sum(sv.pair_spectrum(dist, 90) * factors)
+    assert energy == pytest.approx(pairwise, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("error")
@@ -228,6 +237,21 @@ def test_one_charge_past_the_moment_range_is_scored_pairwise(tmp_path, monkeypat
     model = sv.SphereModel(5.0, sv.DielectricPair(1.0, 80.0), 90)
     exact = sv.pairwise_kirkwood_energy(sv.make_distribution([[0, 0, 4.9]], [1.0]), model)
     assert energy == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pair_spectrum_is_inf_past_the_float_range(tmp_path, monkeypatch, capsys):
+    # 4.9^(2n) exceeds the largest float from n = 224 on; the recurrence stops there.
+    far, near = (sv.make_distribution([[0.0, 0.0, z]], [1.0]) for z in (4.9, 1.0))
+    spectrum = sv.pair_spectrum(far, 100000)
+    assert np.all(np.isfinite(spectrum[:224])) and np.all(spectrum[224:] == np.inf)
+    spectra = sv.pair_spectrum([far, near], 300)
+    assert np.array_equal(spectra[0], spectrum[:301])
+    assert spectra[1] == pytest.approx(np.ones(301), rel=1e-12)
+    # Every (r_i r_j)^n of a charge at r = 1 stays in range: its energy is finite.
+    assert run(["sphere", "--radius", "5", "--charge", "0,0,1,1", "--nmax", "100000"],
+               tmp_path, monkeypatch) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_charge_outside_cavity_exit_4(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ examples are derandomized, so a run is reproducible.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import solvbie as sv
 from solvbie.harmonics import _stack
@@ -28,9 +28,24 @@ coordinate = st.floats(-2.8, 2.8, allow_subnormal=False)
 charge = st.tuples(coordinate, coordinate, coordinate, st.floats(-1.0, 1.0, allow_subnormal=False))
 
 
-def charge_sets(max_size):
-    return st.lists(charge, min_size=1, max_size=max_size).map(
+#: Charges anywhere, on the z axis (u = x + iy = 0) or at the origin.
+special_charge = st.one_of(
+    charge,
+    charge.map(lambda c: (0.0, 0.0, c[2], c[3])),
+    charge.map(lambda c: (0.0, 0.0, 0.0, c[3])),
+)
+
+
+def charge_sets(max_size, rows=charge):
+    return st.lists(rows, min_size=1, max_size=max_size).map(
         lambda rows: sv.make_distribution([r[:3] for r in rows], [r[3] for r in rows]))
+
+
+def spectrum_scale(dists, n_max):
+    """sum_ij |q_i q_j| (r_i r_j)^n per set and mode: S_n bounds and rounding are relative to it."""
+    pos, q = _stack(dists)
+    powers = np.linalg.norm(pos, axis=-1)[:, None, :] ** np.arange(n_max + 1)[:, None]
+    return np.sum(np.abs(q)[:, None, :] * powers, axis=-1) ** 2
 
 
 def energy_scale(dist) -> float:
@@ -57,6 +72,35 @@ def test_pair_spectrum_equals_moment_spectrum(case):
     scale = np.sum(np.abs(q)[:, None, :] * powers, axis=-1) ** 2
     assert pairs.shape == moments.shape == (len(dists), n_max + 1)
     assert np.all(np.abs(pairs - moments) <= 1e-12 * scale)
+
+
+AXIS_AND_ORIGIN = [sv.make_distribution([[0.0, 0.0, 2.5], [0.0, 0.0, 0.0], [1.0, -2.0, 0.5]],
+                                        [0.5, -1.0, 0.75])]
+
+
+@given(st.integers(0, 20).flatmap(lambda n_max: st.tuples(st.just(n_max), st.lists(
+    charge_sets(2 * (n_max + 1), special_charge), min_size=1, max_size=3))))
+@example((0, AXIS_AND_ORIGIN))
+@example((1, AXIS_AND_ORIGIN))
+def test_solid_spectrum_equals_pair_spectrum(case):
+    n_max, dists = case
+    solid = sv.solid_spectrum(dists, n_max)
+    pairs = sv.pair_spectrum(dists, n_max)
+    assert solid.shape == pairs.shape == (len(dists), n_max + 1)
+    assert np.all(np.abs(solid - pairs) <= 1e-12 * spectrum_scale(dists, n_max))
+
+
+@given(st.integers(0, 20), st.integers(1, 40).flatmap(lambda size: st.lists(
+    st.lists(special_charge, min_size=size, max_size=size).map(
+        lambda rows: sv.make_distribution([r[:3] for r in rows], [r[3] for r in rows])),
+    min_size=7, max_size=7)))
+@settings(max_examples=25)
+def test_solid_spectrum_of_a_set_does_not_depend_on_its_chunk(n_max, dists):
+    # Sets of one size, as ``experiment`` and ``sweep`` score them; zero
+    # charges padding a smaller set change the matrix products' last bits.
+    chunk = sv.solid_spectrum(dists, n_max)
+    for dist, row in zip(dists, chunk):
+        assert np.array_equal(sv.solid_spectrum(dist, n_max), row)
 
 
 @given(charge_sets(MAX_CHARGES), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
