@@ -36,8 +36,8 @@ special_charge = st.one_of(
 )
 
 
-def charge_sets(max_size, rows=charge):
-    return st.lists(rows, min_size=1, max_size=max_size).map(
+def charge_sets(max_size, rows=charge, min_size=1):
+    return st.lists(rows, min_size=min_size, max_size=max_size).map(
         lambda rows: sv.make_distribution([r[:3] for r in rows], [r[3] for r in rows]))
 
 
@@ -91,9 +91,7 @@ def test_solid_spectrum_equals_pair_spectrum(case):
 
 
 @given(st.integers(0, 20), st.integers(1, 40).flatmap(lambda size: st.lists(
-    st.lists(special_charge, min_size=size, max_size=size).map(
-        lambda rows: sv.make_distribution([r[:3] for r in rows], [r[3] for r in rows])),
-    min_size=7, max_size=7)))
+    charge_sets(size, special_charge, min_size=size), min_size=7, max_size=7)))
 @settings(max_examples=25)
 def test_solid_spectrum_of_a_set_does_not_depend_on_its_chunk(n_max, dists):
     # Sets of one size, as ``experiment`` and ``sweep`` score them; zero
