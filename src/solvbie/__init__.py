@@ -30,8 +30,6 @@ from .model import (
 )
 from .harmonics import (
     MultipoleCoefficients,
-    legendre_table,
-    mode_spectrum,
     pair_spectrum,
     solid_spectrum,
     source_moments,

@@ -111,7 +111,9 @@ def _emit(lines_csv: str, payload_json, args):
 def cmd_sphere(args) -> int:
     dist, inputs = _load_charges(args)
     model = SphereModel(args.radius, DielectricPair(args.eps_in, args.eps_out), args.nmax)
-    methods = [m.strip().lower() for m in args.methods.split(",") if m]
+    methods = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ParseError("no sphere methods given")
     for name in methods:
         if name not in SPHERE_METHODS:
             raise ParseError(f"unknown sphere method {name!r}")

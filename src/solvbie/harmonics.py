@@ -1,17 +1,17 @@
-"""Associated Legendre functions, solid harmonics and multipole moments of interior charges.
+"""Solid harmonics, multipole moments and reaction potentials of interior charges.
 
 Convention: the associated Legendre functions here exclude the
 Condon-Shortley phase, and the (n-|m|)!/(n+|m|)! prefactor lives inside the
-source moments.  Negative orders are handled by evaluating P at |m|, so for
-real charge sets the moments satisfy E(n, -m) = conj(E(n, m)) and every
-reconstructed interior potential is real up to roundoff.  The Legendre
-table serves the potential evaluation; the moments come from the real
-recurrences of the Schmidt-seminormalized regular solid harmonics
-(``_solid_moments``), with no trigonometry and no factorials.
+source moments.  For real charge sets the moments satisfy
+E(n, -m) = conj(E(n, m)), and every reconstructed interior potential is real
+up to roundoff.  One recurrence computes the Legendre functions: that of the
+Schmidt-seminormalized regular solid harmonics (``_solid_moments``), real,
+with no trigonometry and no factorials.  The source moments, the
+solid-harmonic spectrum and the potential at points all come from it.
 
-``source_moments``, ``mode_spectrum``, ``solid_spectrum``, ``pair_spectrum``
-and ``truncation_tail_estimate`` also take a sequence of C charge sets, or
-such a sequence stacked once by ``_stack``, and then return results with a
+``source_moments``, ``solid_spectrum``, ``pair_spectrum`` and
+``truncation_tail_estimate`` also take a sequence of C charge sets, or such
+a sequence stacked once by ``_stack``, and then return results with a
 leading axis of length C.
 
 The mode spectrum S_n of a charge set has two forms, equal up to rounding.
@@ -21,9 +21,7 @@ solid-harmonic moments, at a cost of order Q n_max^2 per set.
 S_n = sum_ij q_i q_j (r_i r_j)^n P_n(cos gamma_ij), at a cost of order
 Q^2 n_max.  ``sphere.ensemble_energies`` takes the pairwise form for sets of
 at most ``sphere.PAIR_CROSSOVER`` (n_max+1) charges and the solid-harmonic
-form above.  ``mode_spectrum(source_moments(...))`` gives the same spectrum
-from the factorial-weighted moments; its weights leave the float range
-past n ~ 85.
+form above.
 """
 
 from __future__ import annotations
@@ -44,38 +42,6 @@ _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 KIND_SOURCE = "source"
 KIND_REACTION = "reaction"
-
-
-def legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
-    """All P_n^m(x) for 0 <= m <= n <= n_max on an array of arguments.
-
-    Returns an array of shape (n_max+1, n_max+1, len(x)); entries with
-    m > n are zero.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1):
-        raise DomainError("Legendre argument out of range [-1, 1]")
-    try:
-        p = np.zeros((n_max + 1, n_max + 1, x.size))
-    except MemoryError:
-        raise DomainError(
-            f"Legendre table to n_max {n_max} at {x.size} points needs "
-            f"{8 * (n_max + 1) ** 2 * x.size} bytes") from None
-    p[0, 0] = 1.0
-    if n_max == 0:
-        return p
-    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))  # exactly 0 at x = +-1
-    # Diagonal P_m^m = (2m-1)!! s^m, a running product, and first superdiagonal.
-    m = np.arange(1, n_max + 1)
-    p[m, m] = np.cumprod((2 * m - 1)[:, None] * s, axis=0)
-    m = np.arange(n_max)
-    p[m + 1, m] = (2 * m + 1)[:, None] * x * p[m, m]
-    # Upward in n at fixed m, every order m <= n-2 of row n at once.
-    for n in range(2, n_max + 1):
-        m = np.arange(n - 1)[:, None]
-        up, down = p[n - 1, :n - 1], p[n - 2, :n - 1]
-        p[n, :n - 1] = ((2 * n - 1) * x * up - (n + m - 1) * down) / (n - m)
-    return p
 
 
 @functools.lru_cache(maxsize=8)
@@ -122,21 +88,13 @@ class MultipoleCoefficients:
         return complex(self.coeffs[n, m + self.n_max])
 
 
-def _spherical_angles(positions: np.ndarray):
-    """(r, cos(theta), phi) per charge; angles are zero for a charge at the origin."""
-    r = np.linalg.norm(positions, axis=1)
-    safe_r = np.where(r > 0, r, 1.0)
-    cos_theta = np.where(r > 0, positions[:, 2] / safe_r, 1.0)
-    cos_theta = np.clip(cos_theta, -1.0, 1.0)
-    phi = np.arctan2(positions[:, 1], positions[:, 0])
-    return r, cos_theta, phi
-
-
 def _stack(dist) -> tuple[np.ndarray, np.ndarray]:
     """Positions (C, Q, 3) and magnitudes (C, Q) of one charge set (C = 1) or a sequence.
 
-    Shorter sets are padded with zero charges at the origin, which change no
-    result.  A pair of arrays, a chunk stacked before, is returned as it is.
+    Shorter sets are padded with zero charges at the origin.  They add
+    nothing, but they change the summation order, so a padded set's
+    spectrum can move in the last bits.  A pair of arrays, a chunk stacked
+    before, is returned as it is.
     """
     if isinstance(dist, tuple) and isinstance(dist[0], np.ndarray):
         return dist
@@ -253,29 +211,11 @@ def source_moments(dist, n_max: int) -> MultipoleCoefficients:
     return MultipoleCoefficients(n_max=n_max, coeffs=coeffs, kind=KIND_SOURCE)
 
 
-def mode_spectrum(e: MultipoleCoefficients) -> np.ndarray:
-    """Per-mode power S_n = sum_m |E_nm|^2 (n+|m|)!/(n-|m|)!, n = 0..n_max.
-
-    S_n depends on the charges alone (Kirkwood's addition theorem gives
-    S_n = sum_ij q_i q_j (r_i r_j)^n P_n(cos gamma_ij)), so every series
-    energy is (k_e/2) sum_n f_n S_n with a material factor f_n per mode.
-    Moments of a chunk give spectra S of shape (C, n_max+1).
-    """
-    if e.kind != KIND_SOURCE:
-        raise DomainError("mode spectrum requires source moments")
-    ratio = _factorial_ratio(e.n_max)
-    # A ratio that underflowed to 0 left its moment at 0; weight it 0, not inf.
-    weight = np.divide(1.0, ratio, out=np.zeros_like(ratio), where=ratio > 0)
-    abs_m = np.abs(np.arange(-e.n_max, e.n_max + 1))
-    power = e.coeffs.real ** 2 + e.coeffs.imag ** 2
-    return np.sum(power * weight[:, abs_m], axis=-1)
-
-
 def pair_spectrum(dist, n_max: int) -> np.ndarray:
     """Per-mode power S_n of a charge set, or of each of a sequence, from its charge pairs.
 
     Kirkwood's addition theorem gives S_n = sum_ij q_i q_j u_n[i, j] with
-    u_n = (r_i r_j)^n P_n(cos gamma_ij), the spectrum of ``mode_spectrum``
+    u_n = (r_i r_j)^n P_n(cos gamma_ij), the spectrum of ``solid_spectrum``
     in the same units.  Over the Gram matrices G = P P^T of the positions
     and R_ij = r_i^2 r_j^2, the Legendre recurrence becomes
 
@@ -337,11 +277,11 @@ def solid_spectrum(dist, n_max: int) -> np.ndarray:
     With the Schmidt-seminormalized moments M_nm of ``_solid_moments`` the
     addition theorem gives S_n = sum_{m>=0} |M_nm|^2 (the 2 - delta_m0
     weight is inside the normalization): the spectrum of ``pair_spectrum``
-    and ``mode_spectrum`` in the same units, at a cost of order Q n_max^2
-    per set, with no trigonometry and no factorials.  Each set's moments
-    are their own matrix products, so a set's spectrum does not depend on
-    the other sets of a chunk of equal-sized sets.  Returns (n_max+1,) for
-    one charge set and (C, n_max+1) for a sequence.
+    in the same units, at a cost of order Q n_max^2 per set, with no
+    trigonometry and no factorials.  Each set's moments are their own
+    matrix products, so a set's spectrum does not depend on the other sets
+    of a chunk of equal-sized sets.  Returns (n_max+1,) for one charge set
+    and (C, n_max+1) for a sequence.
     """
     pos, q = _stack(dist)
     moments = _solid_moments(pos, q, n_max)
@@ -351,26 +291,36 @@ def solid_spectrum(dist, n_max: int) -> np.ndarray:
 
 
 def eval_interior_potential_many(b_coeffs: MultipoleCoefficients, points: np.ndarray) -> np.ndarray:
-    """Vectorized reaction potential at several interior points."""
+    """Reaction potential psi = sum_nm B_nm r^n P_n^|m|(cos theta) exp(i m phi) at interior points.
+
+    Each point is one unit charge for ``_solid_moments``.  Where the weight of
+    its R_n^m underflows, a zero B_nm adds nothing and any other is a DomainError.
+    """
     if b_coeffs.kind != KIND_REACTION:
         raise DomainError("potential evaluation requires reaction coefficients")
     if b_coeffs.coeffs.ndim == 3:
         raise DomainError("potential evaluation needs one charge set's coefficients, not a chunk's")
     n_max = b_coeffs.n_max
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    r, cos_theta, phi = _spherical_angles(points)
-
-    ptab = legendre_table(n_max, cos_theta)                   # (n+1, m+1, K)
-    rpow = r[None, :] ** np.arange(n_max + 1)[:, None]        # (n+1, K)
-    ms = np.arange(-n_max, n_max + 1)
-    phase = np.exp(1j * ms[:, None] * phi[None, :])           # (2n+1, K)
-    abs_m = np.abs(ms)
-    # Angular factor for signed m uses P at |m|.
-    pm = ptab[:, abs_m, :]                                    # (n+1, 2n+1, K)
-    psi = np.einsum("nm,nk,nmk,mk->k", b_coeffs.coeffs, rpow, pm, phase)
-
-    scale = np.abs(psi.real) + 1e-300
-    worst = np.max(np.abs(psi.imag) / scale)
+    if not np.all(np.isfinite(points)):
+        raise DomainError("non-finite potential evaluation point")
+    solid = _solid_moments(points[:, None], np.ones((len(points), 1)), n_max)  # (m, K, n, [Re, Im])
+    up, down = b_coeffs.coeffs[:, n_max:], b_coeffs.coeffs[:, n_max::-1]  # B(n, m), B(n, -m)
+    # R_n^m carries the weight sqrt((2 - delta_m0) (n-m)!/(n+m)!), and
+    # B R + B' conj(R) = (B + B') Re R + i (B - B') Im R over m >= 0 counts B(n, 0) twice.
+    coef = np.stack([up + down, 1j * (up - down)], axis=-1)  # (n, m, [Re, Im])
+    w = np.sqrt(2.0 * _factorial_ratio(n_max))
+    w[:, 0] = 2.0
+    inv_w = np.divide(1.0, w, out=np.full_like(w, np.inf), where=w > 0)
+    parts = coef.view(float)   # (n, m, [Re, Im] of R, [Re, Im] of psi)
+    np.multiply(parts, inv_w[:, :, None], out=parts, where=parts != 0)
+    # Per m, a (K x 2n) (2n x 2) product; psi as [Re, Im] pairs, summed over m.
+    terms = np.matmul(solid.reshape(n_max + 1, len(points), 2 * n_max + 2),
+                      parts.transpose(1, 0, 2).reshape(n_max + 1, -1, 2))
+    psi = terms.sum(axis=0).view(complex)[:, 0]
+    if not np.all(np.isfinite(psi)):
+        raise DomainError(f"non-finite reaction potential at n_max {n_max}")
+    worst = np.max(np.abs(psi.imag) / (np.abs(psi.real) + 1e-300), initial=0.0)
     if worst > IMAG_TOL:
         raise ConsistencyError(
             f"reconstructed potential has relative imaginary part {worst:.3e} "

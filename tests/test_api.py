@@ -25,7 +25,7 @@ BENCHMARK_NAMES = [
 ]
 
 REMOVED = ["bibee_energy", "kirkwood_reaction_coefficients", "bibee_reaction_coefficients",
-           "assoc_legendre"]
+           "assoc_legendre", "legendre_table", "mode_spectrum"]
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)

@@ -532,6 +532,10 @@ EXIT_CASES = {
                           "no ATOM/HETATM records found"),
     "unknown sphere method": ([*SPHERE, "--charge", "0,0,0,1", "--methods", "bogus"], 3,
                               "unknown sphere method 'bogus'"),
+    "empty sphere method list": ([*SPHERE, "--charge", "0,0,0,1", "--methods", ""], 3,
+                                 "no sphere methods given"),
+    "sphere method list of commas": ([*SPHERE, "--charge", "0,0,0,1", "--methods", ","], 3,
+                                     "no sphere methods given"),
     "invalid config JSON": (["experiment", "--config", "{d}/invalid.json"], 3, "invalid JSON"),
     "config not an object": (["sweep", "--config", "{d}/array.json"], 3,
                              "must be a JSON object"),

@@ -8,8 +8,7 @@ import solvbie as sv
 from conftest import eval_interior_potential, rotate_about_z
 from solvbie.errors import DomainError
 from solvbie import harmonics
-from solvbie.harmonics import (KIND_REACTION, MultipoleCoefficients, eval_interior_potential_many,
-                               legendre_table)
+from solvbie.harmonics import KIND_REACTION, MultipoleCoefficients, eval_interior_potential_many
 
 
 def rodrigues_pnm(n, m, x):
@@ -22,59 +21,6 @@ def rodrigues_pnm(n, m, x):
     return (1 - x * x) ** (m / 2) * val
 
 
-def test_p00_is_one():
-    for x in (-1.0, -0.3, 0.0, 0.9, 1.0):
-        assert sv.legendre_table(0, [x])[0, 0, 0] == 1.0
-
-
-def test_p10_is_x():
-    assert sv.legendre_table(1, [0.5])[1, 0, 0] == pytest.approx(0.5, rel=1e-15)
-
-
-def test_p53_frozen_rodrigues_value():
-    # Frozen from the Rodrigues oracle above at 64-bit precision.
-    assert sv.legendre_table(5, [0.3])[5, 3, 0] == pytest.approx(-8.65914461606197, rel=1e-13)
-
-
-def test_no_condon_shortley_phase():
-    # P_1^1(0) = +1 without the CS phase.
-    assert sv.legendre_table(1, [0.0])[1, 1, 0] == pytest.approx(1.0, rel=1e-15)
-
-
-def test_recurrence_matches_rodrigues_grid():
-    xs = np.linspace(-1.0, 1.0, 101)
-    table = legendre_table(12, xs)
-    for n in range(13):
-        for m in range(n + 1):
-            expected = np.array([rodrigues_pnm(n, m, x) for x in xs])
-            got = table[n, m]
-            scale = np.maximum(np.abs(expected), 1e-30)
-            assert np.max(np.abs(got - expected) / scale) < 1e-10, (n, m)
-
-
-def scalar_legendre_table(n_max, xs):
-    """The recurrences of ``legendre_table``, one element at a time."""
-    p = np.zeros((n_max + 1, n_max + 1, len(xs)))
-    for k, x in enumerate(float(x) for x in xs):
-        s = math.sqrt(max(0.0, 1.0 - x * x))
-        p[0, 0, k] = 1.0
-        for m in range(1, n_max + 1):
-            p[m, m, k] = (2 * m - 1) * s * p[m - 1, m - 1, k]
-        for m in range(n_max):
-            p[m + 1, m, k] = (2 * m + 1) * x * p[m, m, k]
-        for m in range(n_max + 1):
-            for n in range(m + 2, n_max + 1):
-                p[n, m, k] = ((2 * n - 1) * x * p[n - 1, m, k]
-                              - (n + m - 1) * p[n - 2, m, k]) / (n - m)
-    return p
-
-
-def test_table_equals_scalar_recurrence():
-    xs = np.concatenate([[-1.0, 0.0, 1.0], np.random.default_rng(3).uniform(-1, 1, 22)])
-    for n_max in (0, 1, 2, 5, 25, 60):
-        assert np.array_equal(legendre_table(n_max, xs), scalar_legendre_table(n_max, xs))
-
-
 def test_factorial_ratio_equals_scalar_loop():
     for n_max in (0, 1, 2, 5, 25, 60, 85, 90, 200):
         want = np.zeros((n_max + 1, n_max + 1))
@@ -83,18 +29,6 @@ def test_factorial_ratio_equals_scalar_loop():
             for m in range(1, n + 1):
                 want[n, m] = want[n, m - 1] / ((n + m) * (n - m + 1))
         assert np.array_equal(harmonics._factorial_ratio(n_max), want)
-
-
-def test_poles_zero_for_positive_order():
-    for m in range(1, 6):
-        for n in range(m, 8):
-            assert sv.legendre_table(n, [1.0])[n, m, 0] == 0.0
-            assert sv.legendre_table(n, [-1.0])[n, m, 0] == 0.0
-
-
-def test_domain_errors():
-    with pytest.raises(DomainError):
-        sv.legendre_table(2, [1.5])
 
 
 def naive_source_moments(dist, n_max):
@@ -208,6 +142,62 @@ def _reaction_only(n_max, n, m, value):
     coeffs = np.zeros((n_max + 1, 2 * n_max + 1), dtype=complex)
     coeffs[n, m + n_max] = value
     return MultipoleCoefficients(n_max=n_max, coeffs=coeffs, kind=KIND_REACTION)
+
+
+def _conjugate_pair(n_max, n, m, value):
+    """Reaction coefficients B(n, m) = value and B(n, -m) = conj(value): one real mode."""
+    coeffs = np.zeros((n_max + 1, 2 * n_max + 1), dtype=complex)
+    coeffs[n, n_max - m] = np.conj(value)
+    coeffs[n, n_max + m] = value
+    return MultipoleCoefficients(n_max=n_max, coeffs=coeffs, kind=KIND_REACTION)
+
+
+def test_no_condon_shortley_phase():
+    # psi = r P_1^1(0) (e^{i0} + e^{-i0}) = +2 at (1, 0, 0) without the CS phase.
+    b = _conjugate_pair(1, 1, 1, 1.0)
+    assert eval_interior_potential(b, [1.0, 0.0, 0.0]) == pytest.approx(2.0, rel=1e-15)
+
+
+def test_recurrence_matches_rodrigues_grid():
+    # Single modes B(n, +-m) = c, conj(c) give r^n P_n^m(cos theta) times
+    # 2 cos(m phi) for c = 1 and -2 sin(m phi) for c = i (m = 0: one term),
+    # on a grid with both poles (cos theta = +-1) and the origin.
+    cos_theta = np.linspace(-1.0, 1.0, 41)
+    phi = np.array([0.0, 0.7, 2.9, -1.3])
+    r = np.array([0.6, 1.7])
+    ct, ph, rr = (a.ravel() for a in np.meshgrid(cos_theta, phi, r, indexing="ij"))
+    st = np.sqrt(1.0 - ct * ct)
+    points = np.column_stack([rr * st * np.cos(ph), rr * st * np.sin(ph), rr * ct])
+    points = np.vstack([points, [0.0, 0.0, 0.0]])
+    ct, ph, rr = np.append(ct, 1.0), np.append(ph, 0.0), np.append(rr, 0.0)
+    for n in range(13):
+        for m in range(n + 1):
+            radial = rr ** n * rodrigues_pnm(n, m, ct)
+            for c, angular in ((1.0, np.cos(m * ph)), (1j, -np.sin(m * ph))):
+                if m == 0 and c == 1j:
+                    continue
+                expected = radial * (angular if m == 0 else 2.0 * angular)
+                got = eval_interior_potential_many(_conjugate_pair(12, n, m, c), points)
+                scale = np.max(rr) ** n * np.max(np.abs(rodrigues_pnm(n, m, cos_theta)))
+                assert np.max(np.abs(got - expected)) <= 1e-12 * scale, (n, m, c)
+
+
+def test_potential_rejects_non_finite_point():
+    b = _conjugate_pair(4, 2, 1, 1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="non-finite potential evaluation point"):
+            eval_interior_potential_many(b, [[0.0, 0.0, 0.5], [bad, 0.0, 0.0]])
+
+
+def test_no_points_give_an_empty_potential():
+    psi = eval_interior_potential_many(_conjugate_pair(4, 2, 1, 1.0), np.zeros((0, 3)))
+    assert psi.shape == (0,)
+
+
+def test_potential_past_the_weight_range_is_an_error():
+    # (n-m)!/(n+m)! underflows at n = m = 160, so this mode's r^n P_n^m is out of range.
+    with pytest.raises(DomainError, match="non-finite reaction potential"):
+        eval_interior_potential_many(_conjugate_pair(160, 160, 160, 1.0), [[1.0, 0.0, 0.0]])
 
 
 def test_constant_mode_potential():

@@ -59,21 +59,6 @@ def energies(dist, n_max=25):
     return np.array([r.value for r in ensemble_energies([dist], model, METHODS, -0.15)[0]])
 
 
-@given(st.integers(0, 20).flatmap(lambda n_max: st.tuples(st.just(n_max), st.lists(
-    charge_sets((PAIR_CROSSOVER + 1) * (n_max + 1)), min_size=1, max_size=3))))
-def test_pair_spectrum_equals_moment_spectrum(case):
-    # Set sizes on both sides of the crossover of ``ensemble_energies``.
-    n_max, dists = case
-    pairs = sv.pair_spectrum(dists, n_max)
-    moments = sv.mode_spectrum(sv.source_moments(dists, n_max))
-    # S_n is at most (sum_i |q_i| r_i^n)^2; rounding is relative to that scale.
-    pos, q = _stack(dists)
-    powers = np.linalg.norm(pos, axis=-1)[:, None, :] ** np.arange(n_max + 1)[:, None]
-    scale = np.sum(np.abs(q)[:, None, :] * powers, axis=-1) ** 2
-    assert pairs.shape == moments.shape == (len(dists), n_max + 1)
-    assert np.all(np.abs(pairs - moments) <= 1e-12 * scale)
-
-
 AXIS_AND_ORIGIN = [sv.make_distribution([[0.0, 0.0, 2.5], [0.0, 0.0, 0.0], [1.0, -2.0, 0.5]],
                                         [0.5, -1.0, 0.75])]
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -283,13 +284,28 @@ class TestModeSpectrum:
                 rr = np.outer(r, r)
                 cos_g = np.clip(np.divide(pos @ pos.T, rr, out=np.ones_like(rr), where=rr > 0),
                                 -1.0, 1.0)
-                spectrum = sv.mode_spectrum(e)
+                spectrum = sv.solid_spectrum(d, m.n_max)
                 assert np.all(spectrum >= 0.0)
                 for n in range(m.n_max + 1):
                     p_n = np.polynomial.legendre.legval(cos_g, np.eye(n + 1)[n])
                     pair = q @ (rr ** n * p_n) @ q
                     scale = np.abs(q) @ rr ** n @ np.abs(q)
                     assert abs(spectrum[n] - pair) <= 1e-12 * scale, n
+
+    def test_point_evaluation_past_the_sectoral_overflow(self):
+        # (2m-1)!! of P_m^m overflows past m ~ 150; the solid harmonics do not.
+        rng = np.random.default_rng(160)
+        pos = rng.normal(size=(6, 3))
+        pos *= 0.85 * 5.0 / np.linalg.norm(pos, axis=1, keepdims=True)
+        d = sv.make_distribution(pos, rng.uniform(-1.0, 1.0, 6))
+        model = sv.SphereModel(5.0, EPS_BIO, 160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            b = sv.reaction_coefficients(sv.source_moments(d, model.n_max), model)
+            psi = eval_interior_potential_many(b, d.positions)
+        assert np.all(np.isfinite(psi))
+        want = sv.sphere_energies(d, model, ["kirkwood"])[0].value
+        assert 0.5 * COULOMB_KCAL * float(d.magnitudes @ psi) == pytest.approx(want, rel=1e-12)
 
     def test_per_method_lambda_equals_single_method_calls(self):
         d = random_ball_distribution(21, 0)
@@ -323,7 +339,7 @@ class TestEnsembleEngine:
     def test_charge_at_origin_only_in_monopole(self):
         origin = sv.make_distribution([[0, 0, 0]], [0.7])
         dists = [random_ball_distribution(42, 0, count=5), origin]
-        spectra = sv.mode_spectrum(sv.source_moments(dists, 10))
+        spectra = sv.solid_spectrum(dists, 10)
         assert spectra.shape == (2, 11)
         assert spectra[1, 0] == pytest.approx(0.49, rel=1e-15)
         assert np.all(spectra[1, 1:] == 0.0)
