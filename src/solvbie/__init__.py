@@ -9,7 +9,6 @@ solver for triangulated surfaces.
 __version__ = "0.1.0"
 
 from .errors import (
-    ConsistencyError,
     ConvergenceError,
     DomainError,
     EmptyInputError,

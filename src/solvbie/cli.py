@@ -18,7 +18,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (
-    ConsistencyError,
     ConvergenceError,
     DomainError,
     GeometryError,
@@ -291,7 +290,7 @@ def main(argv=None) -> int:
     except (DomainError, GeometryError) as exc:
         print(f"solvbie: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ConvergenceError, ConsistencyError) as exc:
+    except ConvergenceError as exc:
         print(f"solvbie: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except SolvbieError as exc:

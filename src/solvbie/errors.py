@@ -29,10 +29,6 @@ class GeometryError(SolvbieError):
     """Degenerate mesh geometry (zero-area triangle, etc.)."""
 
 
-class ConsistencyError(SolvbieError):
-    """Internal numerical consistency check failed (signals a bug upstream)."""
-
-
 class ConvergenceError(SolvbieError):
     """Iterative solve exceeded its iteration cap."""
 

@@ -1,22 +1,22 @@
 """Solid harmonics, multipole moments and reaction potentials of interior charges.
 
-Convention: the associated Legendre functions here exclude the
-Condon-Shortley phase, and the (n-|m|)!/(n+|m|)! prefactor lives inside the
-source moments.  For real charge sets the moments satisfy
-E(n, -m) = conj(E(n, m)), and every reconstructed interior potential is real
-up to roundoff.  One recurrence computes the Legendre functions: that of the
-Schmidt-seminormalized regular solid harmonics (``_solid_moments``), real,
-with no trigonometry and no factorials.  The source moments, the
-solid-harmonic spectrum and the potential at points all come from it.
+Convention: one normalization throughout, the Schmidt-seminormalized
+regular solid harmonics R_n^m = r^n Pbar_n^m(cos theta) exp(i m phi) without
+the Condon-Shortley phase, Pbar_n^m = P_n^m sqrt((2 - delta_m0) (n-m)!/(n+m)!).
+A charge set's moments are M_nm = sum_k q_k R_n^m(x_k) for 0 <= m <= n; for
+real charges M(n, -m) = conj(M(n, m)), so the m < 0 half is not stored.  One
+recurrence computes the R_n^m (``_solid_table``), real and with no
+trigonometry.  The source moments, the solid-harmonic spectrum and the
+potential at points all come from it.
 
-``source_moments``, ``solid_spectrum``, ``pair_spectrum`` and
-``truncation_tail_estimate`` also take a sequence of C charge sets, or such
-a sequence stacked once by ``_stack``, and then return results with a
-leading axis of length C.
+``solid_spectrum``, ``pair_spectrum`` and ``truncation_tail_estimate`` also
+take a sequence of C charge sets, or such a sequence stacked once by
+``_stack``, and then return results with a leading axis of length C.
+``source_moments`` takes one charge set.
 
 The mode spectrum S_n of a charge set has two forms, equal up to rounding.
-``solid_spectrum`` sums S_n = sum_{m>=0} |M_nm|^2 over the seminormalized
-solid-harmonic moments, at a cost of order Q n_max^2 per set.
+``solid_spectrum`` sums S_n = sum_{m>=0} |M_nm|^2 over the moments, at a
+cost of order Q n_max^2 per set.
 ``pair_spectrum`` uses Kirkwood's addition theorem over the charge pairs,
 S_n = sum_ij q_i q_j (r_i r_j)^n P_n(cos gamma_ij), at a cost of order
 Q^2 n_max.  ``sphere.ensemble_energies`` takes the pairwise form for sets of
@@ -31,11 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .model import COULOMB_KCAL, ChargeDistribution
-
-#: Relative tolerance on the imaginary part of reconstructed potentials.
-IMAG_TOL = 1e-9
 
 #: Natural log of the largest float: x^n overflows once n log x exceeds it.
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
@@ -44,28 +41,14 @@ KIND_SOURCE = "source"
 KIND_REACTION = "reaction"
 
 
-@functools.lru_cache(maxsize=8)
-def _factorial_ratio(n_max: int) -> np.ndarray:
-    """Read-only table of (n-m)!/(n+m)! for 0 <= m <= n <= n_max; entries with m > n are zero.
-
-    Row n is 1 / ((n+1) n) / ((n+2)(n-1)) / ..., divided left to right along m.
-    Built once per n_max (the last 8 are kept).
-    """
-    n, m = np.ogrid[:n_max + 1, :n_max + 1]
-    steps = np.where((m >= 1) & (m <= n), (n + m) * (n - m + 1), 1).astype(float)
-    ratio = np.tril(np.divide.accumulate(steps, axis=1))
-    ratio.setflags(write=False)
-    return ratio
-
-
 @dataclass(frozen=True)
 class MultipoleCoefficients:
-    """Triangular complex coefficient set indexed by (n, m), |m| <= n <= n_max.
+    """One charge set's moments M_nm, or reaction coefficients B_nm, for 0 <= m <= n <= n_max.
 
     ``kind`` distinguishes source moments from reaction-field coefficients.
-    Stored as a dense (n_max+1, 2*n_max+1) array with m offset by n_max,
-    after a leading configuration axis for a chunk of charge sets; entries
-    outside the triangle are zero.
+    ``coeffs`` is a read-only complex (n_max+1, n_max+1) copy of the array
+    given, indexed [n, m]; entries with m > n are zero.  ``get`` takes
+    signed m and returns the conjugate of (n, |m|) for m < 0.
     """
 
     n_max: int
@@ -73,19 +56,20 @@ class MultipoleCoefficients:
     kind: str
 
     def __post_init__(self):
-        expected = (self.n_max + 1, 2 * self.n_max + 1)
-        if self.coeffs.shape[-2:] != expected or self.coeffs.ndim > 3:
-            raise DomainError(f"coefficient array shape {self.coeffs.shape} != {expected}")
-        if not np.all(np.isfinite(self.coeffs)):
+        coeffs = np.array(self.coeffs, dtype=complex)
+        expected = (self.n_max + 1, self.n_max + 1)
+        if coeffs.shape != expected:
+            raise DomainError(f"coefficient array shape {coeffs.shape} != {expected}")
+        if not np.all(np.isfinite(coeffs)):
             raise DomainError("non-finite multipole coefficients")
-        self.coeffs.setflags(write=False)
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def get(self, n: int, m: int) -> complex:
-        if self.coeffs.ndim == 3:
-            raise DomainError("get needs one charge set's coefficients, not a chunk's")
         if abs(m) > n or n > self.n_max:
             raise DomainError(f"(n={n}, m={m}) outside coefficient triangle")
-        return complex(self.coeffs[n, m + self.n_max])
+        value = complex(self.coeffs[n, abs(m)])
+        return value.conjugate() if m < 0 else value
 
 
 def _stack(dist) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +94,7 @@ def _stack(dist) -> tuple[np.ndarray, np.ndarray]:
 def _solid_coefficients(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only constants (beta, g, c) of the scaled solid-harmonic recurrence to n_max.
 
-    The recurrence of the Schmidt-seminormalized Pi_n^m (see ``_solid_moments``),
+    The recurrence of the Schmidt-seminormalized Pi_n^m (see ``_solid_table``),
 
         Pi_n^m = ((2n-1) z Pi_{n-1}^m - sqrt((n-1)^2-m^2) r^2 Pi_{n-2}^m) / sqrt(n^2-m^2),
 
@@ -140,29 +124,25 @@ def _solid_coefficients(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return out
 
 
-def _solid_moments(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
-    """Moments M_nm = sum_k q_k R_n^m(k) of stacked charge sets, as (m, C, n, [Re, Im]).
+def _solid_table(pos: np.ndarray, n_max: int) -> np.ndarray:
+    """Scaled solid harmonics Phi_n^m = Pi_n^m / g_nm at positions (C, Q, 3), as (n, m, C, Q).
 
-    R_n^m = u^m Pi_n^m, u = x + iy, are the regular solid harmonics
-    r^n Pbar_n^m(cos theta) exp(i m phi), with Pbar_n^m = P_n^m
-    sqrt((2 - delta_m0) (n-m)!/(n+m)!) Schmidt-seminormalized and without
-    the Condon-Shortley phase.  Pi_n^m is a real polynomial in z and r^2;
-    its scaled form Phi_n^m = Pi_n^m / g_nm (``_solid_coefficients``) runs
-    upward in n for every m at once on one (n_max+1, n_max+1, C, Q) table.
-    Each (m, set) then gives its moments from one matrix product of Phi
-    against [Re, Im] of w_m = q u^m, scaled by g.  Entries with m > n are
-    zero.
+    R_n^m = u^m Pi_n^m, u = x + iy, are the regular solid harmonics of the
+    module's convention.  Pi_n^m is a real polynomial in z and r^2; its
+    scaled form Phi_n^m (``_solid_coefficients``) runs upward in n for
+    every m at once on one (n_max+1, n_max+1, C, Q) table.  Entries with
+    m > n are zero.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    c, k = q.shape
+    c, k = pos.shape[:2]
     try:
         table = np.zeros((n_max + 1, n_max + 1, c, k))
     except MemoryError:
         raise DomainError(
             f"solid harmonics to n_max {n_max} of {c} sets of {k} charges need "
             f"{8 * (n_max + 1) ** 2 * c * k} bytes") from None
-    beta, g, sectoral = _solid_coefficients(n_max)
+    beta, _, sectoral = _solid_coefficients(n_max)
     # Charges of every set along one contiguous axis for the recurrence.
     flat = table.reshape(n_max + 1, n_max + 1, c * k)
     z2 = 2.0 * pos[..., 2].reshape(-1)
@@ -178,37 +158,39 @@ def _solid_moments(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
         np.multiply(flat[n - 2, :n], r2, out=older)
         older *= beta[n, :n]
         row -= older
+    return table
+
+
+def _solid_moments(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
+    """Moments M_nm = sum_k q_k R_n^m(k) of stacked charge sets, as (m, C, n, [Re, Im]).
+
+    Each (m, set) gives its moments from one matrix product of the table of
+    ``_solid_table`` against [Re, Im] of w_m = q u^m, scaled by g.
+    Entries with m > n are zero.
+    """
+    table = _solid_table(pos, n_max)
+    c, k = q.shape
     w = np.empty((n_max + 1, c, k), dtype=complex)
     w[0] = q
     w[1:] = pos[..., 0] + 1j * pos[..., 1]
     np.cumprod(w, axis=0, out=w)
     # (m, C) batches of (n x Q) (Q x 2) products; w viewed as float is [Re, Im] pairs.
     moments = np.matmul(table.transpose(1, 2, 0, 3), w.view(float).reshape(n_max + 1, c, k, 2))
-    moments *= g
+    moments *= _solid_coefficients(n_max)[1]
     return moments
 
 
-def source_moments(dist, n_max: int) -> MultipoleCoefficients:
-    """Multipole moments E_nm of a charge set, or of each of a sequence, about the cavity center.
+def source_moments(dist: ChargeDistribution, n_max: int) -> MultipoleCoefficients:
+    """Moments M_nm = sum_k q_k R_n^m(x_k), 0 <= m <= n, of one charge set about the cavity center.
 
-    E_nm = sum_k q_k r_k^n (n-|m|)!/(n+|m|)! P_n^|m|(cos theta_k) exp(-i m phi_k),
-    formed from the solid-harmonic moments M_nm of ``_solid_moments`` as
-    E_nm = conj(M_nm) sqrt((n-|m|)!/((n+|m|)! (2 - delta_m0))).
-    A charge exactly at the origin contributes only to E_00.
+    R_n^m are the seminormalized solid harmonics of the module's convention.
+    A charge exactly at the origin contributes only to M_00.
     """
-    pos, q = _stack(dist)
-    moments = _solid_moments(pos, q, n_max).transpose(1, 2, 0, 3)   # (C, n, m, [Re, Im])
-    weight = _factorial_ratio(n_max).copy()
-    weight[:, 1:] *= 0.5
-    np.sqrt(weight, out=weight)
-    e_pos = np.empty(moments.shape[:-1], dtype=complex)
-    np.multiply(moments[..., 0], weight, out=e_pos.real)
-    np.multiply(moments[..., 1], -weight, out=e_pos.imag)
-    # Columns m = -n_max..n_max; E(n, -m) = conj(E(n, m)).
-    coeffs = np.concatenate([np.conj(e_pos[..., :0:-1]), e_pos], axis=-1)
-    if isinstance(dist, ChargeDistribution):
-        coeffs = coeffs[0]
-    return MultipoleCoefficients(n_max=n_max, coeffs=coeffs, kind=KIND_SOURCE)
+    if not isinstance(dist, ChargeDistribution):
+        raise DomainError("source moments are of one charge set, not a sequence")
+    moments = _solid_moments(dist.positions[None], dist.magnitudes[None], n_max)[:, 0]
+    return MultipoleCoefficients(n_max=n_max, coeffs=moments.view(complex)[..., 0].T,
+                                 kind=KIND_SOURCE)
 
 
 def pair_spectrum(dist, n_max: int) -> np.ndarray:
@@ -278,7 +260,7 @@ def solid_spectrum(dist, n_max: int) -> np.ndarray:
     addition theorem gives S_n = sum_{m>=0} |M_nm|^2 (the 2 - delta_m0
     weight is inside the normalization): the spectrum of ``pair_spectrum``
     in the same units, at a cost of order Q n_max^2 per set, with no
-    trigonometry and no factorials.  Each set's moments are their own
+    trigonometry.  Each set's moments are their own
     matrix products, so a set's spectrum does not depend on the other sets
     of a chunk of equal-sized sets.  Returns (n_max+1,) for one charge set
     and (C, n_max+1) for a sequence.
@@ -291,42 +273,32 @@ def solid_spectrum(dist, n_max: int) -> np.ndarray:
 
 
 def eval_interior_potential_many(b_coeffs: MultipoleCoefficients, points: np.ndarray) -> np.ndarray:
-    """Reaction potential psi = sum_nm B_nm r^n P_n^|m|(cos theta) exp(i m phi) at interior points.
+    """Reaction potential psi = sum_{n, m>=0} Re(conj(B_nm) R_n^m) at interior points.
 
-    Each point is one unit charge for ``_solid_moments``.  Where the weight of
-    its R_n^m underflows, a zero B_nm adds nothing and any other is a DomainError.
+    Real by construction: the m < 0 terms are the conjugates of the m > 0
+    terms, and the seminormalization's 2 - delta_m0 counts them.  Per m,
+    h_m = sum_n conj(B_nm) Pi_n^m is one matrix product against the table
+    of ``_solid_table`` over all points, and psi = sum_m Re(u^m h_m).
     """
     if b_coeffs.kind != KIND_REACTION:
         raise DomainError("potential evaluation requires reaction coefficients")
-    if b_coeffs.coeffs.ndim == 3:
-        raise DomainError("potential evaluation needs one charge set's coefficients, not a chunk's")
     n_max = b_coeffs.n_max
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if not np.all(np.isfinite(points)):
         raise DomainError("non-finite potential evaluation point")
-    solid = _solid_moments(points[:, None], np.ones((len(points), 1)), n_max)  # (m, K, n, [Re, Im])
-    up, down = b_coeffs.coeffs[:, n_max:], b_coeffs.coeffs[:, n_max::-1]  # B(n, m), B(n, -m)
-    # R_n^m carries the weight sqrt((2 - delta_m0) (n-m)!/(n+m)!), and
-    # B R + B' conj(R) = (B + B') Re R + i (B - B') Im R over m >= 0 counts B(n, 0) twice.
-    coef = np.stack([up + down, 1j * (up - down)], axis=-1)  # (n, m, [Re, Im])
-    w = np.sqrt(2.0 * _factorial_ratio(n_max))
-    w[:, 0] = 2.0
-    inv_w = np.divide(1.0, w, out=np.full_like(w, np.inf), where=w > 0)
-    parts = coef.view(float)   # (n, m, [Re, Im] of R, [Re, Im] of psi)
-    np.multiply(parts, inv_w[:, :, None], out=parts, where=parts != 0)
-    # Per m, a (K x 2n) (2n x 2) product; psi as [Re, Im] pairs, summed over m.
-    terms = np.matmul(solid.reshape(n_max + 1, len(points), 2 * n_max + 2),
-                      parts.transpose(1, 0, 2).reshape(n_max + 1, -1, 2))
-    psi = terms.sum(axis=0).view(complex)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = np.conj(b_coeffs.coeffs.T) * _solid_coefficients(n_max)[1][:, 0, :, 0]  # (m, n)
+        table = _solid_table(points[None], n_max)[:, :, 0]
+        # (m, [Re, Im], n) (m, n, K) products: [Re, Im] of h_m at every point.
+        h = np.matmul(np.stack([coef.real, coef.imag], axis=1), table.transpose(1, 0, 2))
+        u = np.empty((n_max + 1, len(points)), dtype=complex)
+        u[0] = 1.0
+        u[1:] = points[:, 0] + 1j * points[:, 1]
+        np.cumprod(u, axis=0, out=u)
+        psi = np.sum(u.real * h[:, 0] - u.imag * h[:, 1], axis=0)
     if not np.all(np.isfinite(psi)):
         raise DomainError(f"non-finite reaction potential at n_max {n_max}")
-    worst = np.max(np.abs(psi.imag) / (np.abs(psi.real) + 1e-300), initial=0.0)
-    if worst > IMAG_TOL:
-        raise ConsistencyError(
-            f"reconstructed potential has relative imaginary part {worst:.3e} "
-            f"(> {IMAG_TOL}); moment/convention bug upstream"
-        )
-    return psi.real
+    return psi
 
 
 def truncation_tail_estimate(dist, b: float, n_max: int):

@@ -97,6 +97,8 @@ def build_surface(vertices, triangles) -> PanelSurface:
     """Validate topology, derive panel data, and fix outward orientation."""
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
     triangles = np.asarray(triangles, dtype=int).reshape(-1, 3)
+    if not len(triangles):
+        raise ParseError("surface has no triangles")
     bad = np.argwhere((triangles < 0) | (triangles >= len(vertices)))
     if bad.size:
         t, k = bad[0]

@@ -40,8 +40,8 @@ moments, S_n = sum_{m>=0} |M_nm|^2 (``harmonics.solid_spectrum``, one
 recurrence table in z and r^2, cost Q n_max^2).  A chunk's solid-harmonic
 table or pair buffers, or one of its two Still buffers, hold at most
 ``_CHUNK_BYTES``.  ``sphere_energies`` is its one-set case.  The reaction
-coefficients B_nm = f_n E_nm remain for evaluating the reaction potential
-at points.
+coefficients B_nm = f_n M_nm of one charge set's seminormalized moments
+remain for evaluating the reaction potential at points.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def _mode_factors(model: SphereModel, methods, lams) -> tuple[list[str], np.ndar
 def reaction_coefficients(
     e: MultipoleCoefficients, model: SphereModel, method: str = METHOD_KIRKWOOD, lam: float = 0.0
 ) -> MultipoleCoefficients:
-    """Reaction-field coefficients B_nm = f_n E_nm of a series method, for potentials at points.
+    """Reaction-field coefficients B_nm = f_n M_nm of a series method, for potentials at points.
 
     ``method`` and ``lam`` name the eigenvalues as in ``sphere_energies``.
     """

@@ -103,8 +103,8 @@ def still_inverse_reference(dist, radii):
 def eval_interior_potential(b_coeffs, point) -> float:
     """Reaction potential at an interior point, pre-Coulomb-constant units.
 
-    psi = sum_nm B_nm r^n P_n^|m|(cos theta) exp(+i m phi), truncated at n_max.
-    Raises ConsistencyError if the imaginary part is not negligible.
+    psi = sum_{n, m>=0} Re(conj(B_nm) R_n^m), truncated at n_max, with R_n^m the
+    seminormalized solid harmonics of ``solvbie.harmonics``.
     """
     vals = eval_interior_potential_many(b_coeffs, np.asarray(point, dtype=float).reshape(1, 3))
     return float(vals[0])

@@ -1,10 +1,12 @@
-"""The public names the benchmark in ``perfbench/`` imports, and names that are gone.
+"""The public names the benchmark in ``perfbench/`` imports, names that are gone, and the README.
 
-An API trim that breaks the benchmark fails here first.
+An API trim that breaks the benchmark, or the README's quick start, fails here first.
 """
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +27,8 @@ BENCHMARK_NAMES = [
 ]
 
 REMOVED = ["bibee_energy", "kirkwood_reaction_coefficients", "bibee_reaction_coefficients",
-           "assoc_legendre", "legendre_table", "mode_spectrum"]
+           "assoc_legendre", "legendre_table", "mode_spectrum", "ConsistencyError", "IMAG_TOL",
+           "_factorial_ratio"]
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
@@ -48,3 +51,13 @@ def test_removed_name_is_gone(name):
 def test_bem_stages_take_surface_from_their_input():
     assert list(inspect.signature(solvbie.exact_surface_charge).parameters) == ["rhs", "eps", "tol"]
     assert list(inspect.signature(solvbie.reaction_energy).parameters) == ["sigma", "dist"]
+
+
+def test_readme_quick_start_runs_and_its_potential_gives_the_energy():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    names = {}
+    exec(compile(code, "README.md", "exec"), names)
+    charges, psi = names["charges"], names["psi"]
+    energy = 0.5 * solvbie.COULOMB_KCAL * charges.magnitudes @ psi
+    assert energy == pytest.approx(names["kirkwood"].value, rel=1e-12)

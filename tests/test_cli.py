@@ -505,6 +505,8 @@ EXIT_FIXTURES = {
     "index_past_end.off": "OFF\n4 4 0\n" + TET_VERTS + "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 4\n",
     "collinear.off": "OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0.5 0 0\n" + TET_OFF_FACES,
     "tet.off": "OFF\n4 4 0\n" + TET_VERTS + TET_OFF_FACES,
+    "no_faces.off": "OFF\n0 0 0\n",
+    "vertices_only.off": "OFF\n4 0 0\n" + TET_VERTS,
 }
 SPHERE = ["sphere", "--radius", "5"]
 BEM = ["bem", "--charge", "0.1,0.1,0.1,1", "--mesh"]
@@ -549,6 +551,9 @@ EXIT_CASES = {
     "OFF lone sign": ([*BEM, "{d}/lone_sign.off"], 3, "sign without digits"),
     "OFF float index": ([*BEM, "{d}/float_index.off"], 3, "malformed OFF file"),
     "open OFF surface": ([*BEM, "{d}/open.off"], 3, "surface is open or non-manifold"),
+    "OFF of no vertices and no faces": ([*BEM, "{d}/no_faces.off"], 3, "surface has no triangles"),
+    "OFF of vertices and no faces": ([*BEM, "{d}/vertices_only.off"], 3,
+                                     "surface has no triangles"),
     "OFF index past last vertex": ([*BEM, "{d}/index_past_end.off"], 3,
                                    "has vertex index 4, outside [0, 4)"),
     "unknown BEM variant": ([*BEM, "{d}/tet.off", "--variant", "bogus"], 3,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from numpy.polynomial import polynomial as P
 import solvbie as sv
 from conftest import eval_interior_potential, rotate_about_z
 from solvbie.errors import DomainError
-from solvbie import harmonics
 from solvbie.harmonics import KIND_REACTION, MultipoleCoefficients, eval_interior_potential_many
 
 
@@ -21,33 +21,26 @@ def rodrigues_pnm(n, m, x):
     return (1 - x * x) ** (m / 2) * val
 
 
-def test_factorial_ratio_equals_scalar_loop():
-    for n_max in (0, 1, 2, 5, 25, 60, 85, 90, 200):
-        want = np.zeros((n_max + 1, n_max + 1))
-        for n in range(n_max + 1):
-            want[n, 0] = 1.0
-            for m in range(1, n + 1):
-                want[n, m] = want[n, m - 1] / ((n + m) * (n - m + 1))
-        assert np.array_equal(harmonics._factorial_ratio(n_max), want)
+def seminormalization(n, m):
+    """sqrt((2 - delta_m0) (n-m)!/(n+m)!), the weight of P_n^m in the solid harmonics."""
+    return math.sqrt((1 if m == 0 else 2) * math.factorial(n - m) / math.factorial(n + m))
 
 
 def naive_source_moments(dist, n_max):
-    """Direct-summation oracle over the defining formula."""
-    coeffs = np.zeros((n_max + 1, 2 * n_max + 1), dtype=complex)
+    """Direct-summation oracle over the defining formula, M_nm for 0 <= m <= n."""
+    coeffs = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     for (x, y, z), q in zip(dist.positions.tolist(), dist.magnitudes.tolist()):
         r = math.sqrt(x * x + y * y + z * z)
         if r == 0.0:
-            coeffs[0, n_max] += q
+            coeffs[0, 0] += q
             continue
         ct = z / r
         phi = math.atan2(y, x)
         for n in range(n_max + 1):
-            for m in range(-n, n + 1):
-                am = abs(m)
-                ratio = math.factorial(n - am) / math.factorial(n + am)
-                coeffs[n, m + n_max] += (
-                    q * r ** n * ratio * rodrigues_pnm(n, am, ct)
-                    * np.exp(-1j * m * phi)
+            for m in range(n + 1):
+                coeffs[n, m] += (
+                    q * r ** n * seminormalization(n, m) * rodrigues_pnm(n, m, ct)
+                    * np.exp(1j * m * phi)
                 )
     return coeffs
 
@@ -57,22 +50,24 @@ def test_charge_at_origin_only_e00():
     e = sv.source_moments(d, 8)
     assert e.get(0, 0) == pytest.approx(0.7)
     coeffs = e.coeffs.copy()
-    coeffs[0, 8] = 0.0
+    coeffs[0, 0] = 0.0
     assert np.max(np.abs(coeffs)) == 0.0
 
 
-def test_get_rejects_chunked_moments():
+def test_source_moments_reject_a_sequence():
     d = sv.make_distribution([[0, 0, 1.0]], [1.0])
     with pytest.raises(DomainError, match="one charge set"):
-        sv.source_moments([d, d], 3).get(1, 0)
+        sv.source_moments([d, d], 3)
 
 
-def test_potential_rejects_chunked_coefficients():
-    d = sv.make_distribution([[0, 0, 1.0]], [1.0])
-    model = sv.SphereModel(5.0, sv.DielectricPair(1.0, 80.0), 6)
-    b = sv.reaction_coefficients(sv.source_moments([d, d], 6), model)
-    with pytest.raises(DomainError, match="one charge set"):
-        eval_interior_potential_many(b, [[0.0, 0.0, 0.5]])
+def test_coefficients_copy_the_callers_array():
+    given = np.zeros((3, 3))
+    given[1, 1] = 2.0
+    b = MultipoleCoefficients(n_max=2, coeffs=given, kind=KIND_REACTION)
+    assert given.flags.writeable
+    given[1, 1] = 5.0
+    assert b.coeffs.dtype == complex and not b.coeffs.flags.writeable
+    assert b.get(1, 1) == 2.0 and b.get(1, -1) == 2.0
 
 
 def test_on_axis_charge_excites_only_m0():
@@ -125,7 +120,7 @@ def test_rotational_covariance_about_z():
     e1 = sv.source_moments(rotate_about_z(d, phi0), 8)
     for n in range(9):
         for m in range(-n, n + 1):
-            expected = e0.get(n, m) * np.exp(-1j * m * phi0)
+            expected = e0.get(n, m) * np.exp(1j * m * phi0)
             assert e1.get(n, m) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
@@ -138,29 +133,22 @@ def test_conjugate_symmetry_for_real_charges():
             assert e.get(n, -m) == pytest.approx(np.conj(e.get(n, m)), rel=1e-13)
 
 
-def _reaction_only(n_max, n, m, value):
-    coeffs = np.zeros((n_max + 1, 2 * n_max + 1), dtype=complex)
-    coeffs[n, m + n_max] = value
-    return MultipoleCoefficients(n_max=n_max, coeffs=coeffs, kind=KIND_REACTION)
-
-
-def _conjugate_pair(n_max, n, m, value):
-    """Reaction coefficients B(n, m) = value and B(n, -m) = conj(value): one real mode."""
-    coeffs = np.zeros((n_max + 1, 2 * n_max + 1), dtype=complex)
-    coeffs[n, n_max - m] = np.conj(value)
-    coeffs[n, n_max + m] = value
+def _reaction_mode(n_max, n, m, value):
+    """Reaction coefficients with B(n, m) = value alone: one real mode."""
+    coeffs = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    coeffs[n, m] = value
     return MultipoleCoefficients(n_max=n_max, coeffs=coeffs, kind=KIND_REACTION)
 
 
 def test_no_condon_shortley_phase():
-    # psi = r P_1^1(0) (e^{i0} + e^{-i0}) = +2 at (1, 0, 0) without the CS phase.
-    b = _conjugate_pair(1, 1, 1, 1.0)
-    assert eval_interior_potential(b, [1.0, 0.0, 0.0]) == pytest.approx(2.0, rel=1e-15)
+    # psi = Re R_1^1 = r P_1^1(0) cos 0 = +1 at (1, 0, 0) without the CS phase.
+    b = _reaction_mode(1, 1, 1, 1.0)
+    assert eval_interior_potential(b, [1.0, 0.0, 0.0]) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_recurrence_matches_rodrigues_grid():
-    # Single modes B(n, +-m) = c, conj(c) give r^n P_n^m(cos theta) times
-    # 2 cos(m phi) for c = 1 and -2 sin(m phi) for c = i (m = 0: one term),
+    # A single mode B(n, m) = c gives r^n P_n^m(cos theta) sqrt((2 - delta_m0)
+    # (n-m)!/(n+m)!) times cos(m phi) for c = 1 and sin(m phi) for c = i,
     # on a grid with both poles (cos theta = +-1) and the origin.
     cos_theta = np.linspace(-1.0, 1.0, 41)
     phi = np.array([0.0, 0.7, 2.9, -1.3])
@@ -172,50 +160,55 @@ def test_recurrence_matches_rodrigues_grid():
     ct, ph, rr = np.append(ct, 1.0), np.append(ph, 0.0), np.append(rr, 0.0)
     for n in range(13):
         for m in range(n + 1):
-            radial = rr ** n * rodrigues_pnm(n, m, ct)
-            for c, angular in ((1.0, np.cos(m * ph)), (1j, -np.sin(m * ph))):
+            weight = seminormalization(n, m)
+            radial = rr ** n * weight * rodrigues_pnm(n, m, ct)
+            for c, angular in ((1.0, np.cos(m * ph)), (1j, np.sin(m * ph))):
                 if m == 0 and c == 1j:
                     continue
-                expected = radial * (angular if m == 0 else 2.0 * angular)
-                got = eval_interior_potential_many(_conjugate_pair(12, n, m, c), points)
-                scale = np.max(rr) ** n * np.max(np.abs(rodrigues_pnm(n, m, cos_theta)))
-                assert np.max(np.abs(got - expected)) <= 1e-12 * scale, (n, m, c)
+                got = eval_interior_potential_many(_reaction_mode(12, n, m, c), points)
+                scale = np.max(rr) ** n * weight * np.max(np.abs(rodrigues_pnm(n, m, cos_theta)))
+                assert np.max(np.abs(got - radial * angular)) <= 1e-12 * scale, (n, m, c)
 
 
 def test_potential_rejects_non_finite_point():
-    b = _conjugate_pair(4, 2, 1, 1.0)
+    b = _reaction_mode(4, 2, 1, 1.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError, match="non-finite potential evaluation point"):
             eval_interior_potential_many(b, [[0.0, 0.0, 0.5], [bad, 0.0, 0.0]])
 
 
 def test_no_points_give_an_empty_potential():
-    psi = eval_interior_potential_many(_conjugate_pair(4, 2, 1, 1.0), np.zeros((0, 3)))
+    psi = eval_interior_potential_many(_reaction_mode(4, 2, 1, 1.0), np.zeros((0, 3)))
     assert psi.shape == (0,)
 
 
-def test_potential_past_the_weight_range_is_an_error():
-    # (n-m)!/(n+m)! underflows at n = m = 160, so this mode's r^n P_n^m is out of range.
-    with pytest.raises(DomainError, match="non-finite reaction potential"):
-        eval_interior_potential_many(_conjugate_pair(160, 160, 160, 1.0), [[1.0, 0.0, 0.0]])
+def test_sectoral_mode_160_is_finite_and_an_overflow_is_an_error():
+    # R_160^160 at (1, 0, 0) is the sectoral constant c_160; r^4 of a point at 1e100 overflows.
+    psi = eval_interior_potential_many(_reaction_mode(160, 160, 160, 1.0), [[1.0, 0.0, 0.0]])
+    want = math.prod(math.sqrt((2 * j - 1) / (2 * j)) for j in range(2, 161))
+    assert psi[0] == pytest.approx(want, rel=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="non-finite reaction potential"):
+            eval_interior_potential_many(_reaction_mode(4, 4, 0, 1.0), [[1e100, 0.0, 0.0]])
 
 
 def test_constant_mode_potential():
-    b = _reaction_only(5, 0, 0, 3.25)
+    b = _reaction_mode(5, 0, 0, 3.25)
     for pt in ([0, 0, 0], [1, 2, -0.5], [-3, 0.1, 0.4]):
         assert eval_interior_potential(b, pt) == pytest.approx(3.25, rel=1e-14)
 
 
 def test_zero_coefficients_zero_potential():
-    b = _reaction_only(5, 0, 0, 0.0)
+    b = _reaction_mode(5, 0, 0, 0.0)
     assert eval_interior_potential(b, [1.0, 1.0, 1.0]) == 0.0
 
 
 def test_origin_sees_only_b00():
-    coeffs = np.zeros((6, 11), dtype=complex)
-    coeffs[0, 5] = 2.0
-    coeffs[1, 5] = 7.0
-    coeffs[2, 5] = -4.0
+    coeffs = np.zeros((6, 6), dtype=complex)
+    coeffs[0, 0] = 2.0
+    coeffs[1, 0] = 7.0
+    coeffs[2, 0] = -4.0
     b = MultipoleCoefficients(n_max=5, coeffs=coeffs, kind=KIND_REACTION)
     assert eval_interior_potential(b, [0, 0, 0]) == pytest.approx(2.0, rel=1e-15)
 

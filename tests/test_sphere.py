@@ -28,10 +28,8 @@ def kirkwood_factors(e1, e2, b, n_max):
 
 
 def single_mode_source(n_max, n, m, value=1.0):
-    coeffs = np.zeros((n_max + 1, 2 * n_max + 1), dtype=complex)
-    coeffs[n, m + n_max] = value
-    if m != 0:
-        coeffs[n, -m + n_max] = np.conj(value)
+    coeffs = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    coeffs[n, m] = value
     return MultipoleCoefficients(n_max=n_max, coeffs=coeffs, kind=KIND_SOURCE)
 
 
@@ -56,7 +54,7 @@ class TestKirkwood:
         assert sv.kirkwood_energy(d, m).value == 0.0
 
     def test_monopole_coefficient_formula(self):
-        # B_00 = (e1 - e2) / (e1 e2 b) * E_00
+        # B_00 = (e1 - e2) / (e1 e2 b) * M_00
         d = sv.make_distribution([[0, 0, 0]], [1.0])
         m = sv.SphereModel(5.0, EPS_BIO, 4)
         b = sv.reaction_coefficients(sv.source_moments(d, 4), m)
@@ -183,9 +181,7 @@ class TestEigenfunctionPreservation:
             on_mode = abs(b.get(n, m))
             assert on_mode > 0
             mask = np.ones_like(b.coeffs, dtype=bool)
-            mask[n, m + 8] = False
-            if m != 0:
-                mask[n, -m + 8] = False
+            mask[n, m] = False
             assert np.max(np.abs(b.coeffs[mask])) <= 1e-12 * on_mode
 
 
@@ -261,8 +257,7 @@ class TestPairInteraction:
 class TestModeSpectrum:
     def test_spectrum_energies_match_point_evaluation_and_pairwise_sum(self):
         # sphere_energies sums f_n S_n; the point-evaluation path sums
-        # q_k psi(r_k) from the reaction coefficients, with the
-        # imaginary-part guard of eval_interior_potential_many.
+        # q_k psi(r_k) from the reaction coefficients B_nm = f_n M_nm.
         configs = [random_ball_distribution(31, index, count=12) for index in range(4)]
         configs.append(sv.make_distribution([[0, 0, 0], [1.0, -2.0, 0.5]], [1.0, -0.4]))
         configs.append(sv.make_distribution([[0, 0, 0.99 * 5.0], [0.3, 1.0, -2.0]], [0.7, 0.2]))
