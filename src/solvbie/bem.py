@@ -146,8 +146,10 @@ def _row_blocks(t: int):
 
 
 def assemble_dstar(surf: PanelSurface) -> np.ndarray:
-    """Dense discretization of the normal electric-field operator D*.
+    """Dense discretization of the normal electric-field operator D*, freshly assembled.
 
+    The solves take D* from ``PanelSurface.dstar``, which calls this once per
+    surface and keeps the result.
     Off-diagonal: D*[i, j] = A_j n_i.(c_j - c_i) / (4 pi |c_i - c_j|^3).
     Diagonal: fixed by the discrete Gauss identity so that the area-weighted
     transposed operator (the double layer) maps the constant density to -1/2
@@ -208,12 +210,15 @@ def exact_surface_charge(
 ) -> SurfaceCharge:
     """Solve (I + eps_hat D*) sigma = rhs on the surface of ``rhs``.
 
-    Restarted GMRES on the dense D*, to relative residual ``tol``.  Memory is
-    that one 8 T^2-byte matrix: 210 MB at 5120 panels, 3.4 GB at 20480.
+    Restarted GMRES on the surface's dense D* (``PanelSurface.dstar``), to
+    relative residual ``tol``.  D* depends on the geometry alone, so the first
+    exact solve on a surface assembles it and every later one, at any charges
+    and any dielectric pair, reuses it.  Memory is that one 8 T^2-byte matrix,
+    kept as long as the surface: 210 MB at 5120 panels, 3.4 GB at 20480.
     """
     if not (0 < tol <= 1e-2):
         raise DomainError(f"GMRES tolerance must lie in (0, 1e-2], got {tol}")
-    dstar = assemble_dstar(rhs.surface)
+    dstar = rhs.surface.dstar
     eps_hat = eps.eps_hat
     last = [None, None]
 
@@ -269,7 +274,11 @@ def bem_energy(
     variant: BibeeVariant | None = None,
     tol: float = DEFAULT_GMRES_TOL,
 ) -> EnergyResult:
-    """One-call BEM energy: exact GMRES solve to ``tol`` when ``variant`` is None."""
+    """One-call BEM energy: exact GMRES solve to ``tol`` when ``variant`` is None.
+
+    The exact solve uses ``surf.dstar``, assembled by the first exact solve on
+    ``surf`` and reused by every later one.  The variants build no D*.
+    """
     geometry = _charge_panel_geometry(dist, surf)
     rhs = _field_rhs(dist, surf, eps, geometry)
     if variant is None:

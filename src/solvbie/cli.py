@@ -1,9 +1,16 @@
 """Command-line front end: sphere, bem, experiment, and sweep subcommands.
 
 Exit codes: 0 success, 2 usage, 3 input parse or file error, 4
-domain/precondition error, 5 numerical failure.  Every command writes a run
-manifest (resolved parameters plus SHA-256 digests of all input files)
-alongside its output.
+domain/precondition error, 5 numerical failure.  Every command reads each
+input file once and writes a run manifest alongside its output: the
+resolved parameters and the SHA-256 digest of the bytes it parsed from
+each input file.
+
+``bem`` keeps the surface of its last mesh, with the surface's D* once an
+exact solve has built it, for the next call in the same process.  A call
+whose mesh has the same format, resolved path(s) and bytes reuses it
+without parsing or validating again; any other mesh replaces it, so at most
+one surface and one D* are kept.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -24,7 +32,7 @@ from .errors import (
     ParseError,
     SolvbieError,
     TopologyError,
-    read_text,
+    decode_text,
 )
 from .experiments import (
     ROW_COLUMNS,
@@ -35,7 +43,7 @@ from .experiments import (
     rows_to_csv,
     run_comparison,
 )
-from .mesh import load_mesh
+from .mesh import PanelSurface, load_mesh
 from .model import ChargeDistribution, DielectricPair, SphereModel, load_pqr
 from .sphere import SPHERE_METHODS, VARIANT_TAGS, BibeeVariant, sphere_energies
 from .bem import DEFAULT_GMRES_TOL, bem_energy
@@ -47,19 +55,45 @@ EXIT_DOMAIN = 4
 EXIT_NUMERICAL = 5
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+class _Inputs:
+    """The input files of one call, each read once: text for its parser, digest for the manifest."""
+
+    def __init__(self):
+        #: SHA-256 of the bytes read, by path as given.
+        self.digests: dict[str, str] = {}
+
+    def read(self, path) -> str:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        self.digests[str(path)] = hashlib.sha256(data).hexdigest()
+        return decode_text(data, path)
 
 
-def write_manifest(command: str, params: dict, input_files, out_path):
+#: The last surface ``bem`` loaded, under its key (format, then the resolved
+#: path and SHA-256 of each mesh file): one entry at most.
+_SURFACE_MEMO: dict[tuple, PanelSurface] = {}
+
+
+def _load_surface(args, inputs: _Inputs) -> PanelSurface:
+    """The surface of ``--mesh`` (and ``--face``): parsed and validated unless the memo holds it."""
+    paths = [args.mesh, *([args.face] if args.face else [])]
+    texts = {p: inputs.read(p) for p in paths}
+    key = (args.mesh_format, *((os.path.realpath(p), inputs.digests[str(p)]) for p in paths))
+    surf = _SURFACE_MEMO.get(key)
+    if surf is None:
+        _SURFACE_MEMO.clear()  # first, so that the old D* is freed before the new one is built
+        surf = load_mesh(args.mesh, fmt=args.mesh_format, face_path=args.face,
+                         read=texts.__getitem__)
+        _SURFACE_MEMO[key] = surf
+    return surf
+
+
+def write_manifest(command: str, params: dict, input_digests: dict, out_path):
+    """Write the run manifest; ``input_digests`` maps each input path to its SHA-256."""
     manifest = {
         "command": command,
         "parameters": params,
-        "input_digests": {str(p): _sha256(p) for p in input_files},
+        "input_digests": input_digests,
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
@@ -83,17 +117,13 @@ def _parse_inline_charge(spec: str) -> tuple[list[float], float]:
     return [x, y, z], q
 
 
-def _load_charges(args) -> tuple[ChargeDistribution, list]:
-    inputs = []
+def _load_charges(args, inputs: _Inputs) -> ChargeDistribution:
     if args.pqr:
-        dist = load_pqr(args.pqr)
-        inputs.append(args.pqr)
-    elif args.charge:
+        return load_pqr(args.pqr, inputs.read)
+    if args.charge:
         positions, magnitudes = zip(*map(_parse_inline_charge, args.charge))
-        dist = ChargeDistribution(positions, magnitudes)
-    else:
-        raise ParseError("no charges given: use --pqr or --charge x,y,z,q")
-    return dist, inputs
+        return ChargeDistribution(positions, magnitudes)
+    raise ParseError("no charges given: use --pqr or --charge x,y,z,q")
 
 
 def _emit(lines_csv: str, payload_json, args):
@@ -108,7 +138,8 @@ def _emit(lines_csv: str, payload_json, args):
 
 
 def cmd_sphere(args) -> int:
-    dist, inputs = _load_charges(args)
+    inputs = _Inputs()
+    dist = _load_charges(args, inputs)
     model = SphereModel(args.radius, DielectricPair(args.eps_in, args.eps_out), args.nmax)
     methods = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
     if not methods:
@@ -124,7 +155,7 @@ def cmd_sphere(args) -> int:
     ]
     csv_text = rows_to_csv(rows, ("method", "energy_kcal_mol", "truncation_estimate"))
     _emit(csv_text, rows, args)
-    write_manifest("sphere", _resolved_params(args), inputs, _manifest_path(args))
+    write_manifest("sphere", _resolved_params(args), inputs.digests, _manifest_path(args))
     return EXIT_OK
 
 
@@ -132,33 +163,29 @@ def cmd_bem(args) -> int:
     variant_name = args.variant.strip().lower()
     if variant_name != "exact" and variant_name not in VARIANT_TAGS:
         raise ParseError(f"unknown BEM variant {args.variant!r}")
-    dist, inputs = _load_charges(args)
+    inputs = _Inputs()
+    dist = _load_charges(args, inputs)
     eps = DielectricPair(args.eps_in, args.eps_out)
-    surf = load_mesh(args.mesh, fmt=args.mesh_format, face_path=args.face)
-    inputs.append(args.mesh)
-    if args.face:
-        inputs.append(args.face)
+    surf = _load_surface(args, inputs)
     variant = None if variant_name == "exact" else BibeeVariant(variant_name, args.lam)
     result = bem_energy(dist, surf, eps, variant, tol=args.tol)
     row = {"method": result.method, "energy_kcal_mol": result.value,
            "panels": surf.num_panels, **result.metadata}
     csv_text = rows_to_csv([row], tuple(row))
     _emit(csv_text, [row], args)
-    write_manifest("bem", _resolved_params(args), inputs, _manifest_path(args))
+    write_manifest("bem", _resolved_params(args), inputs.digests, _manifest_path(args))
     return EXIT_OK
 
 
-def _experiment_config(args) -> tuple[ExperimentConfig, list]:
-    inputs = []
+def _experiment_config(args, inputs: _Inputs) -> ExperimentConfig:
     data = {}
     if args.config:
         try:
-            data = json.loads(read_text(args.config))
+            data = json.loads(inputs.read(args.config))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{args.config}: invalid JSON ({exc})") from None
         if not isinstance(data, dict):
             raise ParseError(f"{args.config}: the config must be a JSON object")
-        inputs.append(args.config)
     # Flag overrides beat the config file.
     for flag, key in (("seed", "seed"), ("num_configs", "num_configs"), ("eps_in", "eps_in"),
                       ("eps_out", "eps_out"), ("nmax", "n_max")):
@@ -167,13 +194,14 @@ def _experiment_config(args) -> tuple[ExperimentConfig, list]:
     if "seed" not in data:
         raise ParseError("a seed is required (config file or --seed)")
     try:
-        return ExperimentConfig.from_dict(data), inputs
+        return ExperimentConfig.from_dict(data)
     except TypeError as exc:
         raise ParseError(f"bad experiment config: {exc}") from None
 
 
 def cmd_experiment(args) -> int:
-    cfg, inputs = _experiment_config(args)
+    inputs = _Inputs()
+    cfg = _experiment_config(args, inputs)
     report = run_comparison(cfg)
     out = Path(args.out) if args.out else Path(f"experiment_seed{cfg.seed}")
     if args.format == "json":
@@ -186,7 +214,7 @@ def cmd_experiment(args) -> int:
         rows_path.write_text(rows_to_csv(report.rows, ROW_COLUMNS))
         summary_path.write_text(rows_to_csv(report.summaries, SUMMARY_COLUMNS))
         written = [rows_path, summary_path]
-    write_manifest("experiment", _resolved_params(args), inputs,
+    write_manifest("experiment", _resolved_params(args), inputs.digests,
                    Path(str(out) + ".manifest.json"))
     for p in written:
         print(p)
@@ -194,7 +222,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, inputs = _experiment_config(args)
+    inputs = _Inputs()
+    cfg = _experiment_config(args, inputs)
     result = lambda_sweep(cfg)
     out = Path(args.out) if args.out else Path(f"sweep_seed{cfg.seed}")
     if args.format == "json":
@@ -203,7 +232,7 @@ def cmd_sweep(args) -> int:
     else:
         path = Path(str(out) + "_summary.csv")
         path.write_text(rows_to_csv(result["summaries"], SUMMARY_COLUMNS))
-    write_manifest("sweep", _resolved_params(args), inputs,
+    write_manifest("sweep", _resolved_params(args), inputs.digests,
                    Path(str(out) + ".manifest.json"))
     print(f"best_lambda={result['best_lambda']}")
     print(path)

@@ -139,7 +139,7 @@ def net_charge(dist: ChargeDistribution) -> float:
     return float(math.fsum(dist.magnitudes))
 
 
-def load_pqr(path) -> ChargeDistribution:
+def load_pqr(path, read=read_text) -> ChargeDistribution:
     """Read point charges from a PQR file.
 
     Both whitespace-aligned and free-form PQR dialects are tolerated; the
@@ -147,9 +147,10 @@ def load_pqr(path) -> ChargeDistribution:
     last two numeric fields are taken as charge and radius, and the three
     fields before them as x, y, z.  Radii are not used for any surface
     construction; per-atom radii are kept in the distribution metadata.
+    ``read(path)`` gives the file's text, as for ``mesh.load_off``.
     """
     rows = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(read(path).split("\n"), start=1):
         fields = line.split()
         if not fields or fields[0] not in ("ATOM", "HETATM"):
             continue

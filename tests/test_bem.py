@@ -175,6 +175,17 @@ class TestDstar:
             sv.assemble_dstar(surf)
 
 
+    def test_surface_keeps_one_read_only_dstar(self, mesh_320):
+        surf = build_surface(mesh_320.vertices, mesh_320.triangles.copy())
+        assert surf.dstar is surf.dstar
+        assert not surf.dstar.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            surf.dstar[0, 0] = 1.0
+        # assemble_dstar still builds a fresh, writeable array on every call.
+        fresh = sv.assemble_dstar(surf)
+        assert fresh is not surf.dstar and fresh.flags.writeable
+        np.testing.assert_array_equal(fresh, surf.dstar)
+
     def test_constant_density_eigenvector(self, mesh_320):
         # On a sphere the constant vector is a -1/2 eigenvector of D*.
         dstar = sv.assemble_dstar(mesh_320)
@@ -250,14 +261,13 @@ class TestExactSolve:
         # The residual reuses GMRES's last product; (2, 1) stops unconverged.
         products, gmres_products, iterates = [], [], []
         assemble, gmres = bem.assemble_dstar, bem.gmres
+        # A fresh surface, whose D* the patched assembler below builds.
+        surf = build_surface(mesh_320.vertices, mesh_320.triangles.copy())
 
-        class CountedMatrix:
-            def __init__(self, a):
-                self.a, self.shape = a, a.shape
-
+        class CountedMatrix(np.ndarray):
             def __matmul__(self, x):
                 products.append(1)
-                return self.a @ x
+                return np.asarray(self) @ x
 
         def counted_gmres(a, b, **kwargs):
             def matvec(x):
@@ -267,11 +277,11 @@ class TestExactSolve:
             iterates.append(x.copy())
             return x, info
 
-        monkeypatch.setattr(bem, "assemble_dstar", lambda surf: CountedMatrix(assemble(surf)))
+        monkeypatch.setattr(bem, "assemble_dstar", lambda s: assemble(s).view(CountedMatrix))
         monkeypatch.setattr(bem, "gmres", counted_gmres)
         monkeypatch.setattr(bem, "DEFAULT_GMRES_RESTART", restart)
         monkeypatch.setattr(bem, "DEFAULT_GMRES_MAXITER", maxiter)
-        rhs = sv.coulomb_field_rhs(random_ball_distribution(34, 0, count=5), mesh_320, EPS_BIO)
+        rhs = sv.coulomb_field_rhs(random_ball_distribution(34, 0, count=5), surf, EPS_BIO)
         try:
             reported = sv.exact_surface_charge(rhs, EPS_BIO).metadata["residual"]
         except ConvergenceError as exc:
@@ -279,9 +289,25 @@ class TestExactSolve:
         assert len(products) == len(gmres_products) > 0
         # The residual of the returned iterate, from an independently assembled D*.
         x = iterates[-1]
-        residual = float(np.linalg.norm(x + EPS_BIO.eps_hat * (assemble(mesh_320) @ x)
+        residual = float(np.linalg.norm(x + EPS_BIO.eps_hat * (assemble(surf) @ x)
                                         - rhs.values))
         assert reported == (residual if maxiter == 1 else f"{residual:.3e}")
+
+    def test_one_assembly_per_surface(self, mesh_320, monkeypatch):
+        # D* depends on the geometry alone: one assembly serves any charges and any eps.
+        assemble, assembled = bem.assemble_dstar, []
+        monkeypatch.setattr(bem, "assemble_dstar", lambda s: assembled.append(s) or assemble(s))
+
+        def fresh():
+            return build_surface(mesh_320.vertices, mesh_320.triangles.copy())
+
+        cases = [(random_ball_distribution(35, 0, count=5), EPS_WATER),
+                 (random_ball_distribution(35, 1, count=8), EPS_BIO)]
+        surf = fresh()
+        reused = [sv.bem_energy(d, surf, eps).value for d, eps in cases]
+        assert len(assembled) == 1 and assembled[0] is surf
+        assert reused == [sv.bem_energy(d, fresh(), eps).value for d, eps in cases]
+        assert len(assembled) == 3
 
     def test_direct_and_gmres_agree(self, mesh_320):
         d = random_ball_distribution(33, 0, count=5)

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 import solvbie as sv
+from solvbie import cli
 from solvbie.cli import build_parser, main
 from solvbie.model import COULOMB_KCAL
 from solvbie.sphere import PAIR_CROSSOVER, SPHERE_METHODS
@@ -364,6 +367,88 @@ def test_bem_variant_csv(tmp_path, monkeypatch, capsys):
     assert "BEM-CFA" in out
 
 
+@pytest.fixture
+def mesh_loads(monkeypatch):
+    """The mesh paths ``bem`` parses, in order, counted at its call of ``load_mesh``."""
+    loads, load = [], cli.load_mesh
+    monkeypatch.setattr(cli, "load_mesh", lambda path, **kw: loads.append(path) or load(path, **kw))
+    return loads
+
+
+def run_bem(mesh, out, tmp_path, monkeypatch, variant="exact"):
+    """Exit code of one in-process ``bem`` call and the bytes of its CSV."""
+    code = run(["bem", "--mesh", str(mesh), "--charge", "0,0,1,1", "--charge", "1,0,0,-0.5",
+                "--eps-in", "4", "--variant", variant, "--out", out], tmp_path, monkeypatch)
+    return code, (tmp_path / out).read_bytes() if code == 0 else None
+
+
+def test_bem_reuses_an_unchanged_mesh(tmp_path, monkeypatch, mesh_loads):
+    mesh = tmp_path / "ico.off"
+    sv.write_off(sv.icosphere(5.0, 2), mesh)
+    first = [run_bem(mesh, f"a_{v}.csv", tmp_path, monkeypatch, v) for v in ("exact", "m")]
+    again = [run_bem(mesh, f"b_{v}.csv", tmp_path, monkeypatch, v) for v in ("exact", "m")]
+    assert mesh_loads == [str(mesh)]
+    assert first == again and all(code == 0 for code, _ in first)
+
+
+def test_bem_rewritten_mesh_is_parsed_again(tmp_path, monkeypatch, mesh_loads):
+    mesh = tmp_path / "ico.off"
+    sv.write_off(sv.icosphere(5.0, 2), mesh)
+    assert run_bem(mesh, "a.csv", tmp_path, monkeypatch)[0] == 0
+    sv.write_off(sv.icosphere(5.0, 1), mesh)
+    code, csv = run_bem(mesh, "b.csv", tmp_path, monkeypatch)
+    assert code == 0 and b",80," in csv
+    assert mesh_loads == [str(mesh)] * 2
+
+
+def test_bem_same_bytes_at_another_path_is_parsed_again(tmp_path, monkeypatch, mesh_loads):
+    mesh, copy = tmp_path / "ico.off", tmp_path / "copy.off"
+    sv.write_off(sv.icosphere(5.0, 1), mesh)
+    copy.write_bytes(mesh.read_bytes())
+    assert run_bem(mesh, "a.csv", tmp_path, monkeypatch) == run_bem(copy, "a.csv", tmp_path,
+                                                                    monkeypatch)
+    assert mesh_loads == [str(mesh), str(copy)]
+
+
+def test_bem_failed_mesh_load_leaves_no_entry(tmp_path, monkeypatch):
+    mesh, bad = tmp_path / "ico.off", tmp_path / "open.off"
+    sv.write_off(sv.icosphere(5.0, 1), mesh)
+    bad.write_text("OFF\n4 3 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 2 1\n3 0 1 3\n3 0 3 2\n")
+    assert run_bem(mesh, "a.csv", tmp_path, monkeypatch)[0] == 0
+    assert len(cli._SURFACE_MEMO) == 1
+    assert run_bem(bad, "b.csv", tmp_path, monkeypatch)[0] == 3
+    assert cli._SURFACE_MEMO == {}
+
+
+def test_bem_keeps_one_surface(tmp_path, monkeypatch):
+    first, second = tmp_path / "a.off", tmp_path / "b.off"
+    sv.write_off(sv.icosphere(5.0, 2), first)
+    sv.write_off(sv.icosphere(5.0, 1), second)
+    assert run_bem(first, "a.csv", tmp_path, monkeypatch)[0] == 0
+    (surf,) = cli._SURFACE_MEMO.values()
+    assert "dstar" in vars(surf)  # the exact solve kept its D* on the surface
+    ref = weakref.ref(surf)
+    del surf
+    assert run_bem(second, "b.csv", tmp_path, monkeypatch)[0] == 0
+    assert ref() is None
+
+
+def test_manifest_digest_is_of_the_bytes_parsed(tmp_path, monkeypatch):
+    mesh = tmp_path / "ico.off"
+    sv.write_off(sv.icosphere(5.0, 1), mesh)
+    parsed = mesh.read_bytes()
+    bem_energy = cli.bem_energy
+
+    def rewrite_then_solve(*args, **kwargs):
+        mesh.write_text("rewritten during the call\n")
+        return bem_energy(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "bem_energy", rewrite_then_solve)
+    assert run_bem(mesh, "a.csv", tmp_path, monkeypatch)[0] == 0
+    digests = json.loads((tmp_path / "a.csv.manifest.json").read_text())["input_digests"]
+    assert digests == {str(mesh): hashlib.sha256(parsed).hexdigest()}
+
+
 def test_experiment_requires_seed(tmp_path, monkeypatch):
     code = run(["experiment"], tmp_path, monkeypatch)
     assert code == 3
@@ -479,6 +564,13 @@ def test_sweep_json_format(tmp_path, monkeypatch, capsys):
 
 TET_VERTS = "0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
 TET_OFF_FACES = "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"
+
+
+def tet_off_with_y1(token: str) -> str:
+    """The tetrahedron's OFF text with ``token`` as the y coordinate of vertex 1."""
+    return f"OFF\n4 4 0\n0 0 0\n1 {token} 0\n0 1 0\n0 0 1\n" + TET_OFF_FACES
+
+
 #: Input files of the exit-code table, by name; bytes are written as they are.
 EXIT_FIXTURES = {
     "not_utf8.json": b"\xff\xfe{}",
@@ -507,6 +599,10 @@ EXIT_FIXTURES = {
     "tet.off": "OFF\n4 4 0\n" + TET_VERTS + TET_OFF_FACES,
     "no_faces.off": "OFF\n0 0 0\n",
     "vertices_only.off": "OFF\n4 0 0\n" + TET_VERTS,
+    "vertex_two_points.off": tet_off_with_y1("1.2.3"),
+    "vertex_lone_sign.off": tet_off_with_y1("-"),
+    "vertex_nan.off": tet_off_with_y1("nan"),
+    "vertex_inf.off": tet_off_with_y1("inf"),
 }
 SPHERE = ["sphere", "--radius", "5"]
 BEM = ["bem", "--charge", "0.1,0.1,0.1,1", "--mesh"]
@@ -554,6 +650,12 @@ EXIT_CASES = {
     "OFF of no vertices and no faces": ([*BEM, "{d}/no_faces.off"], 3, "surface has no triangles"),
     "OFF of vertices and no faces": ([*BEM, "{d}/vertices_only.off"], 3,
                                      "surface has no triangles"),
+    "OFF vertex of two decimal points": ([*BEM, "{d}/vertex_two_points.off"], 3,
+                                         "could not convert string to float: '1.2.3'"),
+    "OFF vertex lone sign": ([*BEM, "{d}/vertex_lone_sign.off"], 3,
+                             "could not convert string to float: '-'"),
+    "OFF vertex nan": ([*BEM, "{d}/vertex_nan.off"], 3, "vertex 1 has a non-finite coordinate"),
+    "OFF vertex inf": ([*BEM, "{d}/vertex_inf.off"], 3, "vertex 1 has a non-finite coordinate"),
     "OFF index past last vertex": ([*BEM, "{d}/index_past_end.off"], 3,
                                    "has vertex index 4, outside [0, 4)"),
     "unknown BEM variant": ([*BEM, "{d}/tet.off", "--variant", "bogus"], 3,
