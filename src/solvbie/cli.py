@@ -205,7 +205,7 @@ def cmd_experiment(args) -> int:
     report = run_comparison(cfg)
     out = Path(args.out) if args.out else Path(f"experiment_seed{cfg.seed}")
     if args.format == "json":
-        path = out.with_suffix(".json")
+        path = out if out.suffix == ".json" else Path(str(out) + ".json")
         path.write_text(report_to_json(report))
         written = [path]
     else:
@@ -227,13 +227,16 @@ def cmd_sweep(args) -> int:
     result = lambda_sweep(cfg)
     out = Path(args.out) if args.out else Path(f"sweep_seed{cfg.seed}")
     if args.format == "json":
-        path = out.with_suffix(".json")
+        path = out if out.suffix == ".json" else Path(str(out) + ".json")
         path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     else:
         path = Path(str(out) + "_summary.csv")
         path.write_text(rows_to_csv(result["summaries"], SUMMARY_COLUMNS))
     write_manifest("sweep", _resolved_params(args), inputs.digests,
                    Path(str(out) + ".manifest.json"))
+    if result["best_at_grid_edge"] and len(result["summaries"]) > 1:
+        print(f"solvbie: warning: best lambda {result['best_lambda']} is at the edge of the "
+              "lambda grid; the optimum may lie outside it", file=sys.stderr)
     print(f"best_lambda={result['best_lambda']}")
     print(path)
     return EXIT_OK

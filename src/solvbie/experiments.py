@@ -3,7 +3,8 @@
 Random configurations are drawn from a seeded PCG64 generator; the stream
 for configuration ``index`` under master seed ``seed`` is
 ``numpy.random.default_rng([seed, index])``, so any single configuration can
-be regenerated independently of the rest of the ensemble.
+be regenerated independently of the rest of the ensemble.  A chunk of
+configurations is one pair of arrays from the draw to the report rows.
 """
 
 from __future__ import annotations
@@ -11,14 +12,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import DomainError
-from .model import ChargeDistribution, DielectricPair, SphereModel, net_charge
+from .model import ChargeDistribution, DielectricPair, SphereModel
 from .sphere import (
+    GB_METHODS,
     LAMBDA_VARIANTS,
     METHOD_KIRKWOOD,
     SPHERE_METHODS as KNOWN_METHODS,
@@ -93,19 +96,30 @@ class ComparisonReport:
     summaries: tuple[dict, ...]        # one dict per (method, lambda)
 
 
-def random_sphere_config(seed: int, index: int, cfg: ExperimentConfig) -> ChargeDistribution:
-    """Deterministic random charge set: uniform in the ball of radius margin*b.
+def _draw(seed: int, indices, cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Charges uniform in the ball of radius margin*b: positions (C, Q, 3), magnitudes (C, Q).
 
-    Draw order is fixed: directions (Gaussian, normalized), then the radial
+    Configuration ``index`` comes from its own stream ``default_rng([seed, index])``
+    in a fixed draw order: directions (Gaussian, normalized), then the radial
     variates (cube-root transform), then the magnitudes.
     """
-    rng = np.random.default_rng([seed, index])
     k = cfg.charges_per_config
-    dirs = rng.standard_normal((k, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    radii = cfg.placement_margin * cfg.sphere_radius * rng.random(k) ** (1.0 / 3.0)
-    mags = rng.uniform(-cfg.max_abs_charge, cfg.max_abs_charge, k)
-    return ChargeDistribution(dirs * radii[:, None], mags, label=f"seed{seed}-cfg{index}")
+    pos = np.empty((len(indices), k, 3))
+    radii, q = np.empty((2, len(indices), k))
+    for c, index in enumerate(indices):
+        rng = np.random.default_rng([seed, index])
+        rng.standard_normal(out=pos[c])
+        rng.random(out=radii[c])
+        q[c] = rng.uniform(-cfg.max_abs_charge, cfg.max_abs_charge, k)
+    pos /= np.linalg.norm(pos, axis=-1)[..., None]
+    pos *= (cfg.placement_margin * cfg.sphere_radius * radii ** (1.0 / 3.0))[..., None]
+    return pos, q
+
+
+def random_sphere_config(seed: int, index: int, cfg: ExperimentConfig) -> ChargeDistribution:
+    """Deterministic random charge set: configuration ``index`` of the chunk draw ``_draw``."""
+    pos, q = _draw(seed, [index], cfg)
+    return ChargeDistribution(pos[0], q[0], label=f"seed{seed}-cfg{index}")
 
 
 def run_comparison(
@@ -117,7 +131,7 @@ def run_comparison(
     with lambda None for the methods that take no eigenvalue.  The exact
     Kirkwood energy, the reference of the summary statistics, is computed
     with every pair in one ``ensemble_energies`` call per chunk of
-    configurations.
+    configurations, drawn straight into the chunk's arrays.
     """
     if methods is None:
         methods = [(m, cfg.lambda_value if m in LAMBDA_VARIANTS else None) for m in cfg.methods]
@@ -129,16 +143,14 @@ def run_comparison(
     step = chunk_length(cfg.n_max, cfg.charges_per_config)
     for start in range(0, cfg.num_configs, step):
         indices = range(start, min(start + step, cfg.num_configs))
-        dists = [random_sphere_config(cfg.seed, index, cfg) for index in indices]
-        chunk = ensemble_energies(dists, cfg.sphere, names, lams)
-        for index, dist, results in zip(indices, dists, chunk):
-            energies[index] = [res.value for res in results]
-            net = net_charge(dist)
-            for (method, lam), res in zip(methods, results[1:]):
-                rows.append({"seed": cfg.seed, "index": index, "method": method, "lambda": lam,
-                             "energy_kcal_mol": res.value,
-                             "truncation_estimate": res.truncation_error_estimate,
-                             "net_charge": net})
+        pos, q = _draw(cfg.seed, indices, cfg)
+        energies[indices], tails = ensemble_energies(pos, q, cfg.sphere, names, lams)
+        for index, tail, net in zip(indices, tails.tolist(), map(math.fsum, q)):
+            rows.extend({"seed": cfg.seed, "index": index, "method": method, "lambda": lam,
+                         "energy_kcal_mol": value,
+                         "truncation_estimate": None if method in GB_METHODS else tail,
+                         "net_charge": net}
+                        for (method, lam), value in zip(methods, energies[index, 1:].tolist()))
     exact_arr = energies[:, 0]
     summaries = []
     for (method, lam), vals in zip(methods, energies[:, 1:].T):
@@ -162,10 +174,12 @@ def lambda_sweep(cfg: ExperimentConfig) -> dict:
 
     One ensemble pass scores every grid lambda from each chunk's one stack
     of spectra.  Ties in mean deviation are broken toward smaller |lambda|.
+    ``best_at_grid_edge`` is whether the best lambda is an end of the grid.
     """
     report = run_comparison(cfg, [(METHOD_M, lam) for lam in dict.fromkeys(cfg.lambda_grid)])
     best = min(report.summaries, key=lambda s: (s["mean_dev_pct"], abs(s["lambda"])))
-    return {"summaries": list(report.summaries), "best_lambda": best["lambda"]}
+    return {"summaries": list(report.summaries), "best_lambda": best["lambda"],
+            "best_at_grid_edge": best["lambda"] in (min(cfg.lambda_grid), max(cfg.lambda_grid))}
 
 
 def _format_value(v) -> str:

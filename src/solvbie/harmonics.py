@@ -9,9 +9,9 @@ recurrence computes the R_n^m (``_solid_table``), real and with no
 trigonometry.  The source moments, the solid-harmonic spectrum and the
 potential at points all come from it.
 
-``solid_spectrum``, ``pair_spectrum`` and ``truncation_tail_estimate`` also
-take a sequence of C charge sets, or such a sequence stacked once by
-``_stack``, and then return results with a leading axis of length C.
+``solid_spectrum``, ``pair_spectrum`` and ``truncation_tail_estimate`` take a
+chunk of C sets of Q charges, positions (C, Q, 3) and magnitudes (C, Q), and
+return results with a leading axis of length C.
 ``source_moments`` takes one charge set.
 
 The mode spectrum S_n of a charge set has two forms, equal up to rounding.
@@ -70,24 +70,6 @@ class MultipoleCoefficients:
             raise DomainError(f"(n={n}, m={m}) outside coefficient triangle")
         value = complex(self.coeffs[n, abs(m)])
         return value.conjugate() if m < 0 else value
-
-
-def _stack(dist) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (C, Q, 3) and magnitudes (C, Q) of one charge set (C = 1) or a sequence.
-
-    Shorter sets are padded with zero charges at the origin.  They add
-    nothing, but they change the summation order, so a padded set's
-    spectrum can move in the last bits.  A pair of arrays, a chunk stacked
-    before, is returned as it is.
-    """
-    if isinstance(dist, tuple) and isinstance(dist[0], np.ndarray):
-        return dist
-    dists = [dist] if isinstance(dist, ChargeDistribution) else dist
-    size = max(len(d) for d in dists)
-    pos, q = np.zeros((len(dists), size, 3)), np.zeros((len(dists), size))
-    for c, d in enumerate(dists):
-        pos[c, :len(d)], q[c, :len(d)] = d.positions, d.magnitudes
-    return pos, q
 
 
 @functools.lru_cache(maxsize=8)
@@ -193,8 +175,8 @@ def source_moments(dist: ChargeDistribution, n_max: int) -> MultipoleCoefficient
                                  kind=KIND_SOURCE)
 
 
-def pair_spectrum(dist, n_max: int) -> np.ndarray:
-    """Per-mode power S_n of a charge set, or of each of a sequence, from its charge pairs.
+def pair_spectrum(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
+    """Per-mode power S_n (C, n_max+1) of each charge set of a chunk, from its charge pairs.
 
     Kirkwood's addition theorem gives S_n = sum_ij q_i q_j u_n[i, j] with
     u_n = (r_i r_j)^n P_n(cos gamma_ij), the spectrum of ``solid_spectrum``
@@ -206,15 +188,12 @@ def pair_spectrum(dist, n_max: int) -> np.ndarray:
     which runs here on w_n = q_i q_j u_n, in place on five (C, Q, Q)
     buffers.  R is built from the diagonal of G, so that the self pairs
     have cos gamma = 1 exactly.  Each S_n is one batched matrix product
-    per set, so a set's spectrum does not depend on the other sets of a
-    chunk of equal-sized sets.  From the first n at which r_max^(2n) of a
-    set exceeds the float range its S_n are inf, and the recurrence stops
-    once every set is there.
-    Returns (n_max+1,) for one charge set and (C, n_max+1) for a sequence.
+    per set, so a set's spectrum does not depend on the other sets of its
+    chunk.  From the first n at which r_max^(2n) of a set exceeds the float
+    range its S_n are inf, and the recurrence stops once every set is there.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    pos, q = _stack(dist)
     c, k = q.shape
     try:
         gram, rr, older, old, new = np.empty((5, c, k, k))
@@ -250,26 +229,22 @@ def pair_spectrum(dist, n_max: int) -> np.ndarray:
         older, old, new = old, new, older
     spectra = spectra[:, :, 0, 0].T.copy()
     spectra[np.arange(n_max + 1) >= stop[:, None]] = np.inf
-    return spectra[0] if isinstance(dist, ChargeDistribution) else spectra
+    return spectra
 
 
-def solid_spectrum(dist, n_max: int) -> np.ndarray:
-    """Per-mode power S_n of a charge set, or of each of a sequence, from its solid-harmonic moments.
+def solid_spectrum(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
+    """Per-mode power S_n (C, n_max+1) of each charge set of a chunk, from its moments.
 
     With the Schmidt-seminormalized moments M_nm of ``_solid_moments`` the
     addition theorem gives S_n = sum_{m>=0} |M_nm|^2 (the 2 - delta_m0
     weight is inside the normalization): the spectrum of ``pair_spectrum``
     in the same units, at a cost of order Q n_max^2 per set, with no
-    trigonometry.  Each set's moments are their own
-    matrix products, so a set's spectrum does not depend on the other sets
-    of a chunk of equal-sized sets.  Returns (n_max+1,) for one charge set
-    and (C, n_max+1) for a sequence.
+    trigonometry.  Each set's moments are their own matrix products, so a
+    set's spectrum does not depend on the other sets of its chunk.
     """
-    pos, q = _stack(dist)
     moments = _solid_moments(pos, q, n_max)
     np.square(moments, out=moments)
-    spectra = moments.sum(axis=-1).sum(axis=0)
-    return spectra[0] if isinstance(dist, ChargeDistribution) else spectra
+    return moments.sum(axis=-1).sum(axis=0)
 
 
 def eval_interior_potential_many(b_coeffs: MultipoleCoefficients, points: np.ndarray) -> np.ndarray:
@@ -301,20 +276,18 @@ def eval_interior_potential_many(b_coeffs: MultipoleCoefficients, points: np.nda
     return psi
 
 
-def truncation_tail_estimate(dist, b: float, n_max: int):
-    """Geometric a-posteriori bound (kcal/mol) on the neglected series tail.
+def truncation_tail_estimate(pos: np.ndarray, q: np.ndarray, b: float, n_max: int) -> np.ndarray:
+    """Geometric a-posteriori bound (kcal/mol) on the neglected series tail, per set of a chunk.
 
     Uses t = (max_k |r_k| / b)^2 and bounds the tail of the pairwise mode sum
     by k_e (sum|q|)^2 / b * t^(n_max+1) / (1 - t).  Valid as an upper bound of
-    the true truncation error for eps_in >= 1 (constant 1; see tests).  A
-    float for one charge set, a (C,) array for a sequence.
+    the true truncation error for eps_in >= 1 (constant 1; see tests).
+    Returns (C,).
     """
-    pos, q = _stack(dist)
     rmax = np.max(np.linalg.norm(pos, axis=-1), axis=-1)
     bad = np.nonzero(rmax >= b)[0]
     if bad.size:
         raise DomainError(f"charge at |r| = {float(rmax[bad[0]])} not strictly inside b = {b}")
     t = (rmax / b) ** 2
     gross = np.sum(np.abs(q), axis=-1)
-    tail = COULOMB_KCAL * gross * gross / b * t ** (n_max + 1) / (1.0 - t)
-    return float(tail[0]) if isinstance(dist, ChargeDistribution) else tail
+    return COULOMB_KCAL * gross * gross / b * t ** (n_max + 1) / (1.0 - t)

@@ -29,19 +29,20 @@ q)^2) with beta = eps1/eps2.
 Over C charge sets the series energies are one product, E = (k_e/2) S F^T,
 of the (C x modes) spectra S and the (methods x modes) factor matrix F.
 ``ensemble_energies``, the engine for every method in ``SPHERE_METHODS``,
-stacks a chunk of ``chunk_length`` charge sets once and builds S and F
-for it, and for the GB methods one stack of Still matrices 1/F from one
-batched Gram GEMM.  S has two forms, equal up to rounding and chosen by
-the size of the sets: sets of Q <= ``PAIR_CROSSOVER`` (n_max+1) charges
-take it from their charge pairs by Kirkwood's addition theorem
-(``harmonics.pair_spectrum``, one Legendre recurrence over the Gram
+takes a chunk of charge sets as (C, Q, 3) positions and (C, Q) magnitudes
+and builds S and F for it, and for the GB methods one stack of Still
+matrices 1/F from one batched Gram GEMM.  S has two forms, equal up to
+rounding and chosen by the size of the sets: sets of Q <= ``PAIR_CROSSOVER``
+(n_max+1) charges take it from their charge pairs by Kirkwood's addition
+theorem (``harmonics.pair_spectrum``, one Legendre recurrence over the Gram
 matrix, cost Q^2 n_max per set), larger sets from their real solid-harmonic
 moments, S_n = sum_{m>=0} |M_nm|^2 (``harmonics.solid_spectrum``, one
 recurrence table in z and r^2, cost Q n_max^2).  A chunk's solid-harmonic
 table or pair buffers, or one of its two Still buffers, hold at most
-``_CHUNK_BYTES``.  ``sphere_energies`` is its one-set case.  The reaction
-coefficients B_nm = f_n M_nm of one charge set's seminormalized moments
-remain for evaluating the reaction potential at points.
+``_CHUNK_BYTES`` at ``chunk_length`` sets.  The engine returns arrays, and
+its one-set case ``sphere_energies`` labels them as ``EnergyResult``s.  The
+reaction coefficients B_nm = f_n M_nm of one charge set's seminormalized
+moments remain for evaluating the reaction potential at points.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .harmonics import (
     KIND_REACTION,
     KIND_SOURCE,
     MultipoleCoefficients,
-    _stack,
     pair_spectrum,
     solid_spectrum,
     source_moments,  # re-exported as sphere.source_moments
@@ -178,19 +178,24 @@ def _diagonal_solve(values, eps: DielectricPair, lams):
     return values / denom
 
 
-def _mode_factors(model: SphereModel, methods, lams) -> tuple[list[str], np.ndarray]:
-    """Labels and factor matrix F, f_n = P_n / (1 + eps_hat lambda_n), one row per series method."""
+def _labels(methods, lam) -> list[str]:
+    """The result label of each method, ``lam`` as in ``ensemble_energies``."""
+    lams = np.broadcast_to(np.asarray(lam, dtype=float), (len(methods),))
+    fixed = {METHOD_KIRKWOOD: "Kirkwood", "gb": "GB", "gbeps": "GBeps"}
+    return [fixed.get(m) or BibeeVariant(m, lam_m).method_name() for m, lam_m in zip(methods, lams)]
+
+
+def _mode_factors(model: SphereModel, methods, lams) -> np.ndarray:
+    """Factor matrix F, f_n = P_n / (1 + eps_hat lambda_n), one row per series method."""
     n = np.arange(model.n_max + 1, dtype=float)
-    variants = [None if m == METHOD_KIRKWOOD else BibeeVariant(m, lam)
-                for m, lam in zip(methods, lams)]
-    labels = ["Kirkwood" if v is None else v.method_name() for v in variants]
-    rows = [-0.5 / (2 * n + 1) if v is None else v.lambdas(model.n_max) for v in variants]
+    rows = [-0.5 / (2 * n + 1) if m == METHOD_KIRKWOOD
+            else BibeeVariant(m, lam).lambdas(model.n_max) for m, lam in zip(methods, lams)]
     # P_n is homogeneous of degree -1 in eps, P_n(eps) = P_n(eps / s) / s, and
     # dividing the numerator by s first keeps both parts in range.
     e1, e2, s = model.dielectrics.scaled()
     p = (2.0 * (e1 - e2) / s * (n + 1)
          / (e1 * (e1 + e2) * (2 * n + 1) * model.radius ** (2 * n + 1)))
-    return labels, _diagonal_solve(p, model.dielectrics, np.reshape(rows, (-1, n.size)))
+    return _diagonal_solve(p, model.dielectrics, np.reshape(rows, (-1, n.size)))
 
 
 def reaction_coefficients(
@@ -206,13 +211,13 @@ def reaction_coefficients(
         raise DomainError("expected source moments")
     if e.n_max != model.n_max:
         raise DomainError(f"moment cutoff {e.n_max} != model cutoff {model.n_max}")
-    coeffs = e.coeffs * _mode_factors(model, [method], [lam])[1][0][:, None]
+    coeffs = e.coeffs * _mode_factors(model, [method], [lam])[0][:, None]
     return MultipoleCoefficients(n_max=e.n_max, coeffs=coeffs, kind=KIND_REACTION)
 
 
-def _check_interior(dist, model: SphereModel):
-    """DomainError for the first charge set, of one or a sequence, with a charge past the margin."""
-    rmax = np.max(np.linalg.norm(_stack(dist)[0], axis=-1), axis=-1)
+def _check_interior(pos: np.ndarray, model: SphereModel):
+    """DomainError for the first set of positions (C, Q, 3) with a charge past the margin."""
+    rmax = np.max(np.linalg.norm(pos, axis=-1), axis=-1)
     bad = np.nonzero(rmax > BOUNDARY_MARGIN * model.radius)[0]
     if bad.size:
         raise DomainError(
@@ -231,42 +236,46 @@ def chunk_length(n_max: int, charges: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * charges * max((n_max + 1) ** 2, 5 * charges)))
 
 
-def ensemble_energies(dists, model: SphereModel, methods, lam=0.0) -> list[list[EnergyResult]]:
-    """Solvation energy of each named method for each charge set of a chunk, kcal/mol.
+def ensemble_energies(pos: np.ndarray, q: np.ndarray, model: SphereModel, methods,
+                      lam=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Energies (C, methods), kcal/mol, and series truncation estimates (C,) of a chunk.
 
-    The chunk is stacked once; its charges are checked, and its spectra S
-    (pairwise or from solid harmonics, by the size of its sets), truncation
-    estimates, factor matrix F and Still matrices built, in one pass.
-    ``lam`` is the eigenvalue of the lambda and m variants: one value for
-    every method, or one per method, which the other methods ignore (None
-    stands for no eigenvalue).
+    The chunk is C sets of Q charges, positions (C, Q, 3) and magnitudes
+    (C, Q).  Its charges are checked, and its spectra S (pairwise or from
+    solid harmonics, by Q), truncation estimates, factor matrix F and Still
+    matrices built, in one pass.  ``lam`` is the eigenvalue of the lambda
+    and m variants: one value for every method, or one per method, which
+    the other methods ignore (None stands for no eigenvalue).
     """
-    chunk = _stack(dists)
-    _check_interior(chunk, model)
-    tails = truncation_tail_estimate(chunk, model.radius, model.n_max).tolist()
+    _check_interior(pos, model)
     lams = np.broadcast_to(np.asarray(lam, dtype=float), (len(methods),))
     series = [i for i, method in enumerate(methods) if method not in GB_METHODS]
     gb = [i for i, method in enumerate(methods) if method in GB_METHODS]
+    energies = np.empty((len(q), len(methods)))
     # Past the cutoff whose powers and factors fit a float, S and F hold inf
     # or nan; the energy check reports that, without numpy warnings first.
     with np.errstate(over="ignore", invalid="ignore"):
-        if chunk[1].shape[1] <= PAIR_CROSSOVER * (model.n_max + 1):
-            spectra = pair_spectrum(chunk, model.n_max)
+        tails = truncation_tail_estimate(pos, q, model.radius, model.n_max)
+        if q.shape[1] <= PAIR_CROSSOVER * (model.n_max + 1):
+            spectra = pair_spectrum(pos, q, model.n_max)
         else:
-            spectra = solid_spectrum(chunk, model.n_max)
-        labels, factors = _mode_factors(model, [methods[i] for i in series], lams[series])
+            spectra = solid_spectrum(pos, q, model.n_max)
+        factors = _mode_factors(model, [methods[i] for i in series], lams[series])
         # S F^T summed along each row, so a charge set's energies do not depend
         # on the chunk it is scored in, as a GEMM's blocking would.
-        values = 0.5 * COULOMB_KCAL * np.sum(spectra[:, None, :] * factors, axis=-1)
-    columns = {i: [EnergyResult(value=v, method=label, truncation_error_estimate=tail)
-                   for v, tail in zip(column, tails)]
-               for i, label, column in zip(series, labels, values.T.tolist())}
-    if gb:
-        # R_i = b - r_i^2/b, formed as in ``sphere_gb_parameters``.
-        b, r = model.radius, np.linalg.norm(chunk[0], axis=-1)
-        columns.update(zip(gb, _gb_energies(chunk, b - r * r / b, b, GBParameters.alpha,
-                                            model.dielectrics, [methods[i] for i in gb])))
-    return [[columns[i][c] for i in range(len(methods))] for c in range(len(tails))]
+        energies[:, series] = 0.5 * COULOMB_KCAL * np.sum(spectra[:, None, :] * factors, axis=-1)
+        if gb:
+            # R_i = b - r_i^2/b, formed as in ``sphere_gb_parameters``.
+            b, r = model.radius, np.linalg.norm(pos, axis=-1)
+            energies[:, gb] = _gb_energies(pos, q, b - r * r / b, b, GBParameters.alpha,
+                                           model.dielectrics, [methods[i] for i in gb])
+    # The first non-finite energy, series methods first, one method at a time.
+    bad_methods, bad_sets = np.nonzero(~np.isfinite(energies[:, series + gb].T))
+    if bad_methods.size:
+        i, c = (series + gb)[bad_methods[0]], bad_sets[0]
+        label = _labels(methods, lams)[i]
+        raise DomainError(f"non-finite energy {energies[c, i]} for method {label}")
+    return energies, tails
 
 
 def sphere_energies(
@@ -274,9 +283,16 @@ def sphere_energies(
 ) -> list[EnergyResult]:
     """Solvation energy of each named method for one charge set, kcal/mol.
 
-    The one-configuration case of ``ensemble_energies``.
+    The one-configuration case of ``ensemble_energies``, with the series
+    methods' truncation estimate and GBeps's alpha in its results.
     """
-    return ensemble_energies([dist], model, methods, lam)[0]
+    energies, tails = ensemble_energies(dist.positions[None], dist.magnitudes[None], model,
+                                        methods, lam)
+    (values,), (tail,) = energies.tolist(), tails.tolist()
+    return [EnergyResult(value=value, method=label,
+                         truncation_error_estimate=None if method in GB_METHODS else tail,
+                         metadata={"alpha": str(GBParameters.alpha)} if method == "gbeps" else {})
+            for value, method, label in zip(values, methods, _labels(methods, lam))]
 
 
 def kirkwood_energy(dist: ChargeDistribution, model: SphereModel) -> EnergyResult:
@@ -335,7 +351,7 @@ def pairwise_kirkwood_energy(dist: ChargeDistribution, model: SphereModel) -> fl
 
 def sphere_gb_parameters(dist: ChargeDistribution, model: SphereModel) -> GBParameters:
     """Sphere-analytic GB parameters: A = b, R_i = b - r_i^2/b, alpha = 0.57."""
-    _check_interior(dist, model)
+    _check_interior(dist.positions[None], model)
     b = model.radius
     r = np.linalg.norm(dist.positions, axis=1)
     return GBParameters(electrostatic_radius=b, effective_radii=b - r * r / b)
@@ -374,23 +390,16 @@ def _inverse_still(pos: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return np.reciprocal(inv_f, out=inv_f)
 
 
-def _gb_energies(chunk, radii, a: float, alpha: float, eps: DielectricPair, methods):
-    """GB (alpha = 0) or GBeps energies of each charge set of a chunk: a list of C per method.
+def _gb_energies(pos, q, radii, a: float, alpha: float, eps: DielectricPair, methods) -> np.ndarray:
+    """GB (alpha = 0) or GBeps energies (C, methods) of each charge set of a chunk.
 
     pref(alpha) (s + (alpha eps1/eps2) / A (sum q)^2), A = ``a``, from the pair
     sums s = q^T (1/F) q of one ``_inverse_still`` of the effective radii (C, Q).
     """
-    pos, q = chunk
     # Batched matrix products, so a set's sum does not depend on C.
     pair = (q[:, None, :] @ _inverse_still(pos, radii) @ q[:, :, None])[:, 0, 0]
     net2 = np.sum(q, axis=-1) ** 2
     beta = eps.eps_in / eps.eps_out
-    out = []
-    for method in methods:
-        alpha_m = 0.0 if method == "gb" else alpha
-        pref = -0.5 * COULOMB_KCAL * (1.0 / eps.eps_in - 1.0 / eps.eps_out) / (1.0 + alpha_m * beta)
-        values = (pref * (pair + alpha_m * beta / a * net2)).tolist()
-        out.append([EnergyResult(value=v, method="GB") if method == "gb" else
-                    EnergyResult(value=v, method="GBeps", metadata={"alpha": str(alpha_m)})
-                    for v in values])
-    return out
+    alphas = np.array([0.0 if method == "gb" else alpha for method in methods])
+    pref = -0.5 * COULOMB_KCAL * (1.0 / eps.eps_in - 1.0 / eps.eps_out) / (1.0 + alphas * beta)
+    return pref * (pair[:, None] + alphas * beta / a * net2[:, None])

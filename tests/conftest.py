@@ -7,7 +7,7 @@ from scipy.sparse.linalg import eigsh
 import solvbie as sv
 from solvbie.bem import _row_blocks, assemble_dstar
 from solvbie.errors import DomainError
-from solvbie.harmonics import _stack, eval_interior_potential_many
+from solvbie.harmonics import eval_interior_potential_many
 from solvbie.mesh import build_surface
 from solvbie.sphere import _gb_energies
 
@@ -37,6 +37,11 @@ def random_ball_distribution(seed, index, count=25, radius=5.0, margin=0.95,
     r = margin * radius * rng.random(count) ** (1.0 / 3.0)
     q = rng.uniform(-max_q, max_q, count)
     return sv.make_distribution(dirs * r[:, None], q)
+
+
+def chunk_of(dists):
+    """Positions (C, Q, 3) and magnitudes (C, Q) of C charge sets of one size Q."""
+    return np.stack([d.positions for d in dists]), np.stack([d.magnitudes for d in dists])
 
 
 def rotate_about_z(dist, angle):
@@ -76,8 +81,9 @@ def gb_still_energy(dist, params, eps):
     dG = -(k_e/2) (1/eps1 - 1/eps2) sum_ij q_i q_j / f_ij, double sum over
     all ordered pairs including the diagonal (f_ii = R_i).
     """
-    return _gb_energies(_stack(dist), params.effective_radii[None], params.electrostatic_radius,
-                        params.alpha, eps, ["gb"])[0][0]
+    (value,), = _gb_energies(*chunk_of([dist]), params.effective_radii[None],
+                             params.electrostatic_radius, params.alpha, eps, ["gb"])
+    return sv.EnergyResult(value=float(value), method="GB")
 
 
 def gb_epsilon_energy(dist, params, eps):
@@ -85,8 +91,9 @@ def gb_epsilon_energy(dist, params, eps):
 
     Collapses to the Still form when alpha = 0 or eps1/eps2 -> 0.
     """
-    return _gb_energies(_stack(dist), params.effective_radii[None], params.electrostatic_radius,
-                        params.alpha, eps, ["gbeps"])[0][0]
+    (value,), = _gb_energies(*chunk_of([dist]), params.effective_radii[None],
+                             params.electrostatic_radius, params.alpha, eps, ["gbeps"])
+    return sv.EnergyResult(value=float(value), method="GBeps")
 
 
 def still_inverse_reference(dist, radii):

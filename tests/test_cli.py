@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import solvbie as sv
+from conftest import chunk_of
 from solvbie import cli
 from solvbie.cli import build_parser, main
 from solvbie.model import COULOMB_KCAL
@@ -224,8 +225,8 @@ def test_large_set_past_the_factorial_range_equals_pairwise(tmp_path, monkeypatc
     positions = [[0.0, 0.0, 4.9]] + [[0.0, 0.0, float(a.split(",")[2])] for a in axis]
     dist = sv.make_distribution(positions, [1.0] + [0.5] * 199)
     model = sv.SphereModel(5.0, sv.DielectricPair(1.0, 80.0), 90)
-    factors = sv.sphere._mode_factors(model, ["kirkwood"], [0.0])[1][0]
-    pairwise = 0.5 * COULOMB_KCAL * np.sum(sv.pair_spectrum(dist, 90) * factors)
+    factors = sv.sphere._mode_factors(model, ["kirkwood"], [0.0])[0]
+    pairwise = 0.5 * COULOMB_KCAL * np.sum(sv.pair_spectrum(*chunk_of([dist]), 90)[0] * factors)
     assert energy == pytest.approx(pairwise, rel=1e-12)
 
 
@@ -246,9 +247,9 @@ def test_one_charge_past_the_moment_range_is_scored_pairwise(tmp_path, monkeypat
 def test_pair_spectrum_is_inf_past_the_float_range(tmp_path, monkeypatch, capsys):
     # 4.9^(2n) exceeds the largest float from n = 224 on; the recurrence stops there.
     far, near = (sv.make_distribution([[0.0, 0.0, z]], [1.0]) for z in (4.9, 1.0))
-    spectrum = sv.pair_spectrum(far, 100000)
+    (spectrum,) = sv.pair_spectrum(*chunk_of([far]), 100000)
     assert np.all(np.isfinite(spectrum[:224])) and np.all(spectrum[224:] == np.inf)
-    spectra = sv.pair_spectrum([far, near], 300)
+    spectra = sv.pair_spectrum(*chunk_of([far, near]), 300)
     assert np.array_equal(spectra[0], spectrum[:301])
     assert spectra[1] == pytest.approx(np.ones(301), rel=1e-12)
     # Every (r_i r_j)^n of a charge at r = 1 stays in range: its energy is finite.
@@ -559,7 +560,44 @@ def test_sweep_json_format(tmp_path, monkeypatch, capsys):
     assert code == 0
     payload = json.loads((tmp_path / "sw.json").read_text())
     assert "best_lambda" in payload
+    assert payload["best_at_grid_edge"] in (True, False)
     assert len(payload["summaries"]) == len(sv.ExperimentConfig(seed=9).lambda_grid)
+
+
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+@pytest.mark.parametrize("prefix, name", [("run_eps4.0", "run_eps4.0.json"),
+                                          ("run.json", "run.json")])
+def test_json_output_is_the_prefix_plus_json(command, prefix, name, tmp_path, monkeypatch,
+                                             capsys):
+    # ".json" is appended to the prefix, as "_rows.csv" and ".manifest.json" are.
+    assert run([command, "--seed", "3", "--num-configs", "2", "--format", "json",
+                "--out", prefix], tmp_path, monkeypatch) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, prefix + ".manifest.json"])
+    assert json.loads((tmp_path / name).read_text())["summaries"]
+    assert capsys.readouterr().out.splitlines()[-1] == name
+
+
+@pytest.mark.parametrize("grid, edge, warned", [
+    (None, True, True),                             # seed 7's optimum, near -0.08, lies outside
+    ([-0.12, -0.1, -0.08, -0.06], False, False),    # a grid that brackets it
+    ([-0.1], True, False),                          # one point is its own edge, but no warning
+])
+def test_sweep_warns_when_best_lambda_is_a_grid_edge(grid, edge, warned, tmp_path, monkeypatch,
+                                                     capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7, **({"lambda_grid": grid} if grid else {})}))
+    for fmt in ("csv", "json"):
+        assert run(["sweep", "--config", str(cfg), "--format", fmt, "--out", "sw"],
+                   tmp_path, monkeypatch) == 0
+        out = capsys.readouterr()
+        lines = out.out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("best_lambda=")
+        if warned:
+            assert out.err.startswith("solvbie: warning: best lambda -0.1 ")
+            assert out.err.count("\n") == 1
+        else:
+            assert out.err == ""
+    assert json.loads((tmp_path / "sw.json").read_text())["best_at_grid_edge"] is edge
 
 
 TET_VERTS = "0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
@@ -673,6 +711,9 @@ EXIT_CASES = {
                        "n_max must be >= 0"),
     "n_max 100000": ([*SPHERE, "--charge", "0,0,4.9,1", "--nmax", "100000"], 4,
                      "non-finite energy nan for method Kirkwood"),
+    "charges whose products overflow": ([*SPHERE, "--charge", "0,0,4.9,1e200", "--charge",
+                                         "0,1,0,1e200", "--methods", "gbeps,gb"], 4,
+                                        "non-finite energy -inf for method GBeps"),
     "unknown config key": (["experiment", "--config", "{d}/unknown_key.json"], 4,
                            "unknown config keys: ['wibble']"),
     "zero-area OFF triangle": ([*BEM, "{d}/collinear.off"], 4, "degenerate triangle 1"),

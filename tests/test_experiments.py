@@ -15,6 +15,7 @@ from solvbie.experiments import (
     METHOD_P,
     ROW_COLUMNS,
     SUMMARY_COLUMNS,
+    _draw,
     report_to_json,
     rows_to_csv,
 )
@@ -76,6 +77,24 @@ class TestSampling:
         q = rng_check.uniform(-0.5, 0.5, 6)
         np.testing.assert_array_equal(direct.positions, dirs * r[:, None])
         np.testing.assert_array_equal(direct.magnitudes, q)
+
+    @pytest.mark.parametrize("charges", [1, 25, 200])
+    def test_chunk_draw_equals_one_set_draws(self, charges):
+        # The chunk draw gives each configuration the bits of a draw of it alone.
+        cfg = small_config(num_configs=9, charges_per_config=charges)
+        indices = range(2, 9)
+        pos, q = _draw(cfg.seed, indices, cfg)
+        assert pos.shape == (len(indices), charges, 3) and q.shape == (len(indices), charges)
+        for c, index in enumerate(indices):
+            rng = np.random.default_rng([cfg.seed, index])
+            dirs = rng.standard_normal((charges, 3))
+            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+            r = 0.95 * 5.0 * rng.random(charges) ** (1.0 / 3.0)
+            np.testing.assert_array_equal(pos[c], dirs * r[:, None])
+            np.testing.assert_array_equal(q[c], rng.uniform(-0.5, 0.5, charges))
+            d = sv.random_sphere_config(cfg.seed, index, cfg)
+            np.testing.assert_array_equal(d.positions, pos[c])
+            np.testing.assert_array_equal(d.magnitudes, q[c])
 
     def test_placement_stays_inside_margin(self):
         cfg = small_config(num_configs=50, charges_per_config=25)
@@ -192,6 +211,17 @@ class TestSweep:
             single = sv.run_comparison(cfg, [(METHOD_M, s["lambda"])])
             assert repr(s) == repr(summary_for(single, METHOD_M))
 
+    def test_default_grid_flags_its_edge(self):
+        # With seed 7 the optimum lies near -0.08, outside the default grid.
+        out = sv.lambda_sweep(sv.ExperimentConfig(seed=7))
+        assert out["best_lambda"] == -0.10
+        assert out["best_at_grid_edge"] is True
+
+    def test_bracketing_grid_not_flagged(self):
+        out = sv.lambda_sweep(sv.ExperimentConfig(seed=7, lambda_grid=(-0.12, -0.10, -0.08, -0.06)))
+        assert out["best_lambda"] == -0.08
+        assert out["best_at_grid_edge"] is False
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             sv.lambda_sweep(small_config(lambda_grid=()))
@@ -240,4 +270,6 @@ class TestChunks:
             for res in sv.sphere_energies(d, cfg.sphere, cfg.methods, lams):
                 row = next(rows)
                 assert row["index"] == index
-                assert row["energy_kcal_mol"] == pytest.approx(res.value, rel=1e-14, abs=0)
+                assert row["energy_kcal_mol"] == res.value
+                assert row["truncation_estimate"] == res.truncation_error_estimate
+                assert row["net_charge"] == sv.net_charge(d)

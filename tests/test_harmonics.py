@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 import solvbie as sv
-from conftest import eval_interior_potential, rotate_about_z
+from conftest import chunk_of, eval_interior_potential, rotate_about_z
 from solvbie.errors import DomainError
 from solvbie.harmonics import KIND_REACTION, MultipoleCoefficients, eval_interior_potential_many
 
@@ -216,13 +216,13 @@ def test_origin_sees_only_b00():
 def test_tail_estimate_zero_at_origin():
     d = sv.make_distribution([[0, 0, 0]], [1.0])
     for n_max in (0, 5, 25):
-        assert sv.truncation_tail_estimate(d, 5.0, n_max) == 0.0
+        assert sv.truncation_tail_estimate(*chunk_of([d]), 5.0, n_max).tolist() == [0.0]
 
 
 def test_tail_estimate_geometric_factor():
     d = sv.make_distribution([[0, 0, 2.5]], [1.0])  # t = 0.25
-    e10 = sv.truncation_tail_estimate(d, 5.0, 10)
-    e11 = sv.truncation_tail_estimate(d, 5.0, 11)
+    (e10,) = sv.truncation_tail_estimate(*chunk_of([d]), 5.0, 10)
+    (e11,) = sv.truncation_tail_estimate(*chunk_of([d]), 5.0, 11)
     assert e11 == pytest.approx(0.25 * e10, rel=1e-13)
 
 
@@ -234,12 +234,12 @@ def test_tail_estimate_bounds_observed_truncation():
     e25 = sv.kirkwood_energy(d, sv.SphereModel(5.0, eps, 25)).value
     e60 = sv.kirkwood_energy(d, sv.SphereModel(5.0, eps, 60)).value
     observed = abs(e25 - e60)
-    estimate = sv.truncation_tail_estimate(d, 5.0, 25)
+    (estimate,) = sv.truncation_tail_estimate(*chunk_of([d]), 5.0, 25)
     assert estimate >= observed
-    assert sv.truncation_tail_estimate(d, 5.0, 30) < estimate
+    assert sv.truncation_tail_estimate(*chunk_of([d]), 5.0, 30)[0] < estimate
 
 
 def test_tail_estimate_outside_domain():
     d = sv.make_distribution([[0, 0, 6.0]], [1.0])
     with pytest.raises(DomainError):
-        sv.truncation_tail_estimate(d, 5.0, 25)
+        sv.truncation_tail_estimate(*chunk_of([d]), 5.0, 25)

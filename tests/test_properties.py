@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import solvbie as sv
-from solvbie.harmonics import _stack
+from conftest import chunk_of
 from solvbie.model import COULOMB_KCAL
 from solvbie.sphere import PAIR_CROSSOVER, ensemble_energies
 
@@ -43,7 +43,7 @@ def charge_sets(max_size, rows=charge, min_size=1):
 
 def spectrum_scale(dists, n_max):
     """sum_ij |q_i q_j| (r_i r_j)^n per set and mode: S_n bounds and rounding are relative to it."""
-    pos, q = _stack(dists)
+    pos, q = chunk_of(dists)
     powers = np.linalg.norm(pos, axis=-1)[:, None, :] ** np.arange(n_max + 1)[:, None]
     return np.sum(np.abs(q)[:, None, :] * powers, axis=-1) ** 2
 
@@ -56,7 +56,7 @@ def energy_scale(dist) -> float:
 
 def energies(dist, n_max=25):
     model = sv.SphereModel(RADIUS, EPS_BIO, n_max)
-    return np.array([r.value for r in ensemble_energies([dist], model, METHODS, -0.15)[0]])
+    return ensemble_energies(*chunk_of([dist]), model, METHODS, -0.15)[0][0]
 
 
 AXIS_AND_ORIGIN = [sv.make_distribution([[0.0, 0.0, 2.5], [0.0, 0.0, 0.0], [1.0, -2.0, 0.5]],
@@ -68,22 +68,22 @@ AXIS_AND_ORIGIN = [sv.make_distribution([[0.0, 0.0, 2.5], [0.0, 0.0, 0.0], [1.0,
 @example((0, AXIS_AND_ORIGIN))
 @example((1, AXIS_AND_ORIGIN))
 def test_solid_spectrum_equals_pair_spectrum(case):
+    # Each set of a different size is its own chunk.
     n_max, dists = case
-    solid = sv.solid_spectrum(dists, n_max)
-    pairs = sv.pair_spectrum(dists, n_max)
-    assert solid.shape == pairs.shape == (len(dists), n_max + 1)
-    assert np.all(np.abs(solid - pairs) <= 1e-12 * spectrum_scale(dists, n_max))
+    for dist in dists:
+        solid = sv.solid_spectrum(*chunk_of([dist]), n_max)
+        pairs = sv.pair_spectrum(*chunk_of([dist]), n_max)
+        assert solid.shape == pairs.shape == (1, n_max + 1)
+        assert np.all(np.abs(solid - pairs) <= 1e-12 * spectrum_scale([dist], n_max))
 
 
 @given(st.integers(0, 20), st.integers(1, 40).flatmap(lambda size: st.lists(
     charge_sets(size, special_charge, min_size=size), min_size=7, max_size=7)))
 @settings(max_examples=25)
 def test_solid_spectrum_of_a_set_does_not_depend_on_its_chunk(n_max, dists):
-    # Sets of one size, as ``experiment`` and ``sweep`` score them; zero
-    # charges padding a smaller set change the matrix products' last bits.
-    chunk = sv.solid_spectrum(dists, n_max)
+    chunk = sv.solid_spectrum(*chunk_of(dists), n_max)
     for dist, row in zip(dists, chunk):
-        assert np.array_equal(sv.solid_spectrum(dist, n_max), row)
+        assert np.array_equal(sv.solid_spectrum(*chunk_of([dist]), n_max)[0], row)
 
 
 @given(charge_sets(MAX_CHARGES), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import solvbie as sv
-from conftest import (gb_epsilon_energy, gb_still_energy, mode_ratio, random_ball_distribution,
-                      still_inverse_reference)
+from conftest import (chunk_of, gb_epsilon_energy, gb_still_energy, mode_ratio,
+                      random_ball_distribution, still_inverse_reference)
 from solvbie import sphere
 from solvbie.errors import DomainError
 from solvbie.harmonics import KIND_SOURCE, MultipoleCoefficients, eval_interior_potential_many
@@ -279,7 +279,7 @@ class TestModeSpectrum:
                 rr = np.outer(r, r)
                 cos_g = np.clip(np.divide(pos @ pos.T, rr, out=np.ones_like(rr), where=rr > 0),
                                 -1.0, 1.0)
-                spectrum = sv.solid_spectrum(d, m.n_max)
+                (spectrum,) = sv.solid_spectrum(*chunk_of([d]), m.n_max)
                 assert np.all(spectrum >= 0.0)
                 for n in range(m.n_max + 1):
                     p_n = np.polynomial.legendre.legval(cos_g, np.eye(n + 1)[n])
@@ -315,42 +315,42 @@ class TestModeSpectrum:
 
 class TestEnsembleEngine:
     def test_chunk_matches_one_set_calls(self):
-        # Sets of different sizes share one stack, padded with zero charges.
-        dists = [random_ball_distribution(41, i, count=c) for i, c in enumerate((3, 12, 7, 1))]
+        # Each set size is its own chunk: a set's energies and truncation
+        # estimate are those of a one-set call, bit for bit.
         model = sv.SphereModel(5.0, EPS_BIO, 25)
-        got = sphere.ensemble_energies(dists, model, sphere.SPHERE_METHODS, -0.15)
-        assert len(got) == len(dists)
-        for d, results in zip(dists, got):
-            want = sv.sphere_energies(d, model, sphere.SPHERE_METHODS, -0.15)
-            assert [r.method for r in results] == [r.method for r in want]
-            for a, b in zip(results, want):
-                assert a.value == pytest.approx(b.value, rel=1e-14, abs=0), a.method
-                if b.truncation_error_estimate is None:
-                    assert a.truncation_error_estimate is None
-                else:
-                    assert a.truncation_error_estimate == pytest.approx(
-                        b.truncation_error_estimate, rel=1e-14, abs=0)
+        methods = sphere.SPHERE_METHODS
+        for size in (3, 12, 7, 1):
+            dists = [random_ball_distribution(41, i, count=size) for i in range(3)]
+            energies, tails = sphere.ensemble_energies(*chunk_of(dists), model, methods, -0.15)
+            assert energies.shape == (len(dists), len(methods)) and tails.shape == (len(dists),)
+            for d, row, tail in zip(dists, energies.tolist(), tails.tolist()):
+                want = sv.sphere_energies(d, model, methods, -0.15)
+                assert row == [r.value for r in want]
+                assert [r.truncation_error_estimate for r in want] == [
+                    None if m in sphere.GB_METHODS else tail for m in methods]
 
     def test_charge_at_origin_only_in_monopole(self):
-        origin = sv.make_distribution([[0, 0, 0]], [0.7])
-        dists = [random_ball_distribution(42, 0, count=5), origin]
-        spectra = sv.solid_spectrum(dists, 10)
+        # One-charge sets at the origin, scored as a chunk of their own size.
+        dists = [sv.make_distribution([[0, 0, 0]], [q]) for q in (0.7, -0.3)]
+        spectra = sv.solid_spectrum(*chunk_of(dists), 10)
         assert spectra.shape == (2, 11)
-        assert spectra[1, 0] == pytest.approx(0.49, rel=1e-15)
-        assert np.all(spectra[1, 1:] == 0.0)
+        assert spectra[:, 0] == pytest.approx([0.49, 0.09], rel=1e-15)
+        assert np.all(spectra[:, 1:] == 0.0)
         model = sv.SphereModel(5.0, EPS_WATER, 10)
-        for res in sphere.ensemble_energies(dists, model, ["kirkwood", "cfa"])[1]:
-            assert res.value == pytest.approx(born_energy(0.7, 5.0, 1.0, 80.0), rel=1e-12)
+        energies, _ = sphere.ensemble_energies(*chunk_of(dists), model, ["kirkwood", "cfa"])
+        for q, row in zip((0.7, -0.3), energies):
+            assert row == pytest.approx([born_energy(q, 5.0, 1.0, 80.0)] * 2, rel=1e-12)
 
     def test_first_set_past_the_margin_reported(self):
         model = sv.SphereModel(5.0, EPS_BIO, 25)
-        ok = random_ball_distribution(43, 0, count=4)
+        ok = random_ball_distribution(43, 0, count=2)
         near = [sv.make_distribution([[0, 0, z], [0.1, 0.2, 0.3]], [1.0, -1.0])
                 for z in (4.9975, 4.9999)]
         with pytest.raises(DomainError) as want:
             sv.sphere_energies(near[0], model, ["kirkwood"])
         with pytest.raises(DomainError) as got:
-            sphere.ensemble_energies([ok, near[0], ok, near[1]], model, ["kirkwood", "gb"])
+            sphere.ensemble_energies(*chunk_of([ok, near[0], ok, near[1]]), model,
+                                     ["kirkwood", "gb"])
         assert str(got.value) == str(want.value)
         assert "|r| = 4.9975 too close to the boundary" in str(got.value)
 
@@ -364,13 +364,13 @@ class TestEnsembleEngine:
         p_n = 2 * (e1 - e2) * (n + 1) / (e1 * (e1 + e2) * (2 * n + 1) * b ** (2 * n + 1))
         factors = {"kirkwood": kirkwood_factors(e1, e2, b, n_max),
                    "cfa": p_n / (1 - EPS_BIO.eps_hat / 2), "p": p_n}
-        got = sphere.ensemble_energies(dists, model, list(factors))
-        for d, results in zip(dists, got):
+        got, _ = sphere.ensemble_energies(*chunk_of(dists), model, list(factors))
+        for d, row in zip(dists, got):
             q, pos = d.magnitudes, d.positions
             spectrum = np.array([q.sum() ** 2, np.sum((q @ pos) ** 2)])[:n_max + 1]
-            for res, f in zip(results, factors.values()):
-                assert res.value == pytest.approx(0.5 * COULOMB_KCAL * f @ spectrum, rel=1e-13)
-            assert results[0].value == pytest.approx(
+            for value, f in zip(row, factors.values()):
+                assert value == pytest.approx(0.5 * COULOMB_KCAL * f @ spectrum, rel=1e-13)
+            assert row[0] == pytest.approx(
                 sv.pairwise_kirkwood_energy(d, model), rel=1e-13)
 
 class TestSeparability:
@@ -470,7 +470,8 @@ class TestGeneralizedBorn:
         assert [got[0].value, got[2].value] == [r.value for r in want]
         assert [got[0].method, got[2].method] == ["GB", "GBeps"]
         # One kernel call per chunk, not per set.
-        sphere.ensemble_energies([d, random_ball_distribution(18, 3, count=12)], m, ["gbeps", "gb"])
+        sphere.ensemble_energies(*chunk_of([d, random_ball_distribution(18, 3, count=12)]), m,
+                                 ["gbeps", "gb"])
         assert len(calls) == 2 and calls[1][0].shape == (2, 12, 3)
 
     @pytest.mark.parametrize("case", ["random", "coincident_and_origin"])
@@ -502,10 +503,10 @@ class TestGeneralizedBorn:
     def test_gb_energies_independent_of_chunk(self):
         dists = [random_ball_distribution(18, 10 + i, count=20) for i in range(7)]
         m = sv.SphereModel(5.0, EPS_BIO, 10)
-        whole = sphere.ensemble_energies(dists, m, ["gb", "gbeps"])
-        for d, results in zip(dists, whole):
+        whole, _ = sphere.ensemble_energies(*chunk_of(dists), m, ["gb", "gbeps"])
+        for d, row in zip(dists, whole.tolist()):
             alone = sv.sphere_energies(d, m, ["gb", "gbeps"])
-            assert [r.value for r in results] == [r.value for r in alone]
+            assert row == [r.value for r in alone]
 
     def test_still_kernel_memory(self):
         q = 1000
