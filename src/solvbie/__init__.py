@@ -36,13 +36,10 @@ from .harmonics import (
 )
 from .sphere import (
     BibeeVariant,
-    GBParameters,
     kirkwood_energy,
-    pair_interaction_kirkwood,
     pairwise_kirkwood_energy,
     reaction_coefficients,
     sphere_energies,
-    sphere_gb_parameters,
 )
 from .mesh import PanelSurface, icosphere, load_mesh, load_msms, load_off, write_off
 from .bem import (

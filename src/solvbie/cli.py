@@ -267,9 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     def charges(p):
-        p.add_argument("--pqr", default=None, help="PQR file with point charges")
-        p.add_argument("--charge", action="append", default=None,
-                       metavar="X,Y,Z,Q", help="inline charge (repeatable)")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--pqr", default=None, help="PQR file with point charges")
+        group.add_argument("--charge", action="append", default=None,
+                           metavar="X,Y,Z,Q", help="inline charge (repeatable)")
 
     p_sphere = sub.add_parser("sphere", help="analytic sphere solvers")
     common(p_sphere)

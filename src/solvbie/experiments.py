@@ -25,9 +25,9 @@ from .sphere import (
     LAMBDA_VARIANTS,
     METHOD_KIRKWOOD,
     SPHERE_METHODS as KNOWN_METHODS,
-    VARIANT_CFA as METHOD_CFA,
-    VARIANT_M as METHOD_M,
-    VARIANT_P as METHOD_P,
+    VARIANT_CFA,
+    VARIANT_M,
+    VARIANT_P,
     chunk_length,
     ensemble_energies,
 )
@@ -48,7 +48,7 @@ class ExperimentConfig:
     eps_in: float = 4.0
     eps_out: float = 80.0
     n_max: int = 25
-    methods: tuple[str, ...] = (METHOD_KIRKWOOD, METHOD_CFA, METHOD_P, METHOD_M)
+    methods: tuple[str, ...] = (METHOD_KIRKWOOD, VARIANT_CFA, VARIANT_P, VARIANT_M)
     lambda_value: float = 0.0
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
 
@@ -69,6 +69,8 @@ class ExperimentConfig:
             raise DomainError(f"placement margin must lie in (0, 1), got {self.placement_margin}")
         if self.num_configs <= 0 or self.charges_per_config <= 0:
             raise DomainError("configuration counts must be positive")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise DomainError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
@@ -139,7 +141,11 @@ def run_comparison(
         raise DomainError("no methods requested")
     names, lams = zip((METHOD_KIRKWOOD, None), *methods)
     rows = []
-    energies = np.empty((cfg.num_configs, len(names)))
+    try:
+        energies = np.empty((cfg.num_configs, len(names)))
+    except MemoryError:
+        raise DomainError(f"energies of {cfg.num_configs} configurations and {len(names)} "
+                          f"methods need {8 * cfg.num_configs * len(names)} bytes") from None
     step = chunk_length(cfg.n_max, cfg.charges_per_config)
     for start in range(0, cfg.num_configs, step):
         indices = range(start, min(start + step, cfg.num_configs))
@@ -176,7 +182,7 @@ def lambda_sweep(cfg: ExperimentConfig) -> dict:
     of spectra.  Ties in mean deviation are broken toward smaller |lambda|.
     ``best_at_grid_edge`` is whether the best lambda is an end of the grid.
     """
-    report = run_comparison(cfg, [(METHOD_M, lam) for lam in dict.fromkeys(cfg.lambda_grid)])
+    report = run_comparison(cfg, [(VARIANT_M, lam) for lam in dict.fromkeys(cfg.lambda_grid)])
     best = min(report.summaries, key=lambda s: (s["mean_dev_pct"], abs(s["lambda"])))
     return {"summaries": list(report.summaries), "best_lambda": best["lambda"],
             "best_at_grid_edge": best["lambda"] in (min(cfg.lambda_grid), max(cfg.lambda_grid))}

@@ -290,4 +290,6 @@ def truncation_tail_estimate(pos: np.ndarray, q: np.ndarray, b: float, n_max: in
         raise DomainError(f"charge at |r| = {float(rmax[bad[0]])} not strictly inside b = {b}")
     t = (rmax / b) ** 2
     gross = np.sum(np.abs(q), axis=-1)
-    return COULOMB_KCAL * gross * gross / b * t ** (n_max + 1) / (1.0 - t)
+    # Charges past sqrt of the float range give an infinite bound, not a warning.
+    with np.errstate(over="ignore"):
+        return COULOMB_KCAL * gross * gross / b * t ** (n_max + 1) / (1.0 - t)

@@ -86,8 +86,10 @@ _VARIANTS = {
 VARIANT_TAGS = tuple(_VARIANTS)
 #: Variants whose eigenvalue is the caller's lambda.
 LAMBDA_VARIANTS = tuple(tag for tag, (_, fixed) in _VARIANTS.items() if fixed is None)
+#: Each Generalized Born method's alpha: GB is the alpha = 0 case of GBeps.
+GB_ALPHAS = {"gb": 0.0, "gbeps": 0.57}
 #: The Generalized Born methods, scored from one Still kernel per chunk.
-GB_METHODS = ("gb", "gbeps")
+GB_METHODS = tuple(GB_ALPHAS)
 #: Every sphere method name accepted by ``sphere_energies``.
 SPHERE_METHODS = (METHOD_KIRKWOOD, *VARIANT_TAGS, *GB_METHODS)
 
@@ -140,28 +142,6 @@ class BibeeVariant:
 
     def method_name(self) -> str:
         return _VARIANTS[self.tag][0].format(self.lam)
-
-
-@dataclass(frozen=True, eq=False)
-class GBParameters:
-    """Generalized-Born parameters: electrostatic radius, read-only effective radii, alpha."""
-
-    electrostatic_radius: float
-    effective_radii: np.ndarray
-    alpha: float = 0.57
-
-    def __post_init__(self):
-        a = self.electrostatic_radius
-        if not a > 0:
-            raise DomainError(f"electrostatic radius must be positive, got {a}")
-        radii = np.array(self.effective_radii, dtype=float).ravel()
-        bad = np.nonzero(~((radii > 0) & (radii <= a * (1 + 1e-12))))[0]
-        if bad.size:
-            raise DomainError(f"effective radius {radii[bad[0]]} outside (0, {a}]")
-        radii.setflags(write=False)
-        object.__setattr__(self, "effective_radii", radii)
-        if not (0.0 <= self.alpha <= 1.0):
-            raise DomainError(f"alpha must lie in [0, 1], got {self.alpha}")
 
 
 def _diagonal_solve(values, eps: DielectricPair, lams):
@@ -265,10 +245,10 @@ def ensemble_energies(pos: np.ndarray, q: np.ndarray, model: SphereModel, method
         # on the chunk it is scored in, as a GEMM's blocking would.
         energies[:, series] = 0.5 * COULOMB_KCAL * np.sum(spectra[:, None, :] * factors, axis=-1)
         if gb:
-            # R_i = b - r_i^2/b, formed as in ``sphere_gb_parameters``.
+            # The sphere's GB geometry: A = b and R_i = b - r_i^2/b.
             b, r = model.radius, np.linalg.norm(pos, axis=-1)
-            energies[:, gb] = _gb_energies(pos, q, b - r * r / b, b, GBParameters.alpha,
-                                           model.dielectrics, [methods[i] for i in gb])
+            energies[:, gb] = _gb_energies(pos, q, b - r * r / b, b,
+                                           [GB_ALPHAS[methods[i]] for i in gb], model.dielectrics)
     # The first non-finite energy, series methods first, one method at a time.
     bad_methods, bad_sets = np.nonzero(~np.isfinite(energies[:, series + gb].T))
     if bad_methods.size:
@@ -291,7 +271,7 @@ def sphere_energies(
     (values,), (tail,) = energies.tolist(), tails.tolist()
     return [EnergyResult(value=value, method=label,
                          truncation_error_estimate=None if method in GB_METHODS else tail,
-                         metadata={"alpha": str(GBParameters.alpha)} if method == "gbeps" else {})
+                         metadata={"alpha": str(GB_ALPHAS[method])} if method == "gbeps" else {})
             for value, method, label in zip(values, methods, _labels(methods, lam))]
 
 
@@ -303,58 +283,35 @@ def kirkwood_energy(dist: ChargeDistribution, model: SphereModel) -> EnergyResul
     return sphere_energies(dist, model, (METHOD_KIRKWOOD,))[0]
 
 
-def pair_interaction_kirkwood(i_pos, i_q, j_pos, j_q, model: SphereModel) -> float:
-    """Reaction-field interaction energy of an ordered charge pair, kcal/mol.
+def pairwise_kirkwood_energy(dist: ChargeDistribution, model: SphereModel) -> float:
+    """Exact series energy summed over all ordered charge pairs, kcal/mol.
 
-    dG_ij = -k_e q_i q_j (1 - eps1/eps2) / (A eps1)
-            * sum_l t^l P_l(cos gamma) / (1 + (l/(l+1)) eps1/eps2)
+    E = -(k_e/2) (1 - beta)/(A eps1) sum_ij q_i q_j
+        * sum_l t_ij^l P_l(cos gamma_ij) / (1 + l beta/(l+1)),
 
-    with t = |r_i||r_j|/A^2.  Summing (1/2) dG_ij over all ordered pairs
-    (including i = j self terms) reproduces the full Kirkwood energy.
+    with t_ij = |r_i||r_j|/A^2 and beta = eps1/eps2, self terms i = j
+    included.  A reference independent of the mode spectra and factors: one
+    Legendre recurrence in cos gamma over the Q x Q pairs.  Kept because
+    ``perfbench/selftest.py`` imports it.
     """
     e1, e2 = model.dielectrics.eps_in, model.dielectrics.eps_out
-    a = model.radius
-    ri = np.asarray(i_pos, dtype=float)
-    rj = np.asarray(j_pos, dtype=float)
-    rin, rjn = float(np.linalg.norm(ri)), float(np.linalg.norm(rj))
-    t = rin * rjn / (a * a)
-    if t >= 1.0:
-        raise DomainError(f"pair separation parameter t = {t} >= 1")
-    if t == 0.0:
-        cos_gamma = 1.0  # angle irrelevant: only l = 0 survives
-    else:
-        cos_gamma = float(np.dot(ri, rj) / (rin * rjn)) if rin > 0 and rjn > 0 else 1.0
-        cos_gamma = min(1.0, max(-1.0, cos_gamma))
+    a, pos = model.radius, dist.positions
+    r = np.linalg.norm(pos, axis=1)
+    rr = np.outer(r, r)
+    t = rr / (a * a)
+    if np.any(t >= 1.0):
+        raise DomainError(f"pair separation parameter t = {float(np.max(t))} >= 1")
+    # The angle of a pair with a charge at the origin is irrelevant: only l = 0 survives.
+    cos_gamma = np.divide(pos @ pos.T, rr, out=np.ones_like(rr), where=rr > 0)
+    np.clip(cos_gamma, -1.0, 1.0, out=cos_gamma)
     beta = e1 / e2
-    ls = np.arange(model.n_max + 1, dtype=float)
-    # Legendre polynomials P_l(cos_gamma) by upward recurrence.
-    pl = np.empty(model.n_max + 1)
-    pl[0] = 1.0
-    if model.n_max >= 1:
-        pl[1] = cos_gamma
-        for l in range(2, model.n_max + 1):
-            pl[l] = ((2 * l - 1) * cos_gamma * pl[l - 1] - (l - 1) * pl[l - 2]) / l
-    series = float(np.sum(t ** ls * pl / (1.0 + ls / (ls + 1.0) * beta)))
-    return -COULOMB_KCAL * i_q * j_q * (1.0 - beta) / (a * e1) * series
-
-
-def pairwise_kirkwood_energy(dist: ChargeDistribution, model: SphereModel) -> float:
-    """Total energy assembled from the pairwise series, kcal/mol."""
-    pos = dist.positions
+    series = np.ones_like(t)  # the l = 0 term
+    p_prev, p = series, cos_gamma  # P_{l-1}, P_l by upward recurrence
+    for l in range(1, model.n_max + 1):
+        series = series + t ** l * p / (1.0 + l / (l + 1.0) * beta)
+        p_prev, p = p, ((2 * l + 1) * cos_gamma * p - l * p_prev) / (l + 1)
     q = dist.magnitudes
-    total = 0.0
-    for i in range(len(q)):
-        for j in range(len(q)):
-            total += 0.5 * pair_interaction_kirkwood(pos[i], q[i], pos[j], q[j], model)
-    return total
-
-
-def sphere_gb_parameters(dist: ChargeDistribution, model: SphereModel) -> GBParameters:
-    """Sphere-analytic GB parameters: A = b, R_i = b - r_i^2/b, alpha = 0.57."""
-    _check_interior(dist.positions[None], model)
-    b = model.radius
-    r = np.linalg.norm(dist.positions, axis=1)
-    return GBParameters(electrostatic_radius=b, effective_radii=b - r * r / b)
+    return -0.5 * COULOMB_KCAL * (1.0 - beta) / (a * e1) * float(q @ series @ q)
 
 
 def _inverse_still(pos: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -390,16 +347,17 @@ def _inverse_still(pos: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return np.reciprocal(inv_f, out=inv_f)
 
 
-def _gb_energies(pos, q, radii, a: float, alpha: float, eps: DielectricPair, methods) -> np.ndarray:
-    """GB (alpha = 0) or GBeps energies (C, methods) of each charge set of a chunk.
+def _gb_energies(pos, q, radii, a: float, alphas, eps: DielectricPair) -> np.ndarray:
+    """GBeps energies (C, alphas) of each charge set of a chunk, one column per alpha.
 
     pref(alpha) (s + (alpha eps1/eps2) / A (sum q)^2), A = ``a``, from the pair
-    sums s = q^T (1/F) q of one ``_inverse_still`` of the effective radii (C, Q).
+    sums s = q^T (1/F) q of one ``_inverse_still`` of the effective radii (C, Q);
+    alpha = 0 is GB.
     """
     # Batched matrix products, so a set's sum does not depend on C.
     pair = (q[:, None, :] @ _inverse_still(pos, radii) @ q[:, :, None])[:, 0, 0]
     net2 = np.sum(q, axis=-1) ** 2
     beta = eps.eps_in / eps.eps_out
-    alphas = np.array([0.0 if method == "gb" else alpha for method in methods])
+    alphas = np.asarray(alphas, dtype=float)
     pref = -0.5 * COULOMB_KCAL * (1.0 / eps.eps_in - 1.0 / eps.eps_out) / (1.0 + alphas * beta)
     return pref * (pair[:, None] + alphas * beta / a * net2[:, None])

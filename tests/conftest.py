@@ -75,25 +75,22 @@ def mode_ratio(variant, n: int) -> float:
     return (n + 1) / ((n + 0.5) * (1.0 - 2.0 * variant.lambdas(n)[n]))
 
 
-def gb_still_energy(dist, params, eps):
-    """Generalized-Born energy via the Still equation, kcal/mol: GBeps at alpha = 0.
+def sphere_gb_radii(dist, b):
+    """Sphere-analytic effective radii R_i = b - r_i^2/b of Generalized Born."""
+    r = np.linalg.norm(dist.positions, axis=1)
+    return b - r * r / b
 
-    dG = -(k_e/2) (1/eps1 - 1/eps2) sum_ij q_i q_j / f_ij, double sum over
-    all ordered pairs including the diagonal (f_ii = R_i).
+
+def gb_energy(dist, radii, a, alpha, eps):
+    """GBeps energy of one charge set, kcal/mol, from explicit radii, A and alpha.
+
+    pref(alpha) (s + alpha (eps1/eps2) / A (sum q)^2), s = sum_ij q_i q_j / f_ij
+    over all ordered pairs including the diagonal (f_ii = R_i); alpha = 0 is
+    the Still form of GB.
     """
-    (value,), = _gb_energies(*chunk_of([dist]), params.effective_radii[None],
-                             params.electrostatic_radius, params.alpha, eps, ["gb"])
-    return sv.EnergyResult(value=float(value), method="GB")
-
-
-def gb_epsilon_energy(dist, params, eps):
-    """GB energy with the dielectric-dependent alpha correction, kcal/mol.
-
-    Collapses to the Still form when alpha = 0 or eps1/eps2 -> 0.
-    """
-    (value,), = _gb_energies(*chunk_of([dist]), params.effective_radii[None],
-                             params.electrostatic_radius, params.alpha, eps, ["gbeps"])
-    return sv.EnergyResult(value=float(value), method="GBeps")
+    (value,), = _gb_energies(*chunk_of([dist]), np.asarray(radii, dtype=float)[None], a,
+                             [alpha], eps)
+    return float(value)
 
 
 def still_inverse_reference(dist, radii):

@@ -9,8 +9,8 @@ import time
 import numpy as np
 
 import solvbie as sv
-from conftest import (dstar_spectrum_estimates, gb_epsilon_energy, gb_still_energy,
-                      random_ball_distribution)
+from conftest import (dstar_spectrum_estimates, gb_energy, random_ball_distribution,
+                      sphere_gb_radii)
 from solvbie.experiments import ROW_COLUMNS, rows_to_csv
 from solvbie.harmonics import KIND_SOURCE, MultipoleCoefficients
 from solvbie.mesh import build_surface
@@ -52,15 +52,15 @@ def test_02_equal_dielectric_identity(mesh_320):
     d = random_ball_distribution(201, 0)
     eps = sv.DielectricPair(7.5, 7.5)
     model = sv.SphereModel(5.0, eps, 25)
-    params = sv.sphere_gb_parameters(d, model)
+    radii = sphere_gb_radii(d, 5.0)
     values = [
         sv.kirkwood_energy(d, model).value,
         sv.sphere_energies(d, model, ["cfa"])[0].value,
         sv.sphere_energies(d, model, ["p"])[0].value,
         sv.sphere_energies(d, model, ["lambda"], -0.2)[0].value,
         sv.sphere_energies(d, model, ["m"], 0.0)[0].value,
-        gb_still_energy(d, params, eps).value,
-        gb_epsilon_energy(d, params, eps).value,
+        gb_energy(d, radii, 5.0, 0.0, eps),
+        gb_energy(d, radii, 5.0, 0.57, eps),
         float(np.max(np.abs(sv.coulomb_field_rhs(d, mesh_320, eps).values))),
     ]
     _report("equal interior/exterior dielectric gives exactly zero",
@@ -201,11 +201,9 @@ def test_10_gb_epsilon_alpha_optimality():
     for index in range(100):
         d = random_ball_distribution(77, index, count=2)
         exact = sv.pairwise_kirkwood_energy(d, model)
-        base = sv.sphere_gb_parameters(d, model)
+        radii = sphere_gb_radii(d, 5.0)
         for alpha in errors:
-            params = sv.GBParameters(base.electrostatic_radius,
-                                     base.effective_radii, alpha=alpha)
-            approx = gb_epsilon_energy(d, params, EPS_WATER).value
+            approx = gb_energy(d, radii, 5.0, alpha, EPS_WATER)
             errors[alpha].append(abs(approx - exact) / abs(exact))
     means = {a: float(np.mean(v)) for a, v in errors.items()}
     elapsed = time.time() - start

@@ -13,6 +13,7 @@ import pytest
 import solvbie
 import solvbie.bem
 import solvbie.cli
+import solvbie.experiments
 import solvbie.harmonics
 import solvbie.sphere
 
@@ -28,7 +29,8 @@ BENCHMARK_NAMES = [
 
 REMOVED = ["bibee_energy", "kirkwood_reaction_coefficients", "bibee_reaction_coefficients",
            "assoc_legendre", "legendre_table", "mode_spectrum", "ConsistencyError", "IMAG_TOL",
-           "_factorial_ratio"]
+           "_factorial_ratio", "GBParameters", "sphere_gb_parameters", "pair_interaction_kirkwood",
+           "METHOD_CFA", "METHOD_P", "METHOD_M"]
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
@@ -44,7 +46,7 @@ def test_sphere_reexports_source_moments():
 
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_gone(name):
-    for module in (solvbie, solvbie.sphere, solvbie.harmonics):
+    for module in (solvbie, solvbie.sphere, solvbie.harmonics, solvbie.experiments):
         assert not hasattr(module, name)
 
 

@@ -31,6 +31,25 @@ def test_unknown_subcommand():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["sphere", "--radius", "5"], ["bem", "--mesh", "one.off"]])
+def test_pqr_and_inline_charge_exclusive(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--pqr", "one.pqr", "--charge", "0,0,3,-2"])
+    assert exc.value.code == 2
+    assert "argument --charge: not allowed with argument --pqr" in capsys.readouterr().err
+
+
+def test_infeasible_ensemble_exit_4(tmp_path, monkeypatch, capsys):
+    # 10^12 configurations of five energies: 36.4 TiB, refused without allocating.
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "empty", refuse)
+    argv = ["experiment", "--seed", "1", "--num-configs", "1000000000000"]
+    assert run(argv, tmp_path, monkeypatch) == 4
+    assert "need 40000000000000 bytes" in capsys.readouterr().err
+
+
 def test_sphere_inline_born(tmp_path, monkeypatch, capsys):
     code = run(["sphere", "--radius", "5", "--charge", "0,0,0,1",
                 "--methods", "kirkwood"], tmp_path, monkeypatch)
@@ -511,6 +530,7 @@ def test_experiment_unknown_config_key_exit_4(tmp_path, monkeypatch):
     ("lambda_grid", [], 4),
     ("lambda_grid", [-0.1, -0.6], 4),
     ("lambda_grid", [0.1], 4),
+    ("seed", -1, 4),
 ])
 def test_experiment_bad_sphere_config(key, value, code, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
@@ -716,6 +736,8 @@ EXIT_CASES = {
                                         "non-finite energy -inf for method GBeps"),
     "unknown config key": (["experiment", "--config", "{d}/unknown_key.json"], 4,
                            "unknown config keys: ['wibble']"),
+    "negative experiment seed": (["experiment", "--seed", "-1"], 4, "seed must be >= 0, got -1"),
+    "negative sweep seed": (["sweep", "--seed", "-3"], 4, "seed must be >= 0, got -3"),
     "zero-area OFF triangle": ([*BEM, "{d}/collinear.off"], 4, "degenerate triangle 1"),
     "charge outside the mesh": (["bem", "--charge", "5,5,5,1", "--mesh", "{d}/tet.off"], 4,
                                 "is not inside the surface"),

@@ -9,21 +9,19 @@ from conftest import summary_for
 from solvbie import sphere
 from solvbie.errors import DomainError
 from solvbie.experiments import (
-    METHOD_CFA,
     METHOD_KIRKWOOD,
-    METHOD_M,
-    METHOD_P,
     ROW_COLUMNS,
     SUMMARY_COLUMNS,
     _draw,
     report_to_json,
     rows_to_csv,
 )
+from solvbie.sphere import VARIANT_CFA, VARIANT_M, VARIANT_P
 
 
 def small_config(**overrides):
     base = dict(seed=101, num_configs=3, charges_per_config=6,
-                methods=(METHOD_KIRKWOOD, METHOD_CFA, METHOD_P))
+                methods=(METHOD_KIRKWOOD, VARIANT_CFA, VARIANT_P))
     base.update(overrides)
     return sv.ExperimentConfig(**base)
 
@@ -45,6 +43,10 @@ class TestConfig:
     def test_sphere_checked_at_load(self, overrides):
         with pytest.raises(DomainError):
             small_config(**overrides)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            small_config(seed=-1)
 
     def test_from_dict_roundtrip(self):
         cfg = small_config()
@@ -126,7 +128,7 @@ class TestComparison:
             cfa.append(sv.sphere_energies(d, model, ["cfa"])[0].value)
         exact = np.array(exact)
         cfa = np.array(cfa)
-        s = summary_for(report, METHOD_CFA)
+        s = summary_for(report, VARIANT_CFA)
         assert s["rmsd"] == pytest.approx(np.sqrt(np.mean((cfa - exact) ** 2)), rel=1e-13)
         assert s["mean_dev_pct"] == pytest.approx(
             100.0 * np.mean(np.abs(cfa - exact) / np.abs(exact)), rel=1e-13)
@@ -166,6 +168,15 @@ class TestComparison:
         with pytest.raises(DomainError):
             sv.run_comparison(small_config(methods=()))
 
+    def test_infeasible_ensemble_is_domain_error(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "empty", refuse)
+        message = "energies of 3 configurations and 4 methods need 96 bytes"
+        with pytest.raises(DomainError, match=message):
+            sv.run_comparison(small_config())
+
     def test_bound_ordering_in_summaries(self):
         # P deviates from exact at least as much as its role as a lower bound
         # implies; CFA sits above exact. Check sign structure on raw rows.
@@ -175,8 +186,8 @@ class TestComparison:
         for row in report.rows:
             by.setdefault(row["method"], {})[row["index"]] = row["energy_kcal_mol"]
         for i in range(10):
-            assert by[METHOD_CFA][i] >= by[METHOD_KIRKWOOD][i] - 1e-10
-            assert by[METHOD_KIRKWOOD][i] >= by[METHOD_P][i] - 1e-10
+            assert by[VARIANT_CFA][i] >= by[METHOD_KIRKWOOD][i] - 1e-10
+            assert by[METHOD_KIRKWOOD][i] >= by[VARIANT_P][i] - 1e-10
 
 
 class TestSweep:
@@ -192,7 +203,7 @@ class TestSweep:
         cfg = small_config(num_configs=2, lambda_grid=(-0.14,))
         out = sv.lambda_sweep(cfg)
         [summary] = out["summaries"]
-        assert summary["method"] == METHOD_M
+        assert summary["method"] == VARIANT_M
         assert summary["lambda"] == -0.14
 
     def test_tie_breaks_toward_smaller_magnitude(self):
@@ -208,8 +219,8 @@ class TestSweep:
         out = sv.lambda_sweep(cfg)
         assert [s["lambda"] for s in out["summaries"]] == [-0.2, -0.1]
         for s in out["summaries"]:
-            single = sv.run_comparison(cfg, [(METHOD_M, s["lambda"])])
-            assert repr(s) == repr(summary_for(single, METHOD_M))
+            single = sv.run_comparison(cfg, [(VARIANT_M, s["lambda"])])
+            assert repr(s) == repr(summary_for(single, VARIANT_M))
 
     def test_default_grid_flags_its_edge(self):
         # With seed 7 the optimum lies near -0.08, outside the default grid.

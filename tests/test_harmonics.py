@@ -239,6 +239,12 @@ def test_tail_estimate_bounds_observed_truncation():
     assert sv.truncation_tail_estimate(*chunk_of([d]), 5.0, 30)[0] < estimate
 
 
+def test_tail_estimate_of_overflowing_charges_is_inf_without_a_warning():
+    # (sum |q|)^2 overflows a float; the suite turns a RuntimeWarning into an error.
+    d = sv.make_distribution([[0, 0, 4.9], [0, 1, 0]], [1e200, 1e200])
+    assert sv.truncation_tail_estimate(*chunk_of([d]), 5.0, 25).tolist() == [math.inf]
+
+
 def test_tail_estimate_outside_domain():
     d = sv.make_distribution([[0, 0, 6.0]], [1.0])
     with pytest.raises(DomainError):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import solvbie as sv
-from conftest import (chunk_of, gb_epsilon_energy, gb_still_energy, mode_ratio,
-                      random_ball_distribution, still_inverse_reference)
+from conftest import (chunk_of, gb_energy, mode_ratio, random_ball_distribution,
+                      sphere_gb_radii, still_inverse_reference)
 from solvbie import sphere
 from solvbie.errors import DomainError
 from solvbie.harmonics import KIND_SOURCE, MultipoleCoefficients, eval_interior_potential_many
@@ -217,11 +217,12 @@ class TestModeRatios:
 
 class TestPairInteraction:
     def test_both_at_origin_single_term(self):
+        # One charge at the origin: its self pair keeps only the l = 0 term.
         m = sv.SphereModel(5.0, EPS_BIO, 25)
-        got = sv.pair_interaction_kirkwood([0, 0, 0], 1.0, [0, 0, 0], 1.0, m)
+        got = sv.pairwise_kirkwood_energy(sv.make_distribution([[0, 0, 0]], [1.0]), m)
         beta = 4.0 / 80.0
         expected = -COULOMB_KCAL * (1.0 - beta) / (5.0 * 4.0)
-        assert got == pytest.approx(expected, rel=1e-14)
+        assert got == pytest.approx(0.5 * expected, rel=1e-14)
 
     def test_self_energy_conductor_limit(self):
         # eps1/eps2 -> 0: self term reduces to the geometric series
@@ -229,9 +230,9 @@ class TestPairInteraction:
         eps = sv.DielectricPair(1.0, 1e12)
         m = sv.SphereModel(5.0, eps, 400)
         r = 2.0
-        got = sv.pair_interaction_kirkwood([0, 0, r], 1.0, [0, 0, r], 1.0, m)
+        got = sv.pairwise_kirkwood_energy(sv.make_distribution([[0, 0, r]], [1.0]), m)
         expected = -COULOMB_KCAL * (1.0 / 1.0 - 1e-12) / (5.0 - r * r / 5.0)
-        assert 0.5 * got == pytest.approx(0.5 * expected, rel=1e-9)
+        assert got == pytest.approx(0.5 * expected, rel=1e-9)
 
     def test_antipodal_pair_matches_full_solver(self):
         m = sv.SphereModel(5.0, EPS_WATER, 60)
@@ -250,8 +251,8 @@ class TestPairInteraction:
 
     def test_t_out_of_range(self):
         m = sv.SphereModel(5.0, EPS_BIO, 25)
-        with pytest.raises(DomainError):
-            sv.pair_interaction_kirkwood([0, 0, 5.0], 1.0, [0, 0, 5.0], 1.0, m)
+        with pytest.raises(DomainError, match="pair separation parameter t = 1.0 >= 1"):
+            sv.pairwise_kirkwood_energy(sv.make_distribution([[0, 0, 5.0]], [1.0]), m)
 
 
 class TestModeSpectrum:
@@ -404,23 +405,24 @@ class TestSeparability:
 
 class TestGeneralizedBorn:
     def test_sphere_parameters(self):
+        # A = b and R_i = b - r_i^2/b: R = 5 at the centre and 3.75 at r = 2.5.
         d = sv.make_distribution([[0, 0, 0], [0, 0, 2.5]], [1.0, -1.0])
         m = sv.SphereModel(5.0, EPS_WATER, 25)
-        p = sv.sphere_gb_parameters(d, m)
-        assert p.electrostatic_radius == 5.0
-        assert p.effective_radii[0] == pytest.approx(5.0)
-        assert p.effective_radii[1] == pytest.approx(5.0 - 2.5 ** 2 / 5.0)
-        assert p.alpha == 0.57
+        assert sphere.GB_ALPHAS == {"gb": 0.0, "gbeps": 0.57}
+        got = sv.sphere_energies(d, m, ["gb", "gbeps"])
+        assert [r.value for r in got] == [gb_energy(d, [5.0, 3.75], 5.0, alpha, EPS_WATER)
+                                          for alpha in (0.0, 0.57)]
+        assert got[1].metadata == {"alpha": "0.57"}
 
     def test_half_radius_effective_radius(self):
+        # One charge at r = b/2 has R = 0.75 b, and its GB energy is Born's at R.
         d = sv.make_distribution([[0, 0, 2.5]], [1.0])
-        p = sv.sphere_gb_parameters(d, sv.SphereModel(5.0, EPS_WATER, 25))
-        assert p.effective_radii[0] == pytest.approx(0.75 * 5.0)
+        (got,) = sv.sphere_energies(d, sv.SphereModel(5.0, EPS_WATER, 25), ["gb"])
+        assert got.value == pytest.approx(born_energy(1.0, 0.75 * 5.0, 1.0, 80.0), rel=1e-14)
 
     def test_still_single_charge_is_born(self):
         d = sv.make_distribution([[0, 0, 0]], [1.0])
-        p = sv.GBParameters(electrostatic_radius=5.0, effective_radii=(5.0,))
-        got = gb_still_energy(d, p, EPS_WATER).value
+        got = gb_energy(d, [5.0], 5.0, 0.0, EPS_WATER)
         assert got == pytest.approx(born_energy(1.0, 5.0, 1.0, 80.0), rel=1e-14)
 
     def test_still_long_distance_screened_coulomb(self):
@@ -435,39 +437,37 @@ class TestGeneralizedBorn:
 
     def test_radii_count_mismatch(self):
         d = sv.make_distribution([[0, 0, 0], [1, 0, 0]], [1.0, -1.0])
-        p = sv.GBParameters(electrostatic_radius=5.0, effective_radii=(5.0,))
-        with pytest.raises(DomainError):
-            gb_still_energy(d, p, EPS_WATER)
+        with pytest.raises(DomainError, match="1 effective radii for 2 charges"):
+            gb_energy(d, [5.0], 5.0, 0.0, EPS_WATER)
 
     def test_gbeps_alpha_zero_matches_still(self):
+        # At alpha = 0 the net-charge term drops out: the Still double sum alone.
         d = random_ball_distribution(18, 0, count=6)
-        m = sv.SphereModel(5.0, EPS_BIO, 25)
-        p0 = sv.sphere_gb_parameters(d, m)
-        p0 = sv.GBParameters(p0.electrostatic_radius, p0.effective_radii, alpha=0.0)
-        a = gb_epsilon_energy(d, p0, EPS_BIO).value
-        b = gb_still_energy(d, p0, EPS_BIO).value
-        assert a == pytest.approx(b, rel=1e-14)
+        radii = sphere_gb_radii(d, 5.0)
+        q = d.magnitudes
+        still = -0.5 * COULOMB_KCAL * (1.0 / 4.0 - 1.0 / 80.0) * float(
+            q @ still_inverse_reference(d, radii) @ q)
+        assert gb_energy(d, radii, 5.0, 0.0, EPS_BIO) == pytest.approx(still, rel=1e-14)
 
     def test_gbeps_conductor_interior_limit_matches_still(self):
         d = random_ball_distribution(18, 1, count=6)
         eps = sv.DielectricPair(1.0, 1e12)  # eps1/eps2 -> 0
-        m = sv.SphereModel(5.0, eps, 25)
-        p = sv.sphere_gb_parameters(d, m)
-        a = gb_epsilon_energy(d, p, eps).value
-        b = gb_still_energy(d, p, eps).value
+        radii = sphere_gb_radii(d, 5.0)
+        a = gb_energy(d, radii, 5.0, sphere.GB_ALPHAS["gbeps"], eps)
+        b = gb_energy(d, radii, 5.0, 0.0, eps)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_gb_methods_share_one_still_kernel(self, monkeypatch):
         d = random_ball_distribution(18, 2, count=12)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
-        p = sv.sphere_gb_parameters(d, m)
-        want = [gb_still_energy(d, p, EPS_BIO), gb_epsilon_energy(d, p, EPS_BIO)]
+        radii = sphere_gb_radii(d, 5.0)
+        want = [gb_energy(d, radii, 5.0, alpha, EPS_BIO) for alpha in (0.0, 0.57)]
         calls = []
         monkeypatch.setattr(sphere, "_inverse_still",
                             lambda *args: calls.append(args) or _inverse_still(*args))
         got = sv.sphere_energies(d, m, ["gb", "kirkwood", "gbeps"])
         assert len(calls) == 1
-        assert [got[0].value, got[2].value] == [r.value for r in want]
+        assert [got[0].value, got[2].value] == want
         assert [got[0].method, got[2].method] == ["GB", "GBeps"]
         # One kernel call per chunk, not per set.
         sphere.ensemble_energies(*chunk_of([d, random_ball_distribution(18, 3, count=12)]), m,
@@ -482,14 +482,13 @@ class TestGeneralizedBorn:
             pos[3] = pos[7]
             pos[0] = 0.0
             d = sv.make_distribution(pos, d.magnitudes)
-        m = sv.SphereModel(5.0, EPS_BIO, 25)
-        radii = sv.sphere_gb_parameters(d, m).effective_radii
+        radii = sphere_gb_radii(d, 5.0)
         want = still_inverse_reference(d, radii)
         got = _inverse_still(d.positions[None], radii[None])[0]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         q = d.magnitudes
         pref = -0.5 * COULOMB_KCAL * (1.0 / 4.0 - 1.0 / 80.0)
-        assert gb_still_energy(d, sv.GBParameters(5.0, radii), EPS_BIO).value == pytest.approx(
+        assert gb_energy(d, radii, 5.0, 0.0, EPS_BIO) == pytest.approx(
             pref * float(q @ want @ q), rel=1e-13)
 
     def test_still_kernel_single_charge_is_born(self):
@@ -497,7 +496,7 @@ class TestGeneralizedBorn:
         got = _inverse_still(d.positions[None], np.array([[3.5]]))
         assert got.shape == (1, 1, 1)
         assert 1.0 / got[0, 0, 0] == pytest.approx(3.5, rel=1e-14)
-        assert gb_still_energy(d, sv.GBParameters(5.0, (3.5,)), EPS_BIO).value == pytest.approx(
+        assert gb_energy(d, [3.5], 5.0, 0.0, EPS_BIO) == pytest.approx(
             born_energy(0.8, 3.5, 4.0, 80.0), rel=1e-14)
 
     def test_gb_energies_independent_of_chunk(self):
@@ -544,7 +543,6 @@ class TestGeneralizedBorn:
             d = random_ball_distribution(19, index, count=2)
             m = sv.SphereModel(5.0, EPS_WATER, 40)
             exact = sv.pairwise_kirkwood_energy(d, m)
-            p = sv.sphere_gb_parameters(d, m)
-            approx = gb_epsilon_energy(d, p, EPS_WATER).value
+            approx = gb_energy(d, sphere_gb_radii(d, 5.0), 5.0, 0.57, EPS_WATER)
             errs.append(abs(approx - exact) / abs(exact))
         assert np.mean(errs) < 0.10
