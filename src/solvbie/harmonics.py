@@ -282,7 +282,7 @@ def truncation_tail_estimate(pos: np.ndarray, q: np.ndarray, b: float, n_max: in
     Uses t = (max_k |r_k| / b)^2 and bounds the tail of the pairwise mode sum
     by k_e (sum|q|)^2 / b * t^(n_max+1) / (1 - t).  Valid as an upper bound of
     the true truncation error for eps_in >= 1 (constant 1; see tests).
-    Returns (C,).
+    Returns (C,), finite wherever the bound is within the float range.
     """
     rmax = np.max(np.linalg.norm(pos, axis=-1), axis=-1)
     bad = np.nonzero(rmax >= b)[0]
@@ -290,6 +290,14 @@ def truncation_tail_estimate(pos: np.ndarray, q: np.ndarray, b: float, n_max: in
         raise DomainError(f"charge at |r| = {float(rmax[bad[0]])} not strictly inside b = {b}")
     t = (rmax / b) ** 2
     gross = np.sum(np.abs(q), axis=-1)
-    # Charges past sqrt of the float range give an infinite bound, not a warning.
-    with np.errstate(over="ignore"):
-        return COULOMB_KCAL * gross * gross / b * t ** (n_max + 1) / (1.0 - t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bound = COULOMB_KCAL * gross * gross / b * t ** (n_max + 1) / (1.0 - t)
+        # Where (sum|q|)^2 overflows, the bound is taken in logarithms: the
+        # product above gives nan (inf * 0) or inf where t^(n_max+1) makes it
+        # finite.  It stays inf only where the bound itself passes the float range.
+        big = ~np.isfinite(bound)
+        if big.any():
+            log_gross = np.logaddexp.reduce(np.log(np.abs(q[big])), axis=-1)
+            bound[big] = COULOMB_KCAL / (b * (1.0 - t[big])) * np.exp(
+                2.0 * log_gross + (n_max + 1) * np.log(t[big]))
+    return bound

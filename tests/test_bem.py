@@ -6,7 +6,6 @@ import pytest
 import solvbie as sv
 from conftest import dstar_spectrum_estimates, random_ball_distribution, scaled_surface
 from solvbie import bem
-from scipy.sparse.linalg import LinearOperator
 from solvbie.errors import ConvergenceError, DomainError
 from solvbie.mesh import build_surface
 from solvbie.model import COULOMB_KCAL
@@ -17,6 +16,19 @@ EPS_BIO = sv.DielectricPair(4.0, 80.0)
 
 def born_energy(q, b, e1, e2):
     return -0.5 * COULOMB_KCAL * q * q / b * (1.0 / e1 - 1.0 / e2)
+
+
+def count_dense_products(monkeypatch) -> list:
+    """Patch ``bem.assemble_dstar`` so that each D* @ x of a new surface appends to the list."""
+    products, assemble = [], bem.assemble_dstar
+
+    class CountedMatrix(np.ndarray):
+        def __matmul__(self, x):
+            products.append(1)
+            return np.asarray(self) @ x
+
+    monkeypatch.setattr(bem, "assemble_dstar", lambda s: assemble(s).view(CountedMatrix))
+    return products
 
 
 class TestRhs:
@@ -256,29 +268,26 @@ class TestExactSolve:
         got = sv.bem_energy(d, mesh_1280, EPS_WATER).value
         assert got == pytest.approx(born_energy(1.0, 5.0, 1.0, 80.0), rel=0.01)
 
-    @pytest.mark.parametrize("restart, maxiter", [(50, 500), (2, 1)])
+    @pytest.mark.parametrize("restart, maxiter", [(50, 500), (2, 3)])
     def test_one_dense_product_per_gmres_product(self, mesh_320, monkeypatch, restart, maxiter):
-        # The residual reuses GMRES's last product; (2, 1) stops unconverged.
-        products, gmres_products, iterates = [], [], []
-        assemble, gmres = bem.assemble_dstar, bem.gmres
-        # A fresh surface, whose D* the patched assembler below builds.
+        # The residual is the solver's own last product; (2, 3) stops unconverged.
+        solver_products, iterates = [], []
+        assemble, solve = bem.assemble_dstar, bem._restarted_gmres
+        products = count_dense_products(monkeypatch)
+        # A fresh surface, whose D* the patched assembler builds.
         surf = build_surface(mesh_320.vertices, mesh_320.triangles.copy())
 
-        class CountedMatrix(np.ndarray):
-            def __matmul__(self, x):
-                products.append(1)
-                return np.asarray(self) @ x
-
-        def counted_gmres(a, b, **kwargs):
-            def matvec(x):
-                gmres_products.append(1)
-                return a.matvec(x)
-            x, info = gmres(LinearOperator(a.shape, matvec=matvec, dtype=a.dtype), b, **kwargs)
+        def counted_solve(apply, b, *args):
+            def counted_apply(x):
+                solver_products.append(1)
+                return apply(x)
+            x, residual, relative, used = solve(counted_apply, b, *args)
+            assert used == len(solver_products) <= maxiter
+            assert relative == residual / np.linalg.norm(b)
             iterates.append(x.copy())
-            return x, info
+            return x, residual, relative, used
 
-        monkeypatch.setattr(bem, "assemble_dstar", lambda s: assemble(s).view(CountedMatrix))
-        monkeypatch.setattr(bem, "gmres", counted_gmres)
+        monkeypatch.setattr(bem, "_restarted_gmres", counted_solve)
         monkeypatch.setattr(bem, "DEFAULT_GMRES_RESTART", restart)
         monkeypatch.setattr(bem, "DEFAULT_GMRES_MAXITER", maxiter)
         rhs = sv.coulomb_field_rhs(random_ball_distribution(34, 0, count=5), surf, EPS_BIO)
@@ -286,12 +295,52 @@ class TestExactSolve:
             reported = sv.exact_surface_charge(rhs, EPS_BIO).metadata["residual"]
         except ConvergenceError as exc:
             reported = exc.residual
-        assert len(products) == len(gmres_products) > 0
+        assert len(products) == len(solver_products) > 0
         # The residual of the returned iterate, from an independently assembled D*.
         x = iterates[-1]
         residual = float(np.linalg.norm(x + EPS_BIO.eps_hat * (assemble(surf) @ x)
                                         - rhs.values))
-        assert reported == (residual if maxiter == 1 else f"{residual:.3e}")
+        assert reported == (residual if maxiter == 3 else f"{residual:.3e}")
+
+    def test_zero_rhs_gives_zero_with_no_product(self, mesh_320, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the solver ran on a zero right-hand side")
+
+        monkeypatch.setattr(bem, "assemble_dstar", refuse)
+        surf = build_surface(mesh_320.vertices, mesh_320.triangles.copy())
+        d = random_ball_distribution(34, 1, count=5)
+        rhs = sv.coulomb_field_rhs(d, surf, sv.DielectricPair(4.0, 4.0))
+        sigma = sv.exact_surface_charge(rhs, EPS_BIO)
+        assert not np.any(sigma.density) and sigma.metadata["residual"] == "0.000e+00"
+
+    def test_high_contrast_budget_counts_dense_products(self, mesh_1280, monkeypatch):
+        # +1 at (0, 0, 0.5) in a 5 A icosphere: I + eps_hat D* nears singular as
+        # eps_in/eps_out grows.  At 1e8 the solve converges to the sphere series
+        # (test_08's 2%); at 1e12 it stops after DEFAULT_GMRES_MAXITER products.
+        products = count_dense_products(monkeypatch)
+        surf = build_surface(mesh_1280.vertices, mesh_1280.triangles.copy())
+        d = sv.make_distribution([[0, 0, 0.5]], [1.0])
+        eps = sv.DielectricPair(1e8, 1.0)
+        series = sv.kirkwood_energy(d, sv.SphereModel(5.0, eps, 40)).value
+        assert sv.bem_energy(d, surf, eps).value == pytest.approx(series, rel=0.02)
+        high = sv.DielectricPair(1e12, 1.0)
+        rhs = sv.coulomb_field_rhs(d, surf, high)
+        products.clear()
+        with pytest.raises(ConvergenceError) as exc:
+            sv.exact_surface_charge(rhs, high)
+        assert 0 < len(products) <= bem.DEFAULT_GMRES_MAXITER == 500
+        rel = exc.value.residual / np.linalg.norm(rhs.values)
+        assert (f"GMRES did not converge within 500 dense products "
+                f"(relative residual {rel:.3e} after {len(products)})") == str(exc.value)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e250])
+    def test_energy_scales_with_the_dielectric_pair(self, mesh_320, scale):
+        # E(s eps_in, s eps_out) = E(eps_in, eps_out) / s, where ||rhs|| alone
+        # would overflow (s 1e-300) or underflow (s 1e250) a float.
+        d = random_ball_distribution(37, 0, count=5)
+        want = sv.bem_energy(d, mesh_320, EPS_BIO).value / scale
+        eps = sv.DielectricPair(EPS_BIO.eps_in * scale, EPS_BIO.eps_out * scale)
+        assert sv.bem_energy(d, mesh_320, eps).value == pytest.approx(want, rel=1e-12)
 
     def test_one_assembly_per_surface(self, mesh_320, monkeypatch):
         # D* depends on the geometry alone: one assembly serves any charges and any eps.

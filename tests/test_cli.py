@@ -1,7 +1,10 @@
 import hashlib
 import json
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,6 +359,26 @@ def test_bem_gmres_tolerance_out_of_range_exit_4(tmp_path, monkeypatch):
                 "--tol", "0.9"],
                tmp_path, monkeypatch)
     assert code == 4
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # SciPy is a test dependency only: a fresh interpreter runs the CLI
+    # without importing any of it.
+    mesh = tmp_path / "sphere.off"
+    sv.write_off(sv.icosphere(5.0, 2), mesh)
+    code = f"""
+import sys
+sys.path.insert(0, {str(Path(sv.__file__).parents[1])!r})
+import solvbie.cli
+assert solvbie.cli.main(["sphere", "--radius", "5", "--charge", "0,0,1,1"]) == 0
+assert solvbie.cli.main(["bem", "--mesh", {str(mesh)!r}, "--charge", "0,0,1,1"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "BEM-exact" in done.stdout
 
 
 def test_bem_sphere_matches_series(tmp_path, monkeypatch, capsys):
@@ -744,7 +767,7 @@ EXIT_CASES = {
     "GMRES tolerance too loose": ([*BEM, "{d}/tet.off", "--tol", "0.9"], 4,
                                   "GMRES tolerance must lie in"),
     "GMRES tolerance unreachable": ([*BEM, "{d}/tet.off", "--tol", "1e-300"], 5,
-                                    "GMRES did not converge within 1 iterations"),
+                                    "GMRES did not converge within 1 dense products"),
 }
 
 
@@ -754,7 +777,7 @@ def test_malformed_input_exit_code_and_one_stderr_line(case, tmp_path, monkeypat
     for name, content in EXIT_FIXTURES.items():
         path = tmp_path / name
         path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
-    # One restart cycle, so that the unreachable tolerance fails fast.
+    # A budget of one dense product, so that the unreachable tolerance fails fast.
     monkeypatch.setattr(sv.bem, "DEFAULT_GMRES_MAXITER", 1)
     argv, code, text = EXIT_CASES[case]
     assert run([arg.format(d=tmp_path) for arg in argv], tmp_path, monkeypatch) == code

@@ -6,9 +6,10 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 import solvbie as sv
-from conftest import chunk_of, eval_interior_potential, rotate_about_z
+from conftest import chunk_of, eval_interior_potential, random_ball_distribution, rotate_about_z
 from solvbie.errors import DomainError
 from solvbie.harmonics import KIND_REACTION, MultipoleCoefficients, eval_interior_potential_many
+from solvbie.model import COULOMB_KCAL
 
 
 def rodrigues_pnm(n, m, x):
@@ -227,8 +228,6 @@ def test_tail_estimate_geometric_factor():
 
 
 def test_tail_estimate_bounds_observed_truncation():
-    from conftest import random_ball_distribution
-
     d = random_ball_distribution(21, 0)
     eps = sv.DielectricPair(4.0, 80.0)
     e25 = sv.kirkwood_energy(d, sv.SphereModel(5.0, eps, 25)).value
@@ -243,6 +242,27 @@ def test_tail_estimate_of_overflowing_charges_is_inf_without_a_warning():
     # (sum |q|)^2 overflows a float; the suite turns a RuntimeWarning into an error.
     d = sv.make_distribution([[0, 0, 4.9], [0, 1, 0]], [1e200, 1e200])
     assert sv.truncation_tail_estimate(*chunk_of([d]), 5.0, 25).tolist() == [math.inf]
+
+
+@pytest.mark.parametrize("r", [0.1, 1.0])
+def test_tail_estimate_of_overflowing_charges_is_finite_where_the_bound_is(r):
+    # (sum |q|)^2 = 4e400 overflows while t^(n_max+1) underflows (r 0.1) or
+    # brings the bound back into range (r 1): no nan, no inf, no warning.
+    d = sv.make_distribution([[r, 0, 0], [0, r, 0]], [1e200, 1e200])
+    (got,) = sv.truncation_tail_estimate(*chunk_of([d]), 5.0, 200)
+    t = (r / 5.0) ** 2
+    log_want = (math.log(COULOMB_KCAL / (5.0 * (1.0 - t))) + 2.0 * math.log(2e200)
+                + 201 * math.log(t))
+    assert 0.0 < got < math.inf
+    assert got == pytest.approx(math.exp(log_want), rel=1e-12)
+
+
+def test_tail_estimate_of_ordinary_charges_is_the_direct_product():
+    d = random_ball_distribution(21, 1)
+    t = (np.max(np.linalg.norm(d.positions, axis=1)) / 5.0) ** 2
+    gross = np.sum(np.abs(d.magnitudes))
+    direct = COULOMB_KCAL * gross * gross / 5.0 * t ** 26 / (1.0 - t)
+    assert sv.truncation_tail_estimate(*chunk_of([d]), 5.0, 25).tolist() == [direct]
 
 
 def test_tail_estimate_outside_domain():
