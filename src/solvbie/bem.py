@@ -15,6 +15,7 @@ Coulomb sum over panels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,11 +218,12 @@ def _restarted_gmres(apply, b, tol, restart, max_products):
     next cycle.  Every call of ``apply`` counts against ``max_products``.
     Returns x, ||b - apply(x)||, that residual relative to ||b|| and the
     number of products; b = 0 gives 0 with no product.  The solve runs on b
-    scaled by a power of two, which changes no bits and keeps ||b|| from
-    overflowing or underflowing.
+    2^-e, e the binary exponent of max|b| (max|b 2^-e| in [0.5, 1)), which
+    changes no bits and keeps ||b|| from overflowing or underflowing up to
+    the top binade of the float range.
     """
-    scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(b)))[1]))
-    r = b = b / scale
+    e = int(np.frexp(np.max(np.abs(b)))[1])
+    r = b = np.ldexp(b, -e)
     x = np.zeros_like(b)
     rnorm = bnorm = float(np.linalg.norm(b))
     target, products = tol * bnorm, 0
@@ -260,7 +262,7 @@ def _restarted_gmres(apply, b, tol, restart, max_products):
         r = b - apply(x)
         products += 1
         rnorm = float(np.linalg.norm(r))
-    return x * scale, rnorm * scale, rnorm / bnorm if bnorm else 0.0, products
+    return np.ldexp(x, e), math.ldexp(rnorm, e), rnorm / bnorm if bnorm else 0.0, products
 
 
 def exact_surface_charge(

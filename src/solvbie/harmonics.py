@@ -175,6 +175,17 @@ def source_moments(dist: ChargeDistribution, n_max: int) -> MultipoleCoefficient
                                  kind=KIND_SOURCE)
 
 
+def _charge_exponents(q: np.ndarray) -> np.ndarray:
+    """Binary exponent e of max|q| per set of a chunk (C,): max|q 2^-e| lies in [0.5, 1).
+
+    S_n is quadratic in q, so a spectrum taken from q 2^-e and scaled back
+    by 2^(2e) is the same bit for bit wherever the float range holds it, and
+    where S_n is subnormal it is rounded once, at the end, instead of in
+    every product of two small charges.
+    """
+    return np.frexp(np.max(np.abs(q), axis=-1, initial=0.0))[1]
+
+
 def pair_spectrum(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
     """Per-mode power S_n (C, n_max+1) of each charge set of a chunk, from its charge pairs.
 
@@ -191,10 +202,13 @@ def pair_spectrum(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
     per set, so a set's spectrum does not depend on the other sets of its
     chunk.  From the first n at which r_max^(2n) of a set exceeds the float
     range its S_n are inf, and the recurrence stops once every set is there.
+    The recurrence runs on each set's charges scaled by ``_charge_exponents``.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     c, k = q.shape
+    e = _charge_exponents(q)[:, None]
+    q = np.ldexp(q, -e)
     try:
         gram, rr, older, old, new = np.empty((5, c, k, k))
     except MemoryError:
@@ -229,7 +243,7 @@ def pair_spectrum(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
         older, old, new = old, new, older
     spectra = spectra[:, :, 0, 0].T.copy()
     spectra[np.arange(n_max + 1) >= stop[:, None]] = np.inf
-    return spectra
+    return np.ldexp(spectra, 2 * e)
 
 
 def solid_spectrum(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
@@ -240,11 +254,13 @@ def solid_spectrum(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
     weight is inside the normalization): the spectrum of ``pair_spectrum``
     in the same units, at a cost of order Q n_max^2 per set, with no
     trigonometry.  Each set's moments are their own matrix products, so a
-    set's spectrum does not depend on the other sets of its chunk.
+    set's spectrum does not depend on the other sets of its chunk.  The
+    moments are of each set's charges scaled by ``_charge_exponents``.
     """
-    moments = _solid_moments(pos, q, n_max)
+    e = _charge_exponents(q)[:, None]
+    moments = _solid_moments(pos, np.ldexp(q, -e), n_max)
     np.square(moments, out=moments)
-    return moments.sum(axis=-1).sum(axis=0)
+    return np.ldexp(moments.sum(axis=-1).sum(axis=0), 2 * e)
 
 
 def eval_interior_potential_many(b_coeffs: MultipoleCoefficients, points: np.ndarray) -> np.ndarray:

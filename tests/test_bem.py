@@ -342,6 +342,17 @@ class TestExactSolve:
         eps = sv.DielectricPair(EPS_BIO.eps_in * scale, EPS_BIO.eps_out * scale)
         assert sv.bem_energy(d, mesh_320, eps).value == pytest.approx(want, rel=1e-12)
 
+    def test_density_scales_with_the_rhs_up_to_the_top_binade(self, mesh_320):
+        # max|rhs| = 2^1023 has binary exponent 1024, one past the largest
+        # finite power of two: the solve scales by exponents, not by 2^1024.
+        d = random_ball_distribution(37, 0, count=5)
+        values = sv.coulomb_field_rhs(d, mesh_320, EPS_BIO).values
+        unit = values / np.max(np.abs(values))
+        sigma = sv.exact_surface_charge(bem.SurfaceField(values=unit, surface=mesh_320), EPS_BIO)
+        top = bem.SurfaceField(values=np.ldexp(unit, 1023), surface=mesh_320)
+        np.testing.assert_array_equal(sv.exact_surface_charge(top, EPS_BIO).density,
+                                      np.ldexp(sigma.density, 1023))
+
     def test_one_assembly_per_surface(self, mesh_320, monkeypatch):
         # D* depends on the geometry alone: one assembly serves any charges and any eps.
         assemble, assembled = bem.assemble_dstar, []

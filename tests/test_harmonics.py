@@ -111,6 +111,15 @@ def test_moments_linear_in_charges():
     assert np.max(np.abs(ea.coeffs + eb.coeffs - eab.coeffs)) < 1e-12 * scale
 
 
+@pytest.mark.parametrize("spectrum", [sv.pair_spectrum, sv.solid_spectrum])
+def test_spectrum_scales_with_the_charges_bit_for_bit(spectrum):
+    # S_n is quadratic in q: charges times 2^-520 give S_n times 2^-1040,
+    # subnormal at low n, rounded once from the spectrum of the charges themselves.
+    pos, q = chunk_of([random_ball_distribution(38, i, count=6) for i in range(3)])
+    np.testing.assert_array_equal(spectrum(pos, np.ldexp(q, -520), 8),
+                                  np.ldexp(spectrum(pos, q, 8), -1040))
+
+
 def test_rotational_covariance_about_z():
     rng = np.random.default_rng(5)
     pos = rng.uniform(-2, 2, (7, 3))

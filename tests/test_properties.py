@@ -61,15 +61,12 @@ def energies(dist, n_max=25):
 
 AXIS_AND_ORIGIN = [sv.make_distribution([[0.0, 0.0, 2.5], [0.0, 0.0, 0.0], [1.0, -2.0, 0.5]],
                                         [0.5, -1.0, 0.75])]
-#: S_0 = (sum q)^2 = 5.4e-315 is subnormal: the two forms differ by two subnormal spacings.
-SUBNORMAL_SPECTRUM = [sv.make_distribution([[0.0, 0.0, 0.0]] * 2, [3.66121155e-158] * 2)]
 
 
 @given(st.integers(0, 20).flatmap(lambda n_max: st.tuples(st.just(n_max), st.lists(
     charge_sets(2 * (n_max + 1), special_charge), min_size=1, max_size=3))))
 @example((0, AXIS_AND_ORIGIN))
 @example((1, AXIS_AND_ORIGIN))
-@example((0, SUBNORMAL_SPECTRUM))
 def test_solid_spectrum_equals_pair_spectrum(case):
     # Each set of a different size is its own chunk.
     n_max, dists = case
@@ -77,10 +74,7 @@ def test_solid_spectrum_equals_pair_spectrum(case):
         solid = sv.solid_spectrum(*chunk_of([dist]), n_max)
         pairs = sv.pair_spectrum(*chunk_of([dist]), n_max)
         assert solid.shape == pairs.shape == (1, n_max + 1)
-        # Below the normal range a rounding is absolute, up to one subnormal
-        # spacing per pair term, where the relative bound asks for less.
-        floor = len(dist.magnitudes) ** 2 * np.finfo(float).smallest_subnormal
-        assert np.all(np.abs(solid - pairs) <= 1e-12 * spectrum_scale([dist], n_max) + floor)
+        assert np.all(np.abs(solid - pairs) <= 1e-12 * spectrum_scale([dist], n_max))
 
 
 @given(st.integers(0, 20), st.integers(1, 40).flatmap(lambda size: st.lists(
