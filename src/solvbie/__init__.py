@@ -28,7 +28,6 @@ from .model import (
     net_charge,
 )
 from .harmonics import (
-    MultipoleCoefficients,
     pair_spectrum,
     solid_spectrum,
     source_moments,
@@ -38,7 +37,7 @@ from .sphere import (
     BibeeVariant,
     kirkwood_energy,
     pairwise_kirkwood_energy,
-    reaction_coefficients,
+    reaction_potential,
     sphere_energies,
 )
 from .mesh import PanelSurface, icosphere, load_mesh, load_msms, load_off, write_off

@@ -71,6 +71,10 @@ class ExperimentConfig:
             raise DomainError("configuration counts must be positive")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
+        # Magnitudes are drawn from [-m, m], whose width 2m must be a finite float.
+        if not (self.max_abs_charge >= 0.0 and math.isfinite(2.0 * self.max_abs_charge)):
+            raise DomainError(f"max_abs_charge must be >= 0 with 2 * max_abs_charge finite, "
+                              f"got {self.max_abs_charge}")
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise DomainError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
@@ -106,8 +110,12 @@ def _draw(seed: int, indices, cfg: ExperimentConfig) -> tuple[np.ndarray, np.nda
     variates (cube-root transform), then the magnitudes.
     """
     k = cfg.charges_per_config
-    pos = np.empty((len(indices), k, 3))
-    radii, q = np.empty((2, len(indices), k))
+    try:
+        pos = np.empty((len(indices), k, 3))
+        radii, q = np.empty((2, len(indices), k))
+    except MemoryError:
+        raise DomainError(f"charges of {len(indices)} configurations of {k} charges need "
+                          f"{40 * len(indices) * k} bytes") from None
     for c, index in enumerate(indices):
         rng = np.random.default_rng([seed, index])
         rng.standard_normal(out=pos[c])

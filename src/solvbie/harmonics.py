@@ -1,4 +1,4 @@
-"""Solid harmonics, multipole moments and reaction potentials of interior charges.
+"""Solid harmonics, multipole moments and mode spectra of interior charges.
 
 Convention: one normalization throughout, the Schmidt-seminormalized
 regular solid harmonics R_n^m = r^n Pbar_n^m(cos theta) exp(i m phi) without
@@ -6,13 +6,14 @@ the Condon-Shortley phase, Pbar_n^m = P_n^m sqrt((2 - delta_m0) (n-m)!/(n+m)!).
 A charge set's moments are M_nm = sum_k q_k R_n^m(x_k) for 0 <= m <= n; for
 real charges M(n, -m) = conj(M(n, m)), so the m < 0 half is not stored.  One
 recurrence computes the R_n^m (``_solid_table``), real and with no
-trigonometry.  The source moments, the solid-harmonic spectrum and the
-potential at points all come from it.
+trigonometry.  The source moments, the solid-harmonic spectrum and
+``sphere.reaction_potential`` at points all come from it.
 
 ``solid_spectrum``, ``pair_spectrum`` and ``truncation_tail_estimate`` take a
 chunk of C sets of Q charges, positions (C, Q, 3) and magnitudes (C, Q), and
 return results with a leading axis of length C.
-``source_moments`` takes one charge set.
+``source_moments`` takes one charge set and returns its moments as one
+complex array indexed [n, m].
 
 The mode spectrum S_n of a charge set has two forms, equal up to rounding.
 ``solid_spectrum`` sums S_n = sum_{m>=0} |M_nm|^2 over the moments, at a
@@ -27,7 +28,6 @@ form above.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,41 +36,6 @@ from .model import COULOMB_KCAL, ChargeDistribution
 
 #: Natural log of the largest float: x^n overflows once n log x exceeds it.
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
-
-KIND_SOURCE = "source"
-KIND_REACTION = "reaction"
-
-
-@dataclass(frozen=True)
-class MultipoleCoefficients:
-    """One charge set's moments M_nm, or reaction coefficients B_nm, for 0 <= m <= n <= n_max.
-
-    ``kind`` distinguishes source moments from reaction-field coefficients.
-    ``coeffs`` is a read-only complex (n_max+1, n_max+1) copy of the array
-    given, indexed [n, m]; entries with m > n are zero.  ``get`` takes
-    signed m and returns the conjugate of (n, |m|) for m < 0.
-    """
-
-    n_max: int
-    coeffs: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=complex)
-        expected = (self.n_max + 1, self.n_max + 1)
-        if coeffs.shape != expected:
-            raise DomainError(f"coefficient array shape {coeffs.shape} != {expected}")
-        if not np.all(np.isfinite(coeffs)):
-            raise DomainError("non-finite multipole coefficients")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def get(self, n: int, m: int) -> complex:
-        if abs(m) > n or n > self.n_max:
-            raise DomainError(f"(n={n}, m={m}) outside coefficient triangle")
-        value = complex(self.coeffs[n, abs(m)])
-        return value.conjugate() if m < 0 else value
-
 
 @functools.lru_cache(maxsize=8)
 def _solid_coefficients(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,17 +127,24 @@ def _solid_moments(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
     return moments
 
 
-def source_moments(dist: ChargeDistribution, n_max: int) -> MultipoleCoefficients:
+def source_moments(dist: ChargeDistribution, n_max: int) -> np.ndarray:
     """Moments M_nm = sum_k q_k R_n^m(x_k), 0 <= m <= n, of one charge set about the cavity center.
 
     R_n^m are the seminormalized solid harmonics of the module's convention.
-    A charge exactly at the origin contributes only to M_00.
+    The result is a read-only complex (n_max+1, n_max+1) array indexed
+    [n, m], zero for m > n.  A charge exactly at the origin contributes
+    only to M_00.
     """
     if not isinstance(dist, ChargeDistribution):
         raise DomainError("source moments are of one charge set, not a sequence")
-    moments = _solid_moments(dist.positions[None], dist.magnitudes[None], n_max)[:, 0]
-    return MultipoleCoefficients(n_max=n_max, coeffs=moments.view(complex)[..., 0].T,
-                                 kind=KIND_SOURCE)
+    # Moments past the float range are inf or nan; the check below reports them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = _solid_moments(dist.positions[None], dist.magnitudes[None], n_max)[:, 0]
+    moments = np.ascontiguousarray(moments.view(complex)[..., 0].T)
+    if not np.all(np.isfinite(moments)):
+        raise DomainError("non-finite multipole moments")
+    moments.setflags(write=False)
+    return moments
 
 
 def _charge_exponents(q: np.ndarray) -> np.ndarray:
@@ -261,35 +233,6 @@ def solid_spectrum(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
     moments = _solid_moments(pos, np.ldexp(q, -e), n_max)
     np.square(moments, out=moments)
     return np.ldexp(moments.sum(axis=-1).sum(axis=0), 2 * e)
-
-
-def eval_interior_potential_many(b_coeffs: MultipoleCoefficients, points: np.ndarray) -> np.ndarray:
-    """Reaction potential psi = sum_{n, m>=0} Re(conj(B_nm) R_n^m) at interior points.
-
-    Real by construction: the m < 0 terms are the conjugates of the m > 0
-    terms, and the seminormalization's 2 - delta_m0 counts them.  Per m,
-    h_m = sum_n conj(B_nm) Pi_n^m is one matrix product against the table
-    of ``_solid_table`` over all points, and psi = sum_m Re(u^m h_m).
-    """
-    if b_coeffs.kind != KIND_REACTION:
-        raise DomainError("potential evaluation requires reaction coefficients")
-    n_max = b_coeffs.n_max
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    if not np.all(np.isfinite(points)):
-        raise DomainError("non-finite potential evaluation point")
-    with np.errstate(over="ignore", invalid="ignore"):
-        coef = np.conj(b_coeffs.coeffs.T) * _solid_coefficients(n_max)[1][:, 0, :, 0]  # (m, n)
-        table = _solid_table(points[None], n_max)[:, :, 0]
-        # (m, [Re, Im], n) (m, n, K) products: [Re, Im] of h_m at every point.
-        h = np.matmul(np.stack([coef.real, coef.imag], axis=1), table.transpose(1, 0, 2))
-        u = np.empty((n_max + 1, len(points)), dtype=complex)
-        u[0] = 1.0
-        u[1:] = points[:, 0] + 1j * points[:, 1]
-        np.cumprod(u, axis=0, out=u)
-        psi = np.sum(u.real * h[:, 0] - u.imag * h[:, 1], axis=0)
-    if not np.all(np.isfinite(psi)):
-        raise DomainError(f"non-finite reaction potential at n_max {n_max}")
-    return psi
 
 
 def truncation_tail_estimate(pos: np.ndarray, q: np.ndarray, b: float, n_max: int) -> np.ndarray:

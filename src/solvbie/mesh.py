@@ -154,6 +154,7 @@ def _int_block(text: str) -> np.ndarray:
 def load_off(path, read=read_text) -> PanelSurface:
     """Read an ASCII OFF file (counts header, vertex list, triangle list).
 
+    Fields after a face's vertex indices, such as a color, are ignored.
     ``read(path)`` gives the file's text; a caller that already holds it
     passes a lookup instead of reading the file again.
     """
@@ -175,7 +176,14 @@ def load_off(path, read=read_text) -> PanelSurface:
         tokens = text.split(None, idx + 3 * nv)
         vertices = np.array(tokens[idx:idx + 3 * nv], dtype=float).reshape(nv, 3)
         block = tokens[idx + 3 * nv] if len(tokens) > idx + 3 * nv else ""
-        faces = _int_block(block)[:4 * nt].reshape(nt, 4)
+        try:
+            faces = _int_block(block)
+        except ValueError:
+            faces = None
+        if faces is None or faces.size != 4 * nt:
+            # A face line may carry a color after its indices: keep each line's first four fields.
+            faces = _int_block(" ".join(" ".join(line.split()[:4]) for line in block.splitlines()))
+        faces = faces[:4 * nt].reshape(nt, 4)
     except (ValueError, IndexError) as exc:
         raise ParseError(f"{path}: malformed OFF file ({exc})") from None
     # Rows before the first non-triangle are aligned, so its row is its face.

@@ -40,9 +40,10 @@ moments, S_n = sum_{m>=0} |M_nm|^2 (``harmonics.solid_spectrum``, one
 recurrence table in z and r^2, cost Q n_max^2).  A chunk's solid-harmonic
 table or pair buffers, or one of its two Still buffers, hold at most
 ``_CHUNK_BYTES`` at ``chunk_length`` sets.  The engine returns arrays, and
-its one-set case ``sphere_energies`` labels them as ``EnergyResult``s.  The
-reaction coefficients B_nm = f_n M_nm of one charge set's seminormalized
-moments remain for evaluating the reaction potential at points.
+its one-set case ``sphere_energies`` labels them as ``EnergyResult``s.
+``reaction_potential`` gives one charge set's reaction potential at points
+from the same factors: mode n of the potential is f_n times mode n of the
+set's solid-harmonic moments.
 """
 
 from __future__ import annotations
@@ -53,9 +54,8 @@ import numpy as np
 
 from .errors import DomainError
 from .harmonics import (
-    KIND_REACTION,
-    KIND_SOURCE,
-    MultipoleCoefficients,
+    _solid_coefficients,
+    _solid_table,
     pair_spectrum,
     solid_spectrum,
     source_moments,  # re-exported as sphere.source_moments
@@ -178,23 +178,6 @@ def _mode_factors(model: SphereModel, methods, lams) -> np.ndarray:
     return _diagonal_solve(p, model.dielectrics, np.reshape(rows, (-1, n.size)))
 
 
-def reaction_coefficients(
-    e: MultipoleCoefficients, model: SphereModel, method: str = METHOD_KIRKWOOD, lam: float = 0.0
-) -> MultipoleCoefficients:
-    """Reaction-field coefficients B_nm = f_n M_nm of a series method, for potentials at points.
-
-    ``method`` and ``lam`` name the eigenvalues as in ``sphere_energies``.
-    """
-    if method in GB_METHODS:
-        raise DomainError(f"GB method {method!r} has no reaction coefficients")
-    if e.kind != KIND_SOURCE:
-        raise DomainError("expected source moments")
-    if e.n_max != model.n_max:
-        raise DomainError(f"moment cutoff {e.n_max} != model cutoff {model.n_max}")
-    coeffs = e.coeffs * _mode_factors(model, [method], [lam])[0][:, None]
-    return MultipoleCoefficients(n_max=e.n_max, coeffs=coeffs, kind=KIND_REACTION)
-
-
 def _check_interior(pos: np.ndarray, model: SphereModel):
     """DomainError for the first set of positions (C, Q, 3) with a charge past the margin."""
     rmax = np.max(np.linalg.norm(pos, axis=-1), axis=-1)
@@ -273,6 +256,43 @@ def sphere_energies(
                          truncation_error_estimate=None if method in GB_METHODS else tail,
                          metadata={"alpha": str(GB_ALPHAS[method])} if method == "gbeps" else {})
             for value, method, label in zip(values, methods, _labels(methods, lam))]
+
+
+def reaction_potential(dist: ChargeDistribution, model: SphereModel, points,
+                       method: str = METHOD_KIRKWOOD, lam: float = 0.0) -> np.ndarray:
+    """Reaction potential psi (K,) of one charge set at K interior points, without k_e.
+
+    psi = sum_{n, m>=0} Re(conj(B_nm) R_n^m) over the reaction coefficients
+    B_nm = f_n M_nm: the set's ``source_moments`` scaled by the method's
+    factor per mode, ``method`` and ``lam`` as in ``sphere_energies``.  It is
+    real by construction: the m < 0 terms are the conjugates of the m > 0
+    terms, and the seminormalization's 2 - delta_m0 counts them.  Per m,
+    h_m = sum_n conj(B_nm) Pi_n^m is one matrix product against the table
+    of ``harmonics._solid_table`` over all points, and psi = sum_m Re(u^m h_m).
+    (k_e/2) q . psi at the charges is the method's energy.
+    """
+    if method in GB_METHODS:
+        raise DomainError(f"GB method {method!r} has no reaction coefficients")
+    _check_interior(dist.positions[None], model)
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    if not np.all(np.isfinite(points)):
+        raise DomainError("non-finite potential evaluation point")
+    n_max = model.n_max
+    with np.errstate(over="ignore", invalid="ignore"):
+        # conj(B_nm) g_nm = conj(M_nm) f_n g_nm, laid out (m, n).
+        coef = (np.conj(source_moments(dist, n_max).T) * _mode_factors(model, [method], [lam])
+                * _solid_coefficients(n_max)[1][:, 0, :, 0])
+        table = _solid_table(points[None], n_max)[:, :, 0]
+        # (m, [Re, Im], n) (m, n, K) products: [Re, Im] of h_m at every point.
+        h = np.matmul(np.stack([coef.real, coef.imag], axis=1), table.transpose(1, 0, 2))
+        u = np.empty((n_max + 1, len(points)), dtype=complex)
+        u[0] = 1.0
+        u[1:] = points[:, 0] + 1j * points[:, 1]
+        np.cumprod(u, axis=0, out=u)
+        psi = np.sum(u.real * h[:, 0] - u.imag * h[:, 1], axis=0)
+    if not np.all(np.isfinite(psi)):
+        raise DomainError(f"non-finite reaction potential at n_max {n_max}")
+    return psi
 
 
 def kirkwood_energy(dist: ChargeDistribution, model: SphereModel) -> EnergyResult:

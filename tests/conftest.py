@@ -7,7 +7,6 @@ from scipy.sparse.linalg import eigsh
 import solvbie as sv
 from solvbie.bem import _row_blocks, assemble_dstar
 from solvbie.errors import DomainError
-from solvbie.harmonics import eval_interior_potential_many
 from solvbie.mesh import build_surface
 from solvbie.sphere import _gb_energies
 
@@ -102,16 +101,6 @@ def still_inverse_reference(dist, radii):
         rr = radii[i] * radii[j]
         inv[i, j] = 1.0 / math.sqrt(d2 + rr * math.exp(-d2 / (4.0 * rr)))
     return inv
-
-
-def eval_interior_potential(b_coeffs, point) -> float:
-    """Reaction potential at an interior point, pre-Coulomb-constant units.
-
-    psi = sum_{n, m>=0} Re(conj(B_nm) R_n^m), truncated at n_max, with R_n^m the
-    seminormalized solid harmonics of ``solvbie.harmonics``.
-    """
-    vals = eval_interior_potential_many(b_coeffs, np.asarray(point, dtype=float).reshape(1, 3))
-    return float(vals[0])
 
 
 def dstar_spectrum_estimates(surf, tol: float = 1e-5) -> dict:

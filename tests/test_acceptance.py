@@ -12,9 +12,9 @@ import solvbie as sv
 from conftest import (dstar_spectrum_estimates, gb_energy, random_ball_distribution,
                       sphere_gb_radii)
 from solvbie.experiments import ROW_COLUMNS, rows_to_csv
-from solvbie.harmonics import KIND_SOURCE, MultipoleCoefficients
 from solvbie.mesh import build_surface
 from solvbie.model import COULOMB_KCAL
+from solvbie.sphere import _mode_factors
 
 EPS_BIO = sv.DielectricPair(4.0, 80.0)
 EPS_WATER = sv.DielectricPair(1.0, 80.0)
@@ -26,12 +26,6 @@ def _report(name, ok, detail=""):
         line += f"  ({detail})"
     print(line)
     assert ok, line
-
-
-def _single_mode(n_max, n, m, value=1.0):
-    coeffs = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    coeffs[n, m] = value
-    return MultipoleCoefficients(n_max=n_max, coeffs=coeffs, kind=KIND_SOURCE)
 
 
 def test_01_born_exactness():
@@ -87,18 +81,21 @@ def test_03_bound_ordering_1000_configs():
 
 
 def test_04_eigenfunction_preservation():
+    # Each method's reaction coefficients are its factor row times the moments,
+    # B_nm = f_n M_nm, so a single-harmonic source M gives that harmonic alone.
     model = sv.SphereModel(5.0, EPS_BIO, 6)
-    methods = (("kirkwood", 0.0), ("cfa", 0.0), ("p", 0.0), ("lambda", -0.2), ("m", -0.1))
+    factors = _mode_factors(model, ["kirkwood", "cfa", "p", "lambda", "m"],
+                            [0.0, 0.0, 0.0, -0.2, -0.1])
     worst = 0.0
     for n in range(7):
         for m in range(0, n + 1):
-            e = _single_mode(6, n, m)
-            for method, lam in methods:
-                b = sv.reaction_coefficients(e, model, method, lam)
-                on = abs(b.get(n, m))
-                mask = np.ones_like(b.coeffs, dtype=bool)
+            e = np.zeros((7, 7), dtype=complex)
+            e[n, m] = 1.0
+            for b in e * factors[:, :, None]:
+                on = abs(b[n, m])
+                mask = np.ones_like(b, dtype=bool)
                 mask[n, m] = False
-                worst = max(worst, float(np.max(np.abs(b.coeffs[mask]))) / on)
+                worst = max(worst, float(np.max(np.abs(b[mask]))) / on)
     _report("single-harmonic sources stay single-harmonic for all five methods",
             worst <= 1e-12, f"max off-mode/on-mode {worst:.2e}")
 
@@ -107,11 +104,8 @@ def test_05_asymptotic_mode_ratios():
     eps = sv.DielectricPair(1e-8, 1.0)
     model = sv.SphereModel(5.0, eps, 10)
     worst = 0.0
-    for n in range(11):
-        e = _single_mode(10, n, 0)
-        bk = sv.reaction_coefficients(e, model).get(n, 0).real
-        bc = sv.reaction_coefficients(e, model, "cfa").get(n, 0).real
-        bp = sv.reaction_coefficients(e, model, "p").get(n, 0).real
+    fk, fc, fp = _mode_factors(model, ["kirkwood", "cfa", "p"], [0.0, 0.0, 0.0])
+    for n, bk, bc, bp in zip(range(11), fk, fc, fp):
         worst = max(worst, abs(bc / bk - (n + 1) / (2 * n + 1)) / ((n + 1) / (2 * n + 1)))
         worst = max(worst, abs(bp / bk - (n + 1) / (n + 0.5)) / ((n + 1) / (n + 0.5)))
     _report("high-contrast per-mode ratios (n+1)/(2n+1) and (n+1)/(n+1/2)",
@@ -127,9 +121,9 @@ def test_06_per_mode_exact_recovery():
     n = np.arange(26, dtype=float)
     e1, e2, b = 4.0, 80.0, 5.0
     exact = (e1 - e2) * (n + 1) / (e1 * (e1 * n + e2 * (n + 1)) * b ** (2 * n + 1))
-    bk = e.coeffs * exact[:, None]
-    bl = sv.reaction_coefficients(e, model)
-    err = float(np.max(np.abs(bl.coeffs - bk))) / float(np.max(np.abs(bk)))
+    bk = e * exact[:, None]
+    bl = e * _mode_factors(model, ["kirkwood"], [0.0])[0][:, None]
+    err = float(np.max(np.abs(bl - bk))) / float(np.max(np.abs(bk)))
     _report("per-mode eigenvalue -1/(2(2n+1)) recovers the exact coefficients",
             err < 1e-13, f"max rel err {err:.2e}")
 

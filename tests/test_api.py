@@ -29,7 +29,8 @@ BENCHMARK_NAMES = [
 REMOVED = ["bibee_energy", "kirkwood_reaction_coefficients", "bibee_reaction_coefficients",
            "assoc_legendre", "legendre_table", "mode_spectrum", "ConsistencyError", "IMAG_TOL",
            "_factorial_ratio", "GBParameters", "sphere_gb_parameters", "pair_interaction_kirkwood",
-           "METHOD_CFA", "METHOD_P", "METHOD_M"]
+           "METHOD_CFA", "METHOD_P", "METHOD_M", "MultipoleCoefficients", "KIND_SOURCE",
+           "KIND_REACTION", "reaction_coefficients", "eval_interior_potential_many"]
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)

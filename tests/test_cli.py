@@ -53,6 +53,23 @@ def test_infeasible_ensemble_exit_4(tmp_path, monkeypatch, capsys):
     assert "need 40000000000000 bytes" in capsys.readouterr().err
 
 
+def test_unallocatable_charge_draw_exit_4(tmp_path, monkeypatch, capsys):
+    # 10^9 charges per configuration: 40 GB of draw arrays, refused without allocating.
+    empty = np.empty
+
+    def refuse_large(shape, *args, **kwargs):
+        if np.prod(shape) > 10 ** 8:
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse_large)
+    (tmp_path / "huge.json").write_text('{"seed": 1, "num_configs": 1, '
+                                        '"charges_per_config": 1000000000}')
+    assert run(["experiment", "--config", "huge.json"], tmp_path, monkeypatch) == 4
+    assert capsys.readouterr().err == ("solvbie: domain error: charges of 1 configurations of "
+                                       "1000000000 charges need 40000000000 bytes\n")
+
+
 def test_sphere_inline_born(tmp_path, monkeypatch, capsys):
     code = run(["sphere", "--radius", "5", "--charge", "0,0,0,1",
                 "--methods", "kirkwood"], tmp_path, monkeypatch)
@@ -668,6 +685,10 @@ EXIT_FIXTURES = {
     "seed_text.json": '{"seed": "x"}',
     "unknown_key.json": '{"seed": 1, "wibble": true}',
     "infinite_eps.json": '{"seed": 1, "num_configs": 1, "eps_in": Infinity}',
+    "max_q_nan.json": '{"seed": 1, "num_configs": 1, "max_abs_charge": NaN}',
+    "max_q_inf.json": '{"seed": 1, "num_configs": 1, "max_abs_charge": Infinity}',
+    "max_q_1e308.json": '{"seed": 1, "num_configs": 1, "max_abs_charge": 1e308}',
+    "max_q_negative.json": '{"seed": 1, "num_configs": 1, "max_abs_charge": -1}',
     "empty.off": "",
     "negative_count.off": "OFF\n4 -1 0\n" + TET_VERTS + TET_OFF_FACES,
     "truncated.off": "OFF\n4 4 0\n" + TET_VERTS + "3 0 2 1\n3 0 1",
@@ -750,6 +771,15 @@ EXIT_CASES = {
                     "dielectric constant eps_out"),
     "infinite eps_in in a config": (["sweep", "--config", "{d}/infinite_eps.json"], 4,
                                     "dielectric constant eps_in"),
+    "nan max_abs_charge in a config": (["experiment", "--config", "{d}/max_q_nan.json"], 4,
+                                       "2 * max_abs_charge finite, got nan"),
+    "infinite max_abs_charge in a config": (["sweep", "--config", "{d}/max_q_inf.json"], 4,
+                                            "2 * max_abs_charge finite, got inf"),
+    "max_abs_charge 1e308 in a config": (["experiment", "--config", "{d}/max_q_1e308.json"], 4,
+                                         "2 * max_abs_charge finite, got 1e+308"),
+    "negative max_abs_charge in a config": (["sweep", "--config", "{d}/max_q_negative.json"], 4,
+                                            "max_abs_charge must be >= 0 with 2 * max_abs_charge "
+                                            "finite, got -1"),
     "negative n_max": ([*SPHERE, "--charge", "0,0,0,1", "--nmax", "-1"], 4,
                        "n_max must be >= 0"),
     "n_max 100000": ([*SPHERE, "--charge", "0,0,4.9,1", "--nmax", "100000"], 4,

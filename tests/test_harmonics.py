@@ -6,10 +6,10 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 import solvbie as sv
-from conftest import chunk_of, eval_interior_potential, random_ball_distribution, rotate_about_z
+from conftest import chunk_of, random_ball_distribution, rotate_about_z
 from solvbie.errors import DomainError
-from solvbie.harmonics import KIND_REACTION, MultipoleCoefficients, eval_interior_potential_many
 from solvbie.model import COULOMB_KCAL
+from solvbie.sphere import _mode_factors
 
 
 def rodrigues_pnm(n, m, x):
@@ -49,8 +49,8 @@ def naive_source_moments(dist, n_max):
 def test_charge_at_origin_only_e00():
     d = sv.make_distribution([[0, 0, 0]], [0.7])
     e = sv.source_moments(d, 8)
-    assert e.get(0, 0) == pytest.approx(0.7)
-    coeffs = e.coeffs.copy()
+    assert e[0, 0] == pytest.approx(0.7)
+    coeffs = e.copy()
     coeffs[0, 0] = 0.0
     assert np.max(np.abs(coeffs)) == 0.0
 
@@ -61,32 +61,38 @@ def test_source_moments_reject_a_sequence():
         sv.source_moments([d, d], 3)
 
 
-def test_coefficients_copy_the_callers_array():
-    given = np.zeros((3, 3))
-    given[1, 1] = 2.0
-    b = MultipoleCoefficients(n_max=2, coeffs=given, kind=KIND_REACTION)
-    assert given.flags.writeable
-    given[1, 1] = 5.0
-    assert b.coeffs.dtype == complex and not b.coeffs.flags.writeable
-    assert b.get(1, 1) == 2.0 and b.get(1, -1) == 2.0
+def test_source_moments_are_a_read_only_complex_triangle():
+    d = sv.make_distribution([[0.3, -0.2, 1.0], [-1.0, 0.5, 0.1]], [1.0, -0.6])
+    e = sv.source_moments(d, 4)
+    assert e.shape == (5, 5) and e.dtype == complex and not e.flags.writeable
+    assert np.all(e[np.triu_indices(5, 1)] == 0.0)
+    assert np.all(e[np.tril_indices(5)] != 0.0)
+
+
+def test_non_finite_moments_are_a_domain_error():
+    # r^2 of a charge at r = 1e200 overflows the float range.
+    d = sv.make_distribution([[0.0, 0.0, 1e200]], [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="non-finite multipole moments"):
+            sv.source_moments(d, 2)
 
 
 def test_on_axis_charge_excites_only_m0():
     d = sv.make_distribution([[0, 0, 1.0]], [1.0])
     e = sv.source_moments(d, 10)
     for n in range(11):
-        assert e.get(n, 0) == pytest.approx(1.0, rel=1e-14)
+        assert e[n, 0] == pytest.approx(1.0, rel=1e-14)
         for m in range(1, n + 1):
-            assert abs(e.get(n, m)) < 1e-15
-            assert abs(e.get(n, -m)) < 1e-15
+            assert abs(e[n, m]) < 1e-15
 
 
 def test_axial_dipole_moments():
     d = sv.make_distribution([[0, 0, 1.0], [0, 0, -1.0]], [1.0, -1.0])
     e = sv.source_moments(d, 4)
-    assert abs(e.get(0, 0)) < 1e-15
-    assert e.get(1, 0) == pytest.approx(2.0, rel=1e-14)
-    assert abs(e.get(2, 0)) < 1e-14
+    assert abs(e[0, 0]) < 1e-15
+    assert e[1, 0] == pytest.approx(2.0, rel=1e-14)
+    assert abs(e[2, 0]) < 1e-14
 
 
 def test_moments_match_naive_oracle():
@@ -96,7 +102,7 @@ def test_moments_match_naive_oracle():
     d = sv.make_distribution(pos, q)
     e = sv.source_moments(d, 8)
     expected = naive_source_moments(d, 8)
-    assert np.max(np.abs(e.coeffs - expected)) < 1e-10 * np.max(np.abs(expected))
+    assert np.max(np.abs(e - expected)) < 1e-10 * np.max(np.abs(expected))
 
 
 def test_moments_linear_in_charges():
@@ -107,8 +113,8 @@ def test_moments_linear_in_charges():
     ea = sv.source_moments(sv.make_distribution(pos, q1), 10)
     eb = sv.source_moments(sv.make_distribution(pos, q2), 10)
     eab = sv.source_moments(sv.make_distribution(pos, q1 + q2), 10)
-    scale = np.max(np.abs(eab.coeffs))
-    assert np.max(np.abs(ea.coeffs + eb.coeffs - eab.coeffs)) < 1e-12 * scale
+    scale = np.max(np.abs(eab))
+    assert np.max(np.abs(ea + eb - eab)) < 1e-12 * scale
 
 
 @pytest.mark.parametrize("spectrum", [sv.pair_spectrum, sv.solid_spectrum])
@@ -129,37 +135,40 @@ def test_rotational_covariance_about_z():
     e0 = sv.source_moments(d, 8)
     e1 = sv.source_moments(rotate_about_z(d, phi0), 8)
     for n in range(9):
-        for m in range(-n, n + 1):
-            expected = e0.get(n, m) * np.exp(1j * m * phi0)
-            assert e1.get(n, m) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        for m in range(n + 1):
+            expected = e0[n, m] * np.exp(1j * m * phi0)
+            assert e1[n, m] == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 def test_conjugate_symmetry_for_real_charges():
+    # R_n^m(x, -y, z) = conj(R_n^m(x, y, z)): the mirror image in the xz plane
+    # has the conjugate moments, which is why M(n, -m) = conj(M(n, m)) is not stored.
     rng = np.random.default_rng(9)
     d = sv.make_distribution(rng.uniform(-2, 2, (5, 3)), rng.uniform(-1, 1, 5))
-    e = sv.source_moments(d, 6)
-    for n in range(7):
-        for m in range(1, n + 1):
-            assert e.get(n, -m) == pytest.approx(np.conj(e.get(n, m)), rel=1e-13)
+    mirror = sv.make_distribution(d.positions * [1.0, -1.0, 1.0], d.magnitudes)
+    np.testing.assert_array_equal(sv.source_moments(mirror, 6), np.conj(sv.source_moments(d, 6)))
 
 
-def _reaction_mode(n_max, n, m, value):
-    """Reaction coefficients with B(n, m) = value alone: one real mode."""
-    coeffs = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    coeffs[n, m] = value
-    return MultipoleCoefficients(n_max=n_max, coeffs=coeffs, kind=KIND_REACTION)
+def solid_harmonics(points, n_max):
+    """R_n^m at K points, (K, n_max+1, n_max+1) indexed [k, n, m]: a unit charge's moments."""
+    return np.array([sv.source_moments(sv.make_distribution([p], [1.0]), n_max) for p in points])
+
+
+def kirkwood_model(n_max):
+    return sv.SphereModel(5.0, sv.DielectricPair(4.0, 80.0), n_max)
+
+
+ONE_CHARGE = sv.make_distribution([[0.0, 0.0, 1.0]], [1.0])
 
 
 def test_no_condon_shortley_phase():
-    # psi = Re R_1^1 = r P_1^1(0) cos 0 = +1 at (1, 0, 0) without the CS phase.
-    b = _reaction_mode(1, 1, 1, 1.0)
-    assert eval_interior_potential(b, [1.0, 0.0, 0.0]) == pytest.approx(1.0, rel=1e-15)
+    # R_1^1 = r P_1^1(0) e^0 = +1 at (1, 0, 0) without the CS phase.
+    assert solid_harmonics([[1.0, 0.0, 0.0]], 1)[0, 1, 1] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_recurrence_matches_rodrigues_grid():
-    # A single mode B(n, m) = c gives r^n P_n^m(cos theta) sqrt((2 - delta_m0)
-    # (n-m)!/(n+m)!) times cos(m phi) for c = 1 and sin(m phi) for c = i,
-    # on a grid with both poles (cos theta = +-1) and the origin.
+    # R_n^m is r^n P_n^m(cos theta) sqrt((2 - delta_m0) (n-m)!/(n+m)!) times
+    # cos(m phi) + i sin(m phi), on a grid with both poles (cos theta = +-1) and the origin.
     cos_theta = np.linspace(-1.0, 1.0, 41)
     phi = np.array([0.0, 0.7, 2.9, -1.3])
     r = np.array([0.6, 1.7])
@@ -168,59 +177,58 @@ def test_recurrence_matches_rodrigues_grid():
     points = np.column_stack([rr * st * np.cos(ph), rr * st * np.sin(ph), rr * ct])
     points = np.vstack([points, [0.0, 0.0, 0.0]])
     ct, ph, rr = np.append(ct, 1.0), np.append(ph, 0.0), np.append(rr, 0.0)
+    table = solid_harmonics(points, 12)
     for n in range(13):
         for m in range(n + 1):
             weight = seminormalization(n, m)
             radial = rr ** n * weight * rodrigues_pnm(n, m, ct)
-            for c, angular in ((1.0, np.cos(m * ph)), (1j, np.sin(m * ph))):
-                if m == 0 and c == 1j:
-                    continue
-                got = eval_interior_potential_many(_reaction_mode(12, n, m, c), points)
+            for got, angular in ((table[:, n, m].real, np.cos(m * ph)),
+                                 (table[:, n, m].imag, np.sin(m * ph))):
                 scale = np.max(rr) ** n * weight * np.max(np.abs(rodrigues_pnm(n, m, cos_theta)))
-                assert np.max(np.abs(got - radial * angular)) <= 1e-12 * scale, (n, m, c)
+                assert np.max(np.abs(got - radial * angular)) <= 1e-12 * scale, (n, m)
 
 
 def test_potential_rejects_non_finite_point():
-    b = _reaction_mode(4, 2, 1, 1.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError, match="non-finite potential evaluation point"):
-            eval_interior_potential_many(b, [[0.0, 0.0, 0.5], [bad, 0.0, 0.0]])
+            sv.reaction_potential(ONE_CHARGE, kirkwood_model(4), [[0.0, 0.0, 0.5], [bad, 0.0, 0.0]])
 
 
 def test_no_points_give_an_empty_potential():
-    psi = eval_interior_potential_many(_reaction_mode(4, 2, 1, 1.0), np.zeros((0, 3)))
+    psi = sv.reaction_potential(ONE_CHARGE, kirkwood_model(4), np.zeros((0, 3)))
     assert psi.shape == (0,)
 
 
 def test_sectoral_mode_160_is_finite_and_an_overflow_is_an_error():
     # R_160^160 at (1, 0, 0) is the sectoral constant c_160; r^4 of a point at 1e100 overflows.
-    psi = eval_interior_potential_many(_reaction_mode(160, 160, 160, 1.0), [[1.0, 0.0, 0.0]])
+    got = solid_harmonics([[1.0, 0.0, 0.0]], 160)[0, 160, 160]
     want = math.prod(math.sqrt((2 * j - 1) / (2 * j)) for j in range(2, 161))
-    assert psi[0] == pytest.approx(want, rel=1e-13)
+    assert got == pytest.approx(want, rel=1e-13)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DomainError, match="non-finite reaction potential"):
-            eval_interior_potential_many(_reaction_mode(4, 4, 0, 1.0), [[1e100, 0.0, 0.0]])
+            sv.reaction_potential(ONE_CHARGE, kirkwood_model(4), [[1e100, 0.0, 0.0]])
 
 
 def test_constant_mode_potential():
-    b = _reaction_mode(5, 0, 0, 3.25)
+    # At n_max 0 the reaction potential is B_00 = f_0 sum q at every point.
+    d = random_ball_distribution(12, 0, count=5)
+    model = kirkwood_model(0)
+    want = _mode_factors(model, ["kirkwood"], [0.0])[0, 0] * sv.source_moments(d, 0)[0, 0].real
     for pt in ([0, 0, 0], [1, 2, -0.5], [-3, 0.1, 0.4]):
-        assert eval_interior_potential(b, pt) == pytest.approx(3.25, rel=1e-14)
+        assert sv.reaction_potential(d, model, [pt])[0] == pytest.approx(want, rel=1e-14)
 
 
 def test_zero_coefficients_zero_potential():
-    b = _reaction_mode(5, 0, 0, 0.0)
-    assert eval_interior_potential(b, [1.0, 1.0, 1.0]) == 0.0
+    model = sv.SphereModel(5.0, sv.DielectricPair(4.0, 4.0), 5)
+    assert sv.reaction_potential(random_ball_distribution(12, 1), model, [[1.0, 1.0, 1.0]]) == 0.0
 
 
 def test_origin_sees_only_b00():
-    coeffs = np.zeros((6, 6), dtype=complex)
-    coeffs[0, 0] = 2.0
-    coeffs[1, 0] = 7.0
-    coeffs[2, 0] = -4.0
-    b = MultipoleCoefficients(n_max=5, coeffs=coeffs, kind=KIND_REACTION)
-    assert eval_interior_potential(b, [0, 0, 0]) == pytest.approx(2.0, rel=1e-15)
+    d = random_ball_distribution(12, 2, count=6)
+    model = kirkwood_model(5)
+    want = _mode_factors(model, ["kirkwood"], [0.0])[0, 0] * sv.source_moments(d, 5)[0, 0].real
+    assert sv.reaction_potential(d, model, [[0, 0, 0]])[0] == pytest.approx(want, rel=1e-15)
 
 
 def test_tail_estimate_zero_at_origin():

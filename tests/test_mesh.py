@@ -175,6 +175,16 @@ def test_off_with_comments_and_header(tmp_path):
     assert sv.load_off(path).num_panels == 4
 
 
+@pytest.mark.parametrize("color", [" 255 0 0", " 0.5 0.25 1.0 0.75"], ids=["integer", "float"])
+def test_off_face_colors_are_ignored(color):
+    plain = "OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"
+    lines = plain.splitlines()
+    colored = "\n".join(lines[:6] + [line + color for line in lines[6:]]) + "\n"
+    want, got = (sv.load_off("tet.off", read=lambda path: text) for text in (plain, colored))
+    for name in ("vertices", "triangles", "centroids", "normals", "areas"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_off_rejects_quads(tmp_path):
     path = tmp_path / "quad.off"
     path.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n")

@@ -61,12 +61,15 @@ def energies(dist, n_max=25):
 
 AXIS_AND_ORIGIN = [sv.make_distribution([[0.0, 0.0, 2.5], [0.0, 0.0, 0.0], [1.0, -2.0, 0.5]],
                                         [0.5, -1.0, 0.75])]
+#: Two tiny charges at the origin: S_0 = (2q)^2 = 5.36e-315 is subnormal.
+SUBNORMAL_S0 = [sv.make_distribution(np.zeros((2, 3)), [3.66121155e-158] * 2)]
 
 
 @given(st.integers(0, 20).flatmap(lambda n_max: st.tuples(st.just(n_max), st.lists(
     charge_sets(2 * (n_max + 1), special_charge), min_size=1, max_size=3))))
 @example((0, AXIS_AND_ORIGIN))
 @example((1, AXIS_AND_ORIGIN))
+@example((0, SUBNORMAL_S0))
 def test_solid_spectrum_equals_pair_spectrum(case):
     # Each set of a different size is its own chunk.
     n_max, dists = case

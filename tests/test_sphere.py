@@ -9,9 +9,8 @@ from conftest import (chunk_of, gb_energy, mode_ratio, random_ball_distribution,
                       sphere_gb_radii, still_inverse_reference)
 from solvbie import sphere
 from solvbie.errors import DomainError
-from solvbie.harmonics import KIND_SOURCE, MultipoleCoefficients, eval_interior_potential_many
 from solvbie.model import COULOMB_KCAL
-from solvbie.sphere import _inverse_still
+from solvbie.sphere import _inverse_still, _mode_factors
 
 EPS_BIO = sv.DielectricPair(4.0, 80.0)
 EPS_WATER = sv.DielectricPair(1.0, 80.0)
@@ -27,10 +26,13 @@ def kirkwood_factors(e1, e2, b, n_max):
     return (e1 - e2) * (n + 1) / (e1 * (e1 * n + e2 * (n + 1)) * b ** (2 * n + 1))
 
 
-def single_mode_source(n_max, n, m, value=1.0):
-    coeffs = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    coeffs[n, m] = value
-    return MultipoleCoefficients(n_max=n_max, coeffs=coeffs, kind=KIND_SOURCE)
+#: The five series methods and an eigenvalue for each.
+SERIES = (("kirkwood", 0.0), ("cfa", 0.0), ("p", 0.0), ("lambda", -0.2), ("m", -0.1))
+
+
+def factors_of(model, methods):
+    """The factor rows f_n of (method, lambda) pairs, (methods, n_max+1)."""
+    return _mode_factors(model, [m for m, _ in methods], [lam for _, lam in methods])
 
 
 class TestKirkwood:
@@ -48,18 +50,16 @@ class TestKirkwood:
     def test_equal_dielectrics_zero_coefficients(self):
         d = random_ball_distribution(1, 0)
         m = sv.SphereModel(5.0, sv.DielectricPair(4.0, 4.0), 20)
-        e = sv.source_moments(d, 20)
-        b = sv.reaction_coefficients(e, m)
-        assert np.max(np.abs(b.coeffs)) == 0.0
+        assert np.max(np.abs(factors_of(m, SERIES))) == 0.0
+        assert np.max(np.abs(sv.reaction_potential(d, m, d.positions))) == 0.0
         assert sv.kirkwood_energy(d, m).value == 0.0
 
     def test_monopole_coefficient_formula(self):
-        # B_00 = (e1 - e2) / (e1 e2 b) * M_00
+        # B_00 = (e1 - e2) / (e1 e2 b) * M_00: a centered unit charge's potential at the center.
         d = sv.make_distribution([[0, 0, 0]], [1.0])
         m = sv.SphereModel(5.0, EPS_BIO, 4)
-        b = sv.reaction_coefficients(sv.source_moments(d, 4), m)
         expected = (4.0 - 80.0) / (4.0 * 80.0 * 5.0)
-        assert b.get(0, 0) == pytest.approx(expected, rel=1e-14)
+        assert sv.reaction_potential(d, m, [[0, 0, 0]])[0] == pytest.approx(expected, rel=1e-14)
 
     def test_charge_on_boundary_rejected(self):
         d = sv.make_distribution([[0, 0, 5.0]], [1.0])
@@ -78,19 +78,17 @@ class TestBibeeVariants:
     def test_lambda_half_equals_cfa(self):
         d = random_ball_distribution(2, 0)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
-        e = sv.source_moments(d, 25)
-        bc = sv.reaction_coefficients(e, m, "cfa")
-        bl = sv.reaction_coefficients(e, m, "lambda", -0.5)
-        scale = np.max(np.abs(bc.coeffs))
-        assert np.max(np.abs(bc.coeffs - bl.coeffs)) < 1e-14 * scale
+        pc = sv.reaction_potential(d, m, d.positions, "cfa")
+        pl = sv.reaction_potential(d, m, d.positions, "lambda", -0.5)
+        scale = np.max(np.abs(pc))
+        assert np.max(np.abs(pc - pl)) < 1e-14 * scale
 
     def test_lambda_zero_equals_p(self):
         d = random_ball_distribution(2, 1)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
-        e = sv.source_moments(d, 25)
-        bp = sv.reaction_coefficients(e, m, "p")
-        bl = sv.reaction_coefficients(e, m, "lambda", 0.0)
-        np.testing.assert_array_equal(bp.coeffs, bl.coeffs)
+        pp = sv.reaction_potential(d, m, d.positions, "p")
+        pl = sv.reaction_potential(d, m, d.positions, "lambda", 0.0)
+        np.testing.assert_array_equal(pp, pl)
 
     def test_per_mode_lambda_recovers_kirkwood(self):
         # The exact coefficients are the per-mode factor P_n / (1 + eps_hat
@@ -98,10 +96,10 @@ class TestBibeeVariants:
         d = random_ball_distribution(2, 2)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
         e = sv.source_moments(d, 25)
-        bl = sv.reaction_coefficients(e, m)
-        expected = e.coeffs * kirkwood_factors(4.0, 80.0, 5.0, 25)[:, None]
+        bl = e * _mode_factors(m, ["kirkwood"], [0.0])[0][:, None]
+        expected = e * kirkwood_factors(4.0, 80.0, 5.0, 25)[:, None]
         scale = np.max(np.abs(expected))
-        assert np.max(np.abs(bl.coeffs - expected)) < 1e-13 * scale
+        assert np.max(np.abs(bl - expected)) < 1e-13 * scale
 
     def test_equal_dielectrics_all_methods_agree(self):
         d = random_ball_distribution(2, 3)
@@ -119,15 +117,11 @@ class TestBibeeVariants:
         assert ec == pytest.approx(ek, rel=1e-14)
 
     def test_hybrid_m_zero_mixes_cfa_and_p(self):
+        # M(0) takes CFA's factor for the monopole and P's for every other mode.
         m = sv.SphereModel(5.0, EPS_BIO, 8)
-        e = single_mode_source(8, 0, 0)
-        bm = sv.reaction_coefficients(e, m, "m", 0.0)
-        bc = sv.reaction_coefficients(e, m, "cfa")
-        np.testing.assert_array_equal(bm.coeffs, bc.coeffs)
-        e3 = single_mode_source(8, 3, 1)
-        bm3 = sv.reaction_coefficients(e3, m, "m", 0.0)
-        bp3 = sv.reaction_coefficients(e3, m, "p")
-        np.testing.assert_array_equal(bm3.coeffs, bp3.coeffs)
+        fm, fc, fp = factors_of(m, (("m", 0.0), ("cfa", 0.0), ("p", 0.0)))
+        assert fm[0] == fc[0]
+        np.testing.assert_array_equal(fm[1:], fp[1:])
 
 
 class TestBoundOrdering:
@@ -168,21 +162,18 @@ class TestBoundOrdering:
 class TestEigenfunctionPreservation:
     @pytest.mark.parametrize("n,m", [(0, 0), (1, 0), (2, 1), (3, 3), (5, 2), (6, 4)])
     def test_single_mode_stays_single_mode(self, n, m):
+        # Every method scales the moments by one factor per mode n, B_nm = f_n M_nm.
         model = sv.SphereModel(5.0, EPS_BIO, 8)
-        e = single_mode_source(8, n, m)
-        outputs = [
-            sv.reaction_coefficients(e, model),
-            sv.reaction_coefficients(e, model, "cfa"),
-            sv.reaction_coefficients(e, model, "p"),
-            sv.reaction_coefficients(e, model, "lambda", -0.2),
-            sv.reaction_coefficients(e, model, "m", -0.1),
-        ]
-        for b in outputs:
-            on_mode = abs(b.get(n, m))
+        e = np.zeros((9, 9), dtype=complex)
+        e[n, m] = 1.0
+        factors = factors_of(model, SERIES)
+        assert factors.shape == (len(SERIES), 9)
+        for b in e * factors[:, :, None]:
+            on_mode = abs(b[n, m])
             assert on_mode > 0
-            mask = np.ones_like(b.coeffs, dtype=bool)
+            mask = np.ones_like(b, dtype=bool)
             mask[n, m] = False
-            assert np.max(np.abs(b.coeffs[mask])) <= 1e-12 * on_mode
+            assert np.max(np.abs(b[mask])) <= 1e-12 * on_mode
 
 
 class TestModeRatios:
@@ -200,11 +191,8 @@ class TestModeRatios:
         # eps1/eps2 = 1e-8: per-mode coefficient ratios approach the closed forms.
         eps = sv.DielectricPair(1e-8, 1.0)
         model = sv.SphereModel(5.0, eps, 10)
-        for n in range(11):
-            e = single_mode_source(10, n, 0)
-            bk = sv.reaction_coefficients(e, model).get(n, 0)
-            bc = sv.reaction_coefficients(e, model, "cfa").get(n, 0)
-            bp = sv.reaction_coefficients(e, model, "p").get(n, 0)
+        fk, fc, fp = factors_of(model, (("kirkwood", 0.0), ("cfa", 0.0), ("p", 0.0)))
+        for n, bk, bc, bp in zip(range(11), fk, fc, fp):
             assert (bc / bk).real == pytest.approx(mode_ratio(sv.BibeeVariant("cfa"), n), rel=1e-6)
             assert (bp / bk).real == pytest.approx(mode_ratio(sv.BibeeVariant("p"), n), rel=1e-6)
 
@@ -255,6 +243,45 @@ class TestPairInteraction:
             sv.pairwise_kirkwood_energy(sv.make_distribution([[0, 0, 5.0]], [1.0]), m)
 
 
+class TestReactionPotential:
+    @pytest.mark.parametrize("count", [1, 25, 60])
+    def test_half_q_psi_at_the_charges_is_the_energy(self, count):
+        # At n_max 25, sets of 1 and 25 charges take pairwise spectra, 60 solid ones.
+        model = sv.SphereModel(5.0, EPS_BIO, 25)
+        methods = [method for method, _ in SERIES]
+        for index in range(3):
+            d = random_ball_distribution(41, index, count=count)
+            for method, res in zip(methods, sv.sphere_energies(d, model, methods, -0.15)):
+                psi = sv.reaction_potential(d, model, d.positions, method, -0.15)
+                energy = 0.5 * COULOMB_KCAL * float(d.magnitudes @ psi)
+                assert energy == pytest.approx(res.value, rel=1e-12), (method, index)
+
+    def test_mode_n_of_the_potential_is_f_n_times_mode_n_of_the_moments(self):
+        # psi(x) = sum_n f_n sum_{m>=0} Re(conj(M_nm) R_n^m(x)); R_n^m(x) are the
+        # moments of a unit charge at x.
+        model = sv.SphereModel(5.0, EPS_BIO, 12)
+        d = random_ball_distribution(42, 0, count=7)
+        points = random_ball_distribution(42, 1, count=9).positions
+        e = sv.source_moments(d, 12)
+        r = np.array([sv.source_moments(sv.make_distribution([p], [1.0]), 12) for p in points])
+        modes = np.sum((np.conj(e) * r).real, axis=-1)  # (points, n)
+        for method, f in zip(SERIES, factors_of(model, SERIES)):
+            got = sv.reaction_potential(d, model, points, *method)
+            scale = np.sum(np.abs(modes * f), axis=-1)
+            assert np.all(np.abs(got - modes @ f) <= 1e-12 * scale), method
+
+    def test_gb_method_nan_point_exterior_charge_and_no_points(self):
+        d = random_ball_distribution(41, 0)
+        model = sv.SphereModel(5.0, EPS_BIO, 25)
+        with pytest.raises(DomainError, match="GB method 'gbeps' has no reaction coefficients"):
+            sv.reaction_potential(d, model, d.positions, "gbeps")
+        with pytest.raises(DomainError, match="non-finite potential evaluation point"):
+            sv.reaction_potential(d, model, [[0.0, 0.0, 1.0], [0.0, np.nan, 0.0]])
+        with pytest.raises(DomainError, match="too close to the boundary"):
+            sv.reaction_potential(sv.make_distribution([[0, 0, 6.0]], [1.0]), model, [[0, 0, 0]])
+        assert sv.reaction_potential(d, model, np.zeros((0, 3))).shape == (0,)
+
+
 class TestModeSpectrum:
     def test_spectrum_energies_match_point_evaluation_and_pairwise_sum(self):
         # sphere_energies sums f_n S_n; the point-evaluation path sums
@@ -267,11 +294,9 @@ class TestModeSpectrum:
         for eps in (EPS_BIO, sv.DielectricPair(80.0, 2.0)):
             m = sv.SphereModel(5.0, eps, 25)
             for d in configs:
-                e = sv.source_moments(d, m.n_max)
-                coeffs = [sv.reaction_coefficients(e, m, method, lam) for method in methods]
                 results = sv.sphere_energies(d, m, methods, lam)
-                for b, res in zip(coeffs, results):
-                    psi = eval_interior_potential_many(b, d.positions)
+                for method, res in zip(methods, results):
+                    psi = sv.reaction_potential(d, m, d.positions, method, lam)
                     direct = 0.5 * COULOMB_KCAL * float(d.magnitudes @ psi)
                     assert res.value == pytest.approx(direct, rel=1e-12), res.method
 
@@ -297,8 +322,7 @@ class TestModeSpectrum:
         model = sv.SphereModel(5.0, EPS_BIO, 160)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            b = sv.reaction_coefficients(sv.source_moments(d, model.n_max), model)
-            psi = eval_interior_potential_many(b, d.positions)
+            psi = sv.reaction_potential(d, model, d.positions)
         assert np.all(np.isfinite(psi))
         want = sv.sphere_energies(d, model, ["kirkwood"])[0].value
         assert 0.5 * COULOMB_KCAL * float(d.magnitudes @ psi) == pytest.approx(want, rel=1e-12)
@@ -533,7 +557,7 @@ class TestGeneralizedBorn:
         d = sv.make_distribution([[0, 0, 1.0]], [1.0])
         m = sv.SphereModel(5.0, EPS_BIO, 6)
         with pytest.raises(DomainError, match=f"GB method '{method}' has no reaction coefficients"):
-            sv.reaction_coefficients(sv.source_moments(d, 6), m, method)
+            sv.reaction_potential(d, m, d.positions, method)
 
     def test_gbeps_tracks_kirkwood_pairs(self):
         # Accuracy is approximate; assert a loose envelope and record typical
