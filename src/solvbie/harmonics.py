@@ -11,18 +11,18 @@ trigonometry.  The source moments, the solid-harmonic spectrum and
 
 ``solid_spectrum``, ``pair_spectrum`` and ``truncation_tail_estimate`` take a
 chunk of C sets of Q charges, positions (C, Q, 3) and magnitudes (C, Q), and
-return results with a leading axis of length C.
-``source_moments`` takes one charge set and returns its moments as one
-complex array indexed [n, m].
+return results with a leading axis of length C.  The two spectra take the
+positions in units of the cavity radius b, strictly inside |r| = 1, where
+no power r^n can overflow.  ``source_moments`` takes one charge set in its
+own units and returns its moments as one complex array indexed [n, m].
 
 The mode spectrum S_n of a charge set has two forms, equal up to rounding.
 ``solid_spectrum`` sums S_n = sum_{m>=0} |M_nm|^2 over the moments, at a
-cost of order Q n_max^2 per set.
-``pair_spectrum`` uses Kirkwood's addition theorem over the charge pairs,
-S_n = sum_ij q_i q_j (r_i r_j)^n P_n(cos gamma_ij), at a cost of order
-Q^2 n_max.  ``sphere.ensemble_energies`` takes the pairwise form for sets of
-at most ``sphere.PAIR_CROSSOVER`` (n_max+1) charges and the solid-harmonic
-form above.
+cost of order Q n_max^2 per set.  ``pair_spectrum`` uses Kirkwood's
+addition theorem over the charge pairs, S_n = sum_ij q_i q_j (r_i r_j)^n
+P_n(cos gamma_ij), at a cost of order Q^2 n_max.
+``sphere.ensemble_energies`` takes the pairwise form for sets of at most
+``sphere.PAIR_CROSSOVER`` (n_max+1) charges and the solid-harmonic form above.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ import numpy as np
 from .errors import DomainError
 from .model import COULOMB_KCAL, ChargeDistribution
 
-#: Natural log of the largest float: x^n overflows once n log x exceeds it.
-_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 @functools.lru_cache(maxsize=8)
 def _solid_coefficients(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,15 +145,21 @@ def source_moments(dist: ChargeDistribution, n_max: int) -> np.ndarray:
     return moments
 
 
-def _charge_exponents(q: np.ndarray) -> np.ndarray:
-    """Binary exponent e of max|q| per set of a chunk (C,): max|q 2^-e| lies in [0.5, 1).
+def _scaled_charges(pos: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Charges q 2^-e of a chunk and e (C, 1), the binary exponent of each set's max|q|.
 
     S_n is quadratic in q, so a spectrum taken from q 2^-e and scaled back
     by 2^(2e) is the same bit for bit wherever the float range holds it, and
     where S_n is subnormal it is rounded once, at the end, instead of in
-    every product of two small charges.
+    every product of two small charges.  Positions (C, Q, 3) are in units of
+    the cavity radius b, so that no power r^n overflows: |r| >= 1 is a DomainError.
     """
-    return np.frexp(np.max(np.abs(q), axis=-1, initial=0.0))[1]
+    with np.errstate(over="ignore"):
+        r2 = np.max(np.sum(pos * pos, axis=-1), initial=0.0)
+    if not r2 < 1.0:
+        raise DomainError(f"charge at |r| = {np.sqrt(r2):g} b not strictly inside the cavity")
+    e = np.frexp(np.max(np.abs(q), axis=-1, initial=0.0))[1][:, None]
+    return np.ldexp(q, -e), e
 
 
 def pair_spectrum(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
@@ -172,40 +176,30 @@ def pair_spectrum(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
     buffers.  R is built from the diagonal of G, so that the self pairs
     have cos gamma = 1 exactly.  Each S_n is one batched matrix product
     per set, so a set's spectrum does not depend on the other sets of its
-    chunk.  From the first n at which r_max^(2n) of a set exceeds the float
-    range its S_n are inf, and the recurrence stops once every set is there.
-    The recurrence runs on each set's charges scaled by ``_charge_exponents``.
+    chunk.  The recurrence runs on the ``_scaled_charges`` of each set, at
+    |r| < 1, where |u_n| <= 1 at every n.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
+    q, e = _scaled_charges(pos, q)
     c, k = q.shape
-    e = _charge_exponents(q)[:, None]
-    q = np.ldexp(q, -e)
     try:
         gram, rr, older, old, new = np.empty((5, c, k, k))
+        spectra = np.empty((n_max + 1, c, 1, 1))
     except MemoryError:
-        raise DomainError(
-            f"pair spectra of {c} sets of {k} charges need {40 * c * k * k} bytes") from None
+        raise DomainError(f"pair spectra to n_max {n_max} of {c} sets of {k} charges need "
+                          f"{8 * c * (5 * k * k + n_max + 1)} bytes") from None
     np.matmul(pos, pos.transpose(0, 2, 1), out=gram)
     r2 = gram.diagonal(axis1=1, axis2=2)
     np.multiply(r2[:, :, None], r2[:, None, :], out=rr)
-    # (r_i r_j)^n leaves the float range from n = stop on; S_n is inf there.
-    r2_max = r2.max(axis=1)
-    past = np.log(np.maximum(r2_max, 1.0)) * n_max > _LOG_FLOAT_MAX
-    stop = np.full(c, n_max + 1)
-    stop[past] = _LOG_FLOAT_MAX // np.log(r2_max[past]) + 1
     # S_n = sum_ij w_n, one (1 x Q^2) (Q^2 x 1) product per set.
-    spectra, ones = np.empty((n_max + 1, c, 1, 1)), np.ones((k * k, 1))
+    ones = np.ones((k * k, 1))
     np.multiply(q[:, :, None], q[:, None, :], out=older)
     np.matmul(older.reshape(c, 1, k * k), ones, out=spectra[0])
     if n_max >= 1:
         np.multiply(older, gram, out=old)
         np.matmul(old.reshape(c, 1, k * k), ones, out=spectra[1])
-    stopping = set(stop[past].tolist())
-    for n in range(2, stop.max()):
-        if n in stopping:
-            # A set past its range carries zeros from here on, which cannot overflow.
-            old[stop == n] = older[stop == n] = 0.0
+    for n in range(2, n_max + 1):
         np.multiply(old, gram, out=new)
         new *= (2 * n - 1) / n
         older *= rr
@@ -213,9 +207,7 @@ def pair_spectrum(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
         new -= older
         np.matmul(new.reshape(c, 1, k * k), ones, out=spectra[n])
         older, old, new = old, new, older
-    spectra = spectra[:, :, 0, 0].T.copy()
-    spectra[np.arange(n_max + 1) >= stop[:, None]] = np.inf
-    return np.ldexp(spectra, 2 * e)
+    return np.ldexp(spectra[:, :, 0, 0].T.copy(), 2 * e)
 
 
 def solid_spectrum(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
@@ -227,10 +219,10 @@ def solid_spectrum(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
     in the same units, at a cost of order Q n_max^2 per set, with no
     trigonometry.  Each set's moments are their own matrix products, so a
     set's spectrum does not depend on the other sets of its chunk.  The
-    moments are of each set's charges scaled by ``_charge_exponents``.
+    moments are of the ``_scaled_charges`` of each set, at |r| < 1.
     """
-    e = _charge_exponents(q)[:, None]
-    moments = _solid_moments(pos, np.ldexp(q, -e), n_max)
+    q, e = _scaled_charges(pos, q)
+    moments = _solid_moments(pos, q, n_max)
     np.square(moments, out=moments)
     return np.ldexp(moments.sum(axis=-1).sum(axis=0), 2 * e)
 

@@ -112,8 +112,8 @@ class SphereModel:
     n_max: int = 25
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise DomainError(f"sphere radius must be positive, got {self.radius}")
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise DomainError(f"sphere radius must be positive and finite, got {self.radius}")
         if self.n_max < 0:
             raise DomainError(f"n_max must be >= 0, got {self.n_max}")
 

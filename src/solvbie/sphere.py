@@ -4,13 +4,15 @@ Implements the exact Kirkwood series, the boundary-integral-based diagonal
 approximations (CFA, P, generic-lambda, and the hybrid M variant), and the
 Generalized Born / GB-epsilon estimators with sphere-analytic parameters.
 
-Geometry and material separate.  The charges enter every series method
-only through their mode spectrum S_n, the dielectrics only through one
-factor f_n per mode:
+Geometry and material separate.  With lengths in units of the cavity
+radius b the geometry is dimensionless: the charges enter every series
+method only through the mode spectrum S_n of their positions r/b, the
+dielectrics only through one factor f_n per mode, and b only through one
+factor 1/b:
 
     E   = (k_e/2) sum_n f_n S_n,
     f_n = P_n / (1 + eps_hat lambda_n),
-    P_n = 2 (eps1-eps2)(n+1) / (eps1 (eps1+eps2)(2n+1) b^(2n+1)),
+    P_n = 2 (eps1-eps2)(n+1) / (eps1 (eps1+eps2)(2n+1) b),
 
 and the methods differ only in the eigenvalue lambda_n of the sphere's
 electric-field operator D* that they assume for mode n:
@@ -24,20 +26,19 @@ electric-field operator D* that they assume for mode n:
 The Generalized Born methods separate the same way: their geometry term
 is the pair sum s = q^T (1/F) q of the Still matrix F of the charge set,
 and GB (alpha = 0) and GBeps are both pref(alpha) (s + alpha beta/A (sum
-q)^2) with beta = eps1/eps2.
+q)^2) with beta = eps1/eps2; in units of b, A = 1 and R_i = 1 - r_i^2, and
+the energy is that sum over b.
 
 Over C charge sets the series energies are one product, E = (k_e/2) S F^T,
 of the (C x modes) spectra S and the (methods x modes) factor matrix F.
 ``ensemble_energies``, the engine for every method in ``SPHERE_METHODS``,
-takes a chunk of charge sets as (C, Q, 3) positions and (C, Q) magnitudes
-and builds S and F for it, and for the GB methods one stack of Still
-matrices 1/F from one batched Gram GEMM.  S has two forms, equal up to
-rounding and chosen by the size of the sets: sets of Q <= ``PAIR_CROSSOVER``
-(n_max+1) charges take it from their charge pairs by Kirkwood's addition
-theorem (``harmonics.pair_spectrum``, one Legendre recurrence over the Gram
-matrix, cost Q^2 n_max per set), larger sets from their real solid-harmonic
-moments, S_n = sum_{m>=0} |M_nm|^2 (``harmonics.solid_spectrum``, one
-recurrence table in z and r^2, cost Q n_max^2).  A chunk's solid-harmonic
+takes a chunk of charge sets as (C, Q, 3) positions and (C, Q) magnitudes,
+divides the positions by b once, and builds S and F for it, and for the GB
+methods one stack of Still matrices 1/F from one batched Gram GEMM.  At
+|r/b| < 1 no power of a position leaves the float range, so every n_max is
+valid at every radius.  S has two forms, equal up to rounding (see
+``harmonics``): sets of Q <= ``PAIR_CROSSOVER`` (n_max+1) charges take
+``pair_spectrum``, larger sets ``solid_spectrum``.  A chunk's solid-harmonic
 table or pair buffers, or one of its two Still buffers, hold at most
 ``_CHUNK_BYTES`` at ``chunk_length`` sets.  The engine returns arrays, and
 its one-set case ``sphere_energies`` labels them as ``EnergyResult``s.
@@ -166,27 +167,31 @@ def _labels(methods, lam) -> list[str]:
 
 
 def _mode_factors(model: SphereModel, methods, lams) -> np.ndarray:
-    """Factor matrix F, f_n = P_n / (1 + eps_hat lambda_n), one row per series method."""
+    """Factors f_n = P_n / (1 + eps_hat lambda_n) of spectra in units of b, one row per method."""
     n = np.arange(model.n_max + 1, dtype=float)
     rows = [-0.5 / (2 * n + 1) if m == METHOD_KIRKWOOD
             else BibeeVariant(m, lam).lambdas(model.n_max) for m, lam in zip(methods, lams)]
     # P_n is homogeneous of degree -1 in eps, P_n(eps) = P_n(eps / s) / s, and
     # dividing the numerator by s first keeps both parts in range.
     e1, e2, s = model.dielectrics.scaled()
-    p = (2.0 * (e1 - e2) / s * (n + 1)
-         / (e1 * (e1 + e2) * (2 * n + 1) * model.radius ** (2 * n + 1)))
+    p = 2.0 * (e1 - e2) / s * (n + 1) / (e1 * (e1 + e2) * (2 * n + 1) * model.radius)
     return _diagonal_solve(p, model.dielectrics, np.reshape(rows, (-1, n.size)))
 
 
-def _check_interior(pos: np.ndarray, model: SphereModel):
-    """DomainError for the first set of positions (C, Q, 3) with a charge past the margin."""
-    rmax = np.max(np.linalg.norm(pos, axis=-1), axis=-1)
-    bad = np.nonzero(rmax > BOUNDARY_MARGIN * model.radius)[0]
+def _check_interior(pos: np.ndarray, model: SphereModel) -> np.ndarray:
+    """Positions (C, Q, 3) over b; DomainError for the first set with a charge past the margin."""
+    b = model.radius
+    # A charge far outside may overflow r/b or |r/b|: it is past the margin either way.
+    with np.errstate(over="ignore"):
+        pos = pos / b
+        rmax = np.max(np.linalg.norm(pos, axis=-1), axis=-1)
+    bad = np.nonzero(rmax > BOUNDARY_MARGIN)[0]
     if bad.size:
         raise DomainError(
-            f"charge at |r| = {float(rmax[bad[0]]):g} too close to the boundary "
-            f"(limit {BOUNDARY_MARGIN} * b = {BOUNDARY_MARGIN * model.radius:g})"
+            f"charge at |r| = {float(rmax[bad[0]]) * b:g} too close to the boundary "
+            f"(limit {BOUNDARY_MARGIN} * b = {BOUNDARY_MARGIN * b:g})"
         )
+    return pos
 
 
 def chunk_length(n_max: int, charges: int) -> int:
@@ -210,15 +215,15 @@ def ensemble_energies(pos: np.ndarray, q: np.ndarray, model: SphereModel, method
     and m variants: one value for every method, or one per method, which
     the other methods ignore (None stands for no eigenvalue).
     """
-    _check_interior(pos, model)
+    b, pos = model.radius, _check_interior(pos, model)
     lams = np.broadcast_to(np.asarray(lam, dtype=float), (len(methods),))
     series = [i for i, method in enumerate(methods) if method not in GB_METHODS]
     gb = [i for i, method in enumerate(methods) if method in GB_METHODS]
     energies = np.empty((len(q), len(methods)))
-    # Past the cutoff whose powers and factors fit a float, S and F hold inf
-    # or nan; the energy check reports that, without numpy warnings first.
-    with np.errstate(over="ignore", invalid="ignore"):
-        tails = truncation_tail_estimate(pos, q, model.radius, model.n_max)
+    # Charges or 1/b past the float range give inf or nan energies; the
+    # energy check reports them, without numpy warnings first.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tails = truncation_tail_estimate(pos, q, 1.0, model.n_max) / b
         if q.shape[1] <= PAIR_CROSSOVER * (model.n_max + 1):
             spectra = pair_spectrum(pos, q, model.n_max)
         else:
@@ -228,10 +233,10 @@ def ensemble_energies(pos: np.ndarray, q: np.ndarray, model: SphereModel, method
         # on the chunk it is scored in, as a GEMM's blocking would.
         energies[:, series] = 0.5 * COULOMB_KCAL * np.sum(spectra[:, None, :] * factors, axis=-1)
         if gb:
-            # The sphere's GB geometry: A = b and R_i = b - r_i^2/b.
-            b, r = model.radius, np.linalg.norm(pos, axis=-1)
-            energies[:, gb] = _gb_energies(pos, q, b - r * r / b, b,
-                                           [GB_ALPHAS[methods[i]] for i in gb], model.dielectrics)
+            # The sphere's GB geometry in units of b: A = 1 and R_i = 1 - r_i^2.
+            r = np.linalg.norm(pos, axis=-1)
+            energies[:, gb] = _gb_energies(pos, q, 1.0 - r * r, [GB_ALPHAS[methods[i]] for i in gb],
+                                           model.dielectrics) / b
     # The first non-finite energy, series methods first, one method at a time.
     bad_methods, bad_sets = np.nonzero(~np.isfinite(energies[:, series + gb].T))
     if bad_methods.size:
@@ -269,19 +274,20 @@ def reaction_potential(dist: ChargeDistribution, model: SphereModel, points,
     terms, and the seminormalization's 2 - delta_m0 counts them.  Per m,
     h_m = sum_n conj(B_nm) Pi_n^m is one matrix product against the table
     of ``harmonics._solid_table`` over all points, and psi = sum_m Re(u^m h_m).
-    (k_e/2) q . psi at the charges is the method's energy.
+    (k_e/2) q . psi at the charges is the method's energy.  All of it is in units of b.
     """
     if method in GB_METHODS:
         raise DomainError(f"GB method {method!r} has no reaction coefficients")
-    _check_interior(dist.positions[None], model)
+    (pos,) = _check_interior(dist.positions[None], model)
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if not np.all(np.isfinite(points)):
         raise DomainError("non-finite potential evaluation point")
     n_max = model.n_max
     with np.errstate(over="ignore", invalid="ignore"):
-        # conj(B_nm) g_nm = conj(M_nm) f_n g_nm, laid out (m, n).
-        coef = (np.conj(source_moments(dist, n_max).T) * _mode_factors(model, [method], [lam])
-                * _solid_coefficients(n_max)[1][:, 0, :, 0])
+        # conj(B_nm) g_nm = conj(M_nm) f_n g_nm in units of b, laid out (m, n).
+        coef = (np.conj(source_moments(ChargeDistribution(pos, dist.magnitudes), n_max).T)
+                * _mode_factors(model, [method], [lam]) * _solid_coefficients(n_max)[1][:, 0, :, 0])
+        points = points / model.radius
         table = _solid_table(points[None], n_max)[:, :, 0]
         # (m, [Re, Im], n) (m, n, K) products: [Re, Im] of h_m at every point.
         h = np.matmul(np.stack([coef.real, coef.imag], axis=1), table.transpose(1, 0, 2))
@@ -367,12 +373,12 @@ def _inverse_still(pos: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return np.reciprocal(inv_f, out=inv_f)
 
 
-def _gb_energies(pos, q, radii, a: float, alphas, eps: DielectricPair) -> np.ndarray:
-    """GBeps energies (C, alphas) of each charge set of a chunk, one column per alpha.
+def _gb_energies(pos, q, radii, alphas, eps: DielectricPair) -> np.ndarray:
+    """GBeps energies (C, alphas) of each charge set of a chunk, times b, one column per alpha.
 
-    pref(alpha) (s + (alpha eps1/eps2) / A (sum q)^2), A = ``a``, from the pair
-    sums s = q^T (1/F) q of one ``_inverse_still`` of the effective radii (C, Q);
-    alpha = 0 is GB.
+    pref(alpha) (s + (alpha eps1/eps2) / A (sum q)^2) at A = 1, from the pair
+    sums s = q^T (1/F) q of one ``_inverse_still`` of the effective radii (C, Q),
+    all lengths in units of b; alpha = 0 is GB.
     """
     # Batched matrix products, so a set's sum does not depend on C.
     pair = (q[:, None, :] @ _inverse_still(pos, radii) @ q[:, :, None])[:, 0, 0]
@@ -380,4 +386,4 @@ def _gb_energies(pos, q, radii, a: float, alphas, eps: DielectricPair) -> np.nda
     beta = eps.eps_in / eps.eps_out
     alphas = np.asarray(alphas, dtype=float)
     pref = -0.5 * COULOMB_KCAL * (1.0 / eps.eps_in - 1.0 / eps.eps_out) / (1.0 + alphas * beta)
-    return pref * (pair[:, None] + alphas * beta / a * net2[:, None])
+    return pref * (pair[:, None] + alphas * beta * net2[:, None])

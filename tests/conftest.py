@@ -85,11 +85,12 @@ def gb_energy(dist, radii, a, alpha, eps):
 
     pref(alpha) (s + alpha (eps1/eps2) / A (sum q)^2), s = sum_ij q_i q_j / f_ij
     over all ordered pairs including the diagonal (f_ii = R_i); alpha = 0 is
-    the Still form of GB.
+    the Still form of GB.  Taken as the engine takes it: lengths in units of
+    A, then the energy divided by A.
     """
-    (value,), = _gb_energies(*chunk_of([dist]), np.asarray(radii, dtype=float)[None], a,
-                             [alpha], eps)
-    return float(value)
+    pos, q = chunk_of([dist])
+    (value,), = _gb_energies(pos / a, q, np.asarray(radii, dtype=float)[None] / a, [alpha], eps)
+    return float(value) / a
 
 
 def still_inverse_reference(dist, radii):

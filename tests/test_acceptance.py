@@ -114,13 +114,14 @@ def test_05_asymptotic_mode_ratios():
 
 def test_06_per_mode_exact_recovery():
     model = sv.SphereModel(5.0, EPS_BIO, 25)
-    d = random_ball_distribution(203, 0)
+    # Factors and moments in units of the cavity radius b.
+    d = random_ball_distribution(203, 0, radius=1.0)
     e = sv.source_moments(d, 25)
     # Kirkwood's coefficients are the per-mode factor P_n / (1 + eps_hat lambda_n)
     # at lambda_n = -1/(2(2n+1)); the reference is the closed-form exact factor.
     n = np.arange(26, dtype=float)
     e1, e2, b = 4.0, 80.0, 5.0
-    exact = (e1 - e2) * (n + 1) / (e1 * (e1 * n + e2 * (n + 1)) * b ** (2 * n + 1))
+    exact = (e1 - e2) * (n + 1) / (e1 * (e1 * n + e2 * (n + 1)) * b)
     bk = e * exact[:, None]
     bl = e * _mode_factors(model, ["kirkwood"], [0.0])[0][:, None]
     err = float(np.max(np.abs(bl - bk))) / float(np.max(np.abs(bk)))

@@ -262,7 +262,8 @@ def test_large_set_past_the_factorial_range_equals_pairwise(tmp_path, monkeypatc
     assert out.err == ""
     energy = float(out.out.splitlines()[1].split(",")[1])
     positions = [[0.0, 0.0, 4.9]] + [[0.0, 0.0, float(a.split(",")[2])] for a in axis]
-    dist = sv.make_distribution(positions, [1.0] + [0.5] * 199)
+    # The pairwise spectrum takes positions in units of the cavity radius.
+    dist = sv.make_distribution(np.divide(positions, 5.0), [1.0] + [0.5] * 199)
     model = sv.SphereModel(5.0, sv.DielectricPair(1.0, 80.0), 90)
     factors = sv.sphere._mode_factors(model, ["kirkwood"], [0.0])[0]
     pairwise = 0.5 * COULOMB_KCAL * np.sum(sv.pair_spectrum(*chunk_of([dist]), 90)[0] * factors)
@@ -283,18 +284,87 @@ def test_one_charge_past_the_moment_range_is_scored_pairwise(tmp_path, monkeypat
 
 
 @pytest.mark.filterwarnings("error")
-def test_pair_spectrum_is_inf_past_the_float_range(tmp_path, monkeypatch, capsys):
-    # 4.9^(2n) exceeds the largest float from n = 224 on; the recurrence stops there.
-    far, near = (sv.make_distribution([[0.0, 0.0, z]], [1.0]) for z in (4.9, 1.0))
+def test_pair_spectrum_is_finite_at_every_n_max_inside_the_unit_ball():
+    # In units of the cavity radius |r| < 1, so (r_i r_j)^n only decays: a
+    # single charge at r has S_n = r^(2n), subnormal and then 0 at high n.
+    far, near = (sv.make_distribution([[0.0, 0.0, z]], [1.0]) for z in (0.98, 0.2))
     (spectrum,) = sv.pair_spectrum(*chunk_of([far]), 100000)
-    assert np.all(np.isfinite(spectrum[:224])) and np.all(spectrum[224:] == np.inf)
+    assert np.all(np.isfinite(spectrum)) and abs(spectrum[-1]) < np.finfo(float).tiny
+    n = np.arange(301)
+    assert spectrum[:301] == pytest.approx(0.98 ** (2 * n), rel=1e-12)
     spectra = sv.pair_spectrum(*chunk_of([far, near]), 300)
     assert np.array_equal(spectra[0], spectrum[:301])
-    assert spectra[1] == pytest.approx(np.ones(301), rel=1e-12)
-    # Every (r_i r_j)^n of a charge at r = 1 stays in range: its energy is finite.
-    assert run(["sphere", "--radius", "5", "--charge", "0,0,1,1", "--nmax", "100000"],
-               tmp_path, monkeypatch) == 0
+    assert spectra[1] == pytest.approx(0.04 ** n, rel=1e-12)
+
+
+#: (radius, charges "x,y,z,q", n_max) of charges near the boundary at high n_max.
+NEAR_BOUNDARY = {
+    "b 20 n_max 110": (20.0, ["0,0,19.9,1", "0,0.5,-19.9,1"], 110),
+    "b 20 n_max 117": (20.0, ["0,0,19.9,1", "0,0.5,-19.9,1"], 117),
+    "b 20 n_max 118": (20.0, ["0,0,19.9,1", "0,0.5,-19.9,1"], 118),
+    "b 20 n_max 400": (20.0, ["0,0,19.9,1", "0,0.5,-19.9,1"], 400),
+    "b 50 n_max 100": (50.0, ["0,0,49,1"], 100),
+    "b 5 n_max 300": (5.0, ["0,0,4.9,1"], 300),
+    "b 5 n_max 100000": (5.0, ["0,0,4.9,1"], 100000),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", NEAR_BOUNDARY)
+def test_high_n_max_near_the_boundary_equals_pairwise(case, tmp_path, monkeypatch, capsys):
+    # Spectra in units of b cannot overflow, and the factors carry one 1/b:
+    # every n_max is valid at every radius.
+    radius, charges, n_max = NEAR_BOUNDARY[case]
+    argv = ["sphere", "--radius", str(radius), "--nmax", str(n_max)]
+    assert run(argv + [f"--charge={c}" for c in charges], tmp_path, monkeypatch) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    energy = float(out.out.splitlines()[1].split(",")[1])
+    rows = np.array([[float(v) for v in c.split(",")] for c in charges])
+    dist = sv.make_distribution(rows[:, :3], rows[:, 3])
+    model = sv.SphereModel(radius, sv.DielectricPair(1.0, 80.0), n_max)
+    assert energy == pytest.approx(sv.pairwise_kirkwood_energy(dist, model), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", [1e200, 1e-200])
+def test_extreme_radius_equals_pairwise_in_units_of_b(radius, tmp_path, monkeypatch, capsys):
+    # A charge at 0.1 b.  The pairwise reference is taken at b = 1 and scaled
+    # by 1/b, since its own |r| and t = r_i r_j / b^2 leave the float range here.
+    argv = ["sphere", "--radius", repr(radius), "--charge", f"0,0,{radius / 10!r},1"]
+    assert run(argv, tmp_path, monkeypatch) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    energy = float(out.out.splitlines()[1].split(",")[1])
+    unit = sv.make_distribution([[0.0, 0.0, radius / 10 / radius]], [1.0])
+    want = sv.pairwise_kirkwood_energy(unit, sv.SphereModel(1.0, sv.DielectricPair(1.0, 80.0)))
+    assert energy == pytest.approx(want / radius, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_experiment_at_radius_1e200(tmp_path, monkeypatch, capsys):
+    # |r|^2 of the drawn charges passes the float range; |r/b|^2 does not.
+    (tmp_path / "cfg.json").write_text('{"seed": 1, "num_configs": 2, "sphere_radius": 1e200}')
+    assert run(["experiment", "--config", "cfg.json"], tmp_path, monkeypatch) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_unallocatable_spectra_exit_4(tmp_path, monkeypatch, capsys):
+    # 5e9 modes of one charge: 40 GB of spectra, refused without allocating.
+    empty = np.empty
+
+    def refuse_large(shape, *args, **kwargs):
+        if np.prod(shape) > 10 ** 8:
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse_large)
+    argv = ["sphere", "--radius", "5", "--charge", "0,0,1,1", "--nmax", "5000000000"]
+    assert run(argv, tmp_path, monkeypatch) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("solvbie: domain error: pair spectra to n_max 5000000000 of 1 sets of "
+                       "1 charges need 40000000048 bytes\n")
 
 
 def test_charge_outside_cavity_exit_4(tmp_path, monkeypatch):
@@ -685,6 +755,7 @@ EXIT_FIXTURES = {
     "seed_text.json": '{"seed": "x"}',
     "unknown_key.json": '{"seed": 1, "wibble": true}',
     "infinite_eps.json": '{"seed": 1, "num_configs": 1, "eps_in": Infinity}',
+    "infinite_radius.json": '{"seed": 1, "num_configs": 1, "sphere_radius": Infinity}',
     "max_q_nan.json": '{"seed": 1, "num_configs": 1, "max_abs_charge": NaN}',
     "max_q_inf.json": '{"seed": 1, "num_configs": 1, "max_abs_charge": Infinity}',
     "max_q_1e308.json": '{"seed": 1, "num_configs": 1, "max_abs_charge": 1e308}',
@@ -782,8 +853,10 @@ EXIT_CASES = {
                                             "finite, got -1"),
     "negative n_max": ([*SPHERE, "--charge", "0,0,0,1", "--nmax", "-1"], 4,
                        "n_max must be >= 0"),
-    "n_max 100000": ([*SPHERE, "--charge", "0,0,4.9,1", "--nmax", "100000"], 4,
-                     "non-finite energy nan for method Kirkwood"),
+    "infinite sphere radius": (["sphere", "--radius", "inf", "--charge", "0,0,1,1"], 4,
+                               "sphere radius must be positive and finite, got inf"),
+    "infinite sphere radius in a config": (["experiment", "--config", "{d}/infinite_radius.json"],
+                                           4, "sphere radius must be positive and finite, got inf"),
     "charges whose products overflow": ([*SPHERE, "--charge", "0,0,4.9,1e200", "--charge",
                                          "0,1,0,1e200", "--methods", "gbeps,gb"], 4,
                                         "non-finite energy -inf for method GBeps"),

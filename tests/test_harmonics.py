@@ -121,9 +121,20 @@ def test_moments_linear_in_charges():
 def test_spectrum_scales_with_the_charges_bit_for_bit(spectrum):
     # S_n is quadratic in q: charges times 2^-520 give S_n times 2^-1040,
     # subnormal at low n, rounded once from the spectrum of the charges themselves.
-    pos, q = chunk_of([random_ball_distribution(38, i, count=6) for i in range(3)])
+    # Spectra take positions in units of the cavity radius.
+    pos, q = chunk_of([random_ball_distribution(38, i, count=6, radius=1.0) for i in range(3)])
     np.testing.assert_array_equal(spectrum(pos, np.ldexp(q, -520), 8),
                                   np.ldexp(spectrum(pos, q, 8), -1040))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spectrum", [sv.pair_spectrum, sv.solid_spectrum])
+@pytest.mark.parametrize("z", [1.0, 1e200, np.nan])
+def test_spectrum_rejects_a_charge_outside_the_unit_ball(spectrum, z):
+    # Spectra take positions in units of the cavity radius, strictly inside |r| = 1.
+    pos = np.array([[[0.0, 0.0, 0.5], [0.0, 0.0, z]]])
+    with pytest.raises(DomainError, match="not strictly inside the cavity"):
+        spectrum(pos, np.ones((1, 2)), 3)
 
 
 def test_rotational_covariance_about_z():

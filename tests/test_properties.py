@@ -23,16 +23,24 @@ METHODS = ("kirkwood", "cfa", "p", "lambda", "m", "gb", "gbeps")
 #: Set sizes on both sides of the crossover at n_max 25.
 MAX_CHARGES = (PAIR_CROSSOVER + 1) * 26
 
+
+
+def charge_rows(bound):
+    """Charges (x, y, z, q) with each coordinate within ``bound`` and |q| <= 1."""
+    coordinate = st.floats(-bound, bound, allow_subnormal=False)
+    return st.tuples(coordinate, coordinate, coordinate,
+                     st.floats(-1.0, 1.0, allow_subnormal=False))
+
+
 # Each coordinate within 2.8 puts every charge within 4.85 < 0.999 b of the center.
-coordinate = st.floats(-2.8, 2.8, allow_subnormal=False)
-charge = st.tuples(coordinate, coordinate, coordinate, st.floats(-1.0, 1.0, allow_subnormal=False))
-
-
-#: Charges anywhere, on the z axis (u = x + iy = 0) or at the origin.
+charge = charge_rows(2.8)
+#: Charges anywhere in the spectra's unit ball (within 0.57 * sqrt(3) < 0.99 of
+#: the center), on the z axis (u = x + iy = 0) or at the origin.
+unit_charge = charge_rows(0.57)
 special_charge = st.one_of(
-    charge,
-    charge.map(lambda c: (0.0, 0.0, c[2], c[3])),
-    charge.map(lambda c: (0.0, 0.0, 0.0, c[3])),
+    unit_charge,
+    unit_charge.map(lambda c: (0.0, 0.0, c[2], c[3])),
+    unit_charge.map(lambda c: (0.0, 0.0, 0.0, c[3])),
 )
 
 
@@ -59,7 +67,7 @@ def energies(dist, n_max=25):
     return ensemble_energies(*chunk_of([dist]), model, METHODS, -0.15)[0][0]
 
 
-AXIS_AND_ORIGIN = [sv.make_distribution([[0.0, 0.0, 2.5], [0.0, 0.0, 0.0], [1.0, -2.0, 0.5]],
+AXIS_AND_ORIGIN = [sv.make_distribution([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.2, -0.4, 0.1]],
                                         [0.5, -1.0, 0.75])]
 #: Two tiny charges at the origin: S_0 = (2q)^2 = 5.36e-315 is subnormal.
 SUBNORMAL_S0 = [sv.make_distribution(np.zeros((2, 3)), [3.66121155e-158] * 2)]

@@ -93,11 +93,13 @@ class TestBibeeVariants:
     def test_per_mode_lambda_recovers_kirkwood(self):
         # The exact coefficients are the per-mode factor P_n / (1 + eps_hat
         # lambda_n) at lambda_n = -1/(2(2n+1)); compare with the closed form.
-        d = random_ball_distribution(2, 2)
+        # Factors and moments are in units of the cavity radius b = 5: the
+        # closed form at b = 1, times 1/b.
+        d = random_ball_distribution(2, 2, radius=1.0)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
         e = sv.source_moments(d, 25)
         bl = e * _mode_factors(m, ["kirkwood"], [0.0])[0][:, None]
-        expected = e * kirkwood_factors(4.0, 80.0, 5.0, 25)[:, None]
+        expected = e * kirkwood_factors(4.0, 80.0, 1.0, 25)[:, None] / 5.0
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(bl - expected)) < 1e-13 * scale
 
@@ -258,12 +260,13 @@ class TestReactionPotential:
 
     def test_mode_n_of_the_potential_is_f_n_times_mode_n_of_the_moments(self):
         # psi(x) = sum_n f_n sum_{m>=0} Re(conj(M_nm) R_n^m(x)); R_n^m(x) are the
-        # moments of a unit charge at x.
+        # moments of a unit charge at x.  The factors are for moments in units of b.
         model = sv.SphereModel(5.0, EPS_BIO, 12)
         d = random_ball_distribution(42, 0, count=7)
         points = random_ball_distribution(42, 1, count=9).positions
-        e = sv.source_moments(d, 12)
-        r = np.array([sv.source_moments(sv.make_distribution([p], [1.0]), 12) for p in points])
+        e = sv.source_moments(sv.make_distribution(d.positions / 5.0, d.magnitudes), 12)
+        r = np.array([sv.source_moments(sv.make_distribution([p / 5.0], [1.0]), 12)
+                      for p in points])
         modes = np.sum((np.conj(e) * r).real, axis=-1)  # (points, n)
         for method, f in zip(SERIES, factors_of(model, SERIES)):
             got = sv.reaction_potential(d, model, points, *method)
@@ -300,12 +303,13 @@ class TestModeSpectrum:
                     direct = 0.5 * COULOMB_KCAL * float(d.magnitudes @ psi)
                     assert res.value == pytest.approx(direct, rel=1e-12), res.method
 
-                pos, q = d.positions, d.magnitudes
+                # The spectrum in units of b against the pair sum.
+                pos, q = d.positions / 5.0, d.magnitudes
                 r = np.linalg.norm(pos, axis=1)
                 rr = np.outer(r, r)
                 cos_g = np.clip(np.divide(pos @ pos.T, rr, out=np.ones_like(rr), where=rr > 0),
                                 -1.0, 1.0)
-                (spectrum,) = sv.solid_spectrum(*chunk_of([d]), m.n_max)
+                (spectrum,) = sv.solid_spectrum(pos[None], q[None], m.n_max)
                 assert np.all(spectrum >= 0.0)
                 for n in range(m.n_max + 1):
                     p_n = np.polynomial.legendre.legval(cos_g, np.eye(n + 1)[n])
@@ -353,6 +357,17 @@ class TestEnsembleEngine:
                 assert row == [r.value for r in want]
                 assert [r.truncation_error_estimate for r in want] == [
                     None if m in sphere.GB_METHODS else tail for m in methods]
+
+    def test_seeded_set_energies_are_pinned(self):
+        # The seven energies of one seeded set, pinned at 1e-13: a change of
+        # units or of summation order may move them by rounding only.
+        d = random_ball_distribution(61, 0)
+        model = sv.SphereModel(5.0, EPS_BIO, 25)
+        pinned = [-25.913899136223165, -16.956079674617, -32.2972946183181, -25.402366553733334,
+                  -23.429501345381404, -25.797758062899298, -25.192643788629773]
+        got = [r.value for r in sv.sphere_energies(d, model, sphere.SPHERE_METHODS, -0.15)]
+        assert sphere.SPHERE_METHODS == ("kirkwood", "cfa", "p", "lambda", "m", "gb", "gbeps")
+        assert got == pytest.approx(pinned, rel=1e-13)
 
     def test_charge_at_origin_only_in_monopole(self):
         # One-charge sets at the origin, scored as a chunk of their own size.
@@ -484,8 +499,10 @@ class TestGeneralizedBorn:
     def test_gb_methods_share_one_still_kernel(self, monkeypatch):
         d = random_ball_distribution(18, 2, count=12)
         m = sv.SphereModel(5.0, EPS_BIO, 25)
-        radii = sphere_gb_radii(d, 5.0)
-        want = [gb_energy(d, radii, 5.0, alpha, EPS_BIO) for alpha in (0.0, 0.57)]
+        # The engine's geometry in units of b: A = 1 and R_i = 1 - r_i^2, then 1/b.
+        unit = sv.make_distribution(d.positions / 5.0, d.magnitudes)
+        r = np.linalg.norm(unit.positions, axis=1)
+        want = [gb_energy(unit, 1.0 - r * r, 1.0, alpha, EPS_BIO) / 5.0 for alpha in (0.0, 0.57)]
         calls = []
         monkeypatch.setattr(sphere, "_inverse_still",
                             lambda *args: calls.append(args) or _inverse_still(*args))
