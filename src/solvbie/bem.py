@@ -10,7 +10,10 @@ on a sphere is an eigenvector of D* with eigenvalue -1/2.  The right-hand
 side is the (negated, eps_hat-scaled) normal component of the Coulomb field
 of the interior charges screened by eps_in, and sigma comes out as a true
 charge density (e/Angstrom^2), so the reaction potential is the plain
-Coulomb sum over panels.
+Coulomb sum over panels.  A solve is two stages: one charge-panel pass gives
+the geometry-only panel vectors (g, h) (``panel_vectors``), and an O(T)
+material step the energy at any variant and dielectric pair
+(``material_energy``), the exact solve aside.
 """
 
 from __future__ import annotations
@@ -79,15 +82,20 @@ def _sq_dist_factors(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
             np.column_stack([-2.0 * y, np.ones(len(y)), ny]).T)
 
 
-def _charge_panel_geometry(dist: ChargeDistribution, surf: PanelSurface):
-    """Squared charge-centroid distances r2 (T, Q) from one GEMM.
+def panel_vectors(dist: ChargeDistribution, surf: PanelSurface) -> tuple[np.ndarray, np.ndarray]:
+    """The charges' geometry-only panel vectors (g, h), read-only (T,) each, from one (T, Q) pass.
 
-    Centroids and charges are first shifted by the mean centroid, so the
-    rounding error of r2 is about 1e-16 times the squared size of the
-    surface wherever it sits.  Each charge's nearest entry (argmin of r2)
-    is recomputed in difference form, so that entry and the returned
-    nearest distances dmin (Q,) are exact.  Also returns the shifted
-    centroids and charges.
+    g_i = sum_k q_k n_i.(r_k - c_i) / (4 pi |c_i - r_k|^3) is the normal field
+    at the centroids (the BIE right-hand side is -eps_hat/eps_in g) and
+    h_i = A_i sum_k q_k / |c_i - r_k| weighs sigma in the reaction energy
+    (k_e/2) sigma.h, so one pass serves every variant, lambda and dielectric
+    pair.  In a frame centred on the mesh, r^2 and the numerators are two
+    GEMMs, [c_i, |c_i|^2, 1].[-2 r_k, 1, |r_k|^2] and [n_i, -n_i.c_i].[r_k, 1],
+    with a relative rounding error of about 1e-16 (size of the surface / r)^2
+    per entry, exact (difference form) for each charge's nearest panel.  The
+    field kernel's area-weighted column sums are the Gauss probes (about -1
+    inside): the first charge within NEAR_SINGULARITY_DISTANCE of a centroid
+    or outside the surface is rejected.
     """
     origin = surf.centroids.mean(axis=0)
     c, p = surf.centroids - origin, dist.positions - origin
@@ -97,36 +105,13 @@ def _charge_panel_geometry(dist: ChargeDistribution, surf: PanelSurface):
     diff = dist.positions - surf.centroids[nearest]
     d2 = np.einsum("qd,qd->q", diff, diff)
     r2[nearest, cols] = d2
-    return r2, np.sqrt(d2), c, p
-
-
-def coulomb_field_rhs(
-    dist: ChargeDistribution, surf: PanelSurface, eps: DielectricPair
-) -> SurfaceField:
-    """Right-hand side of the BIE at panel centroids.
-
-    rhs_i = -eps_hat / eps_in * sum_k q_k n_i.(r_k - c_i) / (4 pi |c_i - r_k|^3)
-    The kernel is two GEMMs in a frame centred on the mesh: r^2 from
-    ``_charge_panel_geometry`` and the numerator from [n_i, -n_i.c_i].[r_k, 1].
-    Its relative rounding error is about 1e-16 (size of the surface / r)^2
-    per entry: below 1e-13 at 0.1 Angstrom from a centroid of a 5 Angstrom
-    sphere, and exact (difference form) for each charge's nearest panel.
-    The kernel's area-weighted column sums are the charges' Gauss probes
-    (about -1 inside), so the same (T, Q) pass rejects exterior charges.
-    """
-    return _field_rhs(dist, surf, eps, _charge_panel_geometry(dist, surf))
-
-
-def _field_rhs(dist, surf, eps, geometry) -> SurfaceField:
-    """``coulomb_field_rhs`` from the output of ``_charge_panel_geometry``, left unchanged."""
-    r2, dmin, c, p = geometry
-    n = surf.normals
+    dmin, n = np.sqrt(d2), surf.normals
     kernel = np.column_stack([n, -np.einsum("td,td->t", n, c)]) @ (
         np.column_stack([p, np.ones(len(p))]).T / (4.0 * np.pi))
     with np.errstate(divide="ignore", invalid="ignore"):
-        r3 = np.sqrt(r2)
-        r3 *= r2
-        kernel /= r3
+        r = np.sqrt(r2)
+        r2 *= r
+        kernel /= r2
     bad = np.nonzero((dmin < NEAR_SINGULARITY_DISTANCE) | ~(surf.areas @ kernel < -0.5))[0]
     if bad.size:
         k = bad[0]
@@ -135,8 +120,25 @@ def _field_rhs(dist, surf, eps, geometry) -> SurfaceField:
                 f"charge {k} within {dmin[k]:g} Angstrom of a panel; refine or reposition")
         raise DomainError(
             f"charge {k} at {dist.positions[k].tolist()} is not inside the surface")
-    values = -eps.eps_hat / eps.eps_in * (kernel @ dist.magnitudes)
-    return SurfaceField(values=values, surface=surf)
+    np.divide(1.0, r, out=r)
+    g, h = kernel @ dist.magnitudes, surf.areas * (r @ dist.magnitudes)
+    g.setflags(write=False)
+    h.setflags(write=False)
+    return g, h
+
+
+def _rhs(g: np.ndarray, surf: PanelSurface, eps: DielectricPair) -> SurfaceField:
+    return SurfaceField(values=-eps.eps_hat / eps.eps_in * g, surface=surf)
+
+
+def coulomb_field_rhs(dist: ChargeDistribution, surf: PanelSurface,
+                      eps: DielectricPair) -> SurfaceField:
+    """Right-hand side of the BIE at panel centroids: -eps_hat/eps_in g (``panel_vectors``).
+
+    rhs_i = -eps_hat / eps_in * sum_k q_k n_i.(r_k - c_i) / (4 pi |c_i - r_k|^3),
+    with the checks and rounding error of ``panel_vectors``.
+    """
+    return _rhs(panel_vectors(dist, surf)[0], surf, eps)
 
 
 def _row_blocks(t: int):
@@ -299,42 +301,45 @@ def exact_surface_charge(
         metadata={"solver": "gmres", "residual": f"{residual:.3e}"})
 
 
-def reaction_energy(sigma: SurfaceCharge, dist: ChargeDistribution) -> EnergyResult:
-    """Reaction energy (k_e/2) sum_k q_k sum_j sigma_j A_j / |r_k - c_j| on sigma's surface.
-
-    Computed as (k_e/2) q @ ((sigma A) @ (1 / sqrt(r2))) with r2 from
-    ``_charge_panel_geometry``: relative rounding error about 1e-16
-    (size of the surface / r)^2 per entry, exact for each nearest panel.
-    """
-    return _reaction_energy(sigma, dist, _charge_panel_geometry(dist, sigma.surface)[0])
-
-
-def _reaction_energy(sigma, dist, r2) -> EnergyResult:
-    """``reaction_energy`` from the squared distances r2 (T, Q), which it overwrites."""
-    inv_r = r2
-    np.sqrt(inv_r, out=inv_r)
-    np.divide(1.0, inv_r, out=inv_r)
-    psi = (sigma.density * sigma.surface.areas) @ inv_r
-    value = 0.5 * COULOMB_KCAL * float(dist.magnitudes @ psi)
+def _energy(sigma: SurfaceCharge, h: np.ndarray) -> EnergyResult:
+    value = 0.5 * COULOMB_KCAL * float(sigma.density @ h)
     return EnergyResult(value=value, method=sigma.method, metadata=dict(sigma.metadata))
 
 
-def bem_energy(
-    dist: ChargeDistribution,
-    surf: PanelSurface,
-    eps: DielectricPair,
-    variant: BibeeVariant | None = None,
-    tol: float = DEFAULT_GMRES_TOL,
-) -> EnergyResult:
-    """One-call BEM energy: exact GMRES solve to ``tol`` when ``variant`` is None.
+def reaction_energy(sigma: SurfaceCharge, dist: ChargeDistribution) -> EnergyResult:
+    """Reaction energy (k_e/2) sum_k q_k sum_j sigma_j A_j / |r_k - c_j| on sigma's surface.
 
-    The exact solve uses ``surf.dstar``, assembled by the first exact solve on
-    ``surf`` and reused by every later one.  The variants build no D*.
+    Computed as (k_e/2) sigma.h with h from ``panel_vectors``, whose checks
+    and rounding error it shares.
     """
-    geometry = _charge_panel_geometry(dist, surf)
-    rhs = _field_rhs(dist, surf, eps, geometry)
+    return _energy(sigma, panel_vectors(dist, sigma.surface)[1])
+
+
+def material_energy(g: np.ndarray, h: np.ndarray, surf: PanelSurface, eps: DielectricPair,
+                    variant: BibeeVariant | None = None,
+                    tol: float = DEFAULT_GMRES_TOL) -> EnergyResult:
+    """BEM energy of the charges whose ``panel_vectors`` on ``surf`` are (g, h), at ``eps``.
+
+    rhs = -eps_hat/eps_in g; sigma from ``exact_surface_charge`` to ``tol``
+    when ``variant`` is None, else from ``bibee_surface_charge``; the energy
+    is (k_e/2) sigma.h.  O(T) work but for the exact solve.
+    """
+    rhs = _rhs(g, surf, eps)
     if variant is None:
         sigma = exact_surface_charge(rhs, eps, tol)
     else:
         sigma = bibee_surface_charge(rhs, eps, variant)
-    return _reaction_energy(sigma, dist, geometry[0])
+    return _energy(sigma, h)
+
+
+def bem_energy(dist: ChargeDistribution, surf: PanelSurface, eps: DielectricPair,
+               variant: BibeeVariant | None = None,
+               tol: float = DEFAULT_GMRES_TOL) -> EnergyResult:
+    """One-call BEM energy: exact GMRES solve to ``tol`` when ``variant`` is None.
+
+    The charge-panel pass (``panel_vectors``) gives the geometry-only (g, h),
+    and ``material_energy`` the energy from them.  The exact solve uses
+    ``surf.dstar``, assembled by the first exact solve on ``surf`` and reused
+    by every later one.  The variants build no D*.
+    """
+    return material_energy(*panel_vectors(dist, surf), surf, eps, variant, tol)

@@ -10,7 +10,11 @@ each input file.
 exact solve has built it, for the next call in the same process.  A call
 whose mesh has the same format, resolved path(s) and bytes reuses it
 without parsing or validating again; any other mesh replaces it, so at most
-one surface and one D* are kept.
+one surface and one D* are kept.  Beside it ``bem`` keeps the panel vectors
+(g, h) of its last charge set (``bem.panel_vectors``) under the surface's key
+and the charges' key (resolved PQR path and SHA-256, or the ``--charge``
+strings).  A call on both skips the PQR parse and the (T, Q) charge-panel
+pass, whatever its variant, lambda, dielectrics and tolerance.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .experiments import (
 from .mesh import PanelSurface, load_mesh
 from .model import ChargeDistribution, DielectricPair, SphereModel, load_pqr
 from .sphere import SPHERE_METHODS, VARIANT_TAGS, BibeeVariant, sphere_energies
-from .bem import DEFAULT_GMRES_TOL, bem_energy
+from .bem import DEFAULT_GMRES_TOL, material_energy, panel_vectors
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,10 +76,13 @@ class _Inputs:
 #: The last surface ``bem`` loaded, under its key (format, then the resolved
 #: path and SHA-256 of each mesh file): one entry at most.
 _SURFACE_MEMO: dict[tuple, PanelSurface] = {}
+#: The panel vectors (g, h) of the last charge set ``bem`` scored, under the
+#: surface's key and the charges' key: one entry at most, and no surface.
+_VECTOR_MEMO: dict[tuple, tuple] = {}
 
 
-def _load_surface(args, inputs: _Inputs) -> PanelSurface:
-    """The surface of ``--mesh`` (and ``--face``): parsed and validated unless the memo holds it."""
+def _load_surface(args, inputs: _Inputs) -> tuple[PanelSurface, tuple]:
+    """The surface of ``--mesh`` (and ``--face``) and its key: parsed and validated unless kept."""
     paths = [args.mesh, *([args.face] if args.face else [])]
     texts = {p: inputs.read(p) for p in paths}
     key = (args.mesh_format, *((os.path.realpath(p), inputs.digests[str(p)]) for p in paths))
@@ -85,7 +92,7 @@ def _load_surface(args, inputs: _Inputs) -> PanelSurface:
         surf = load_mesh(args.mesh, fmt=args.mesh_format, face_path=args.face,
                          read=texts.__getitem__)
         _SURFACE_MEMO[key] = surf
-    return surf
+    return surf, key
 
 
 def write_manifest(command: str, params: dict, input_digests: dict, out_path):
@@ -117,12 +124,15 @@ def _parse_inline_charge(spec: str) -> tuple[list[float], float]:
     return [x, y, z], q
 
 
-def _load_charges(args, inputs: _Inputs) -> ChargeDistribution:
+def _charge_source(args, inputs: _Inputs):
+    """The charges' key (resolved PQR path and SHA-256, or the ``--charge`` strings) and parser."""
     if args.pqr:
-        return load_pqr(args.pqr, inputs.read)
+        text = inputs.read(args.pqr)
+        key = ("pqr", os.path.realpath(args.pqr), inputs.digests[str(args.pqr)])
+        return key, lambda: load_pqr(args.pqr, lambda _: text)
     if args.charge:
-        positions, magnitudes = zip(*map(_parse_inline_charge, args.charge))
-        return ChargeDistribution(positions, magnitudes)
+        return ("charge", *args.charge), lambda: ChargeDistribution(
+            *zip(*map(_parse_inline_charge, args.charge)))
     raise ParseError("no charges given: use --pqr or --charge x,y,z,q")
 
 
@@ -139,7 +149,7 @@ def _emit(lines_csv: str, payload_json, args):
 
 def cmd_sphere(args) -> int:
     inputs = _Inputs()
-    dist = _load_charges(args, inputs)
+    dist = _charge_source(args, inputs)[1]()
     model = SphereModel(args.radius, DielectricPair(args.eps_in, args.eps_out), args.nmax)
     methods = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
     if not methods:
@@ -164,11 +174,18 @@ def cmd_bem(args) -> int:
     if variant_name != "exact" and variant_name not in VARIANT_TAGS:
         raise ParseError(f"unknown BEM variant {args.variant!r}")
     inputs = _Inputs()
-    dist = _load_charges(args, inputs)
+    charges_key, parse = _charge_source(args, inputs)
+    # A kept charge set parsed once already; any other is parsed before the mesh is read.
+    dist = None if any(k[1] == charges_key for k in _VECTOR_MEMO) else parse()
     eps = DielectricPair(args.eps_in, args.eps_out)
-    surf = _load_surface(args, inputs)
+    surf, surface_key = _load_surface(args, inputs)
     variant = None if variant_name == "exact" else BibeeVariant(variant_name, args.lam)
-    result = bem_energy(dist, surf, eps, variant, tol=args.tol)
+    key = (surface_key, charges_key)
+    vectors = _VECTOR_MEMO.get(key)
+    if vectors is None:
+        _VECTOR_MEMO.clear()
+        vectors = _VECTOR_MEMO[key] = panel_vectors(parse() if dist is None else dist, surf)
+    result = material_energy(*vectors, surf, eps, variant, tol=args.tol)
     row = {"method": result.method, "energy_kcal_mol": result.value,
            "panels": surf.num_panels, **result.metadata}
     csv_text = rows_to_csv([row], tuple(row))

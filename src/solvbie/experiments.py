@@ -166,11 +166,16 @@ def run_comparison(
                          "net_charge": net}
                         for (method, lam), value in zip(methods, energies[index, 1:].tolist()))
     exact_arr = energies[:, 0]
-    summaries = []
+    summaries, tiny = [], np.finfo(float).tiny
     for (method, lam), vals in zip(methods, energies[:, 1:].T):
-        rmsd = float(np.sqrt(np.mean((vals - exact_arr) ** 2)))
-        # A value equal to its reference deviates by 0, also when both are 0.
         dev = np.abs(vals - exact_arr)
+        with np.errstate(over="ignore"):
+            rmsd = float(np.sqrt(np.mean(dev ** 2)))
+        # A mean square that overflows or is subnormal: scale by the largest deviation first.
+        scale = 0.0 if tiny <= rmsd * rmsd < math.inf else float(np.max(dev))
+        if 0.0 < scale < math.inf:
+            rmsd = scale * float(np.sqrt(np.mean((dev / scale) ** 2)))
+        # A value equal to its reference deviates by 0, also when both are 0.
         rel = np.divide(dev, np.abs(exact_arr), out=np.zeros_like(dev), where=dev != 0)
         mean_dev = float(np.mean(rel)) * 100.0
         summaries.append({

@@ -317,18 +317,18 @@ def pairwise_kirkwood_energy(dist: ChargeDistribution, model: SphereModel) -> fl
 
     with t_ij = |r_i||r_j|/A^2 and beta = eps1/eps2, self terms i = j
     included.  A reference independent of the mode spectra and factors: one
-    Legendre recurrence in cos gamma over the Q x Q pairs.  Kept because
+    Legendre recurrence in cos gamma over the Q x Q pairs, in units of A
+    (positions r/A), so it holds at every finite radius.  Kept because
     ``perfbench/selftest.py`` imports it.
     """
     e1, e2 = model.dielectrics.eps_in, model.dielectrics.eps_out
-    a, pos = model.radius, dist.positions
+    a, pos = model.radius, dist.positions / model.radius
     r = np.linalg.norm(pos, axis=1)
-    rr = np.outer(r, r)
-    t = rr / (a * a)
+    t = np.outer(r, r)
     if np.any(t >= 1.0):
         raise DomainError(f"pair separation parameter t = {float(np.max(t))} >= 1")
     # The angle of a pair with a charge at the origin is irrelevant: only l = 0 survives.
-    cos_gamma = np.divide(pos @ pos.T, rr, out=np.ones_like(rr), where=rr > 0)
+    cos_gamma = np.divide(pos @ pos.T, t, out=np.ones_like(t), where=t > 0)
     np.clip(cos_gamma, -1.0, 1.0, out=cos_gamma)
     beta = e1 / e2
     series = np.ones_like(t)  # the l = 0 term

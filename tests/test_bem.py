@@ -9,6 +9,7 @@ from solvbie import bem
 from solvbie.errors import ConvergenceError, DomainError
 from solvbie.mesh import build_surface
 from solvbie.model import COULOMB_KCAL
+from solvbie.sphere import VARIANT_TAGS
 
 EPS_WATER = sv.DielectricPair(1.0, 80.0)
 EPS_BIO = sv.DielectricPair(4.0, 80.0)
@@ -132,6 +133,40 @@ class TestChargePanelSums:
         surf = build_surface(mesh_1280.vertices + shift, mesh_1280.triangles.copy())
         near = surf.centroids[7] - 0.1 * surf.normals[7]
         self.check(sv.make_distribution([near], [1.0]), surf, floor=False)
+
+
+class TestPanelVectors:
+    """One charge-panel pass (g, h) and the material step of every variant and dielectric pair."""
+
+    EPS = [EPS_WATER, EPS_BIO, sv.DielectricPair(80.0, 2.0), sv.DielectricPair(3.0, 3.0)]
+
+    def test_rhs_is_a_material_scalar_times_g(self, mesh_320):
+        d = random_ball_distribution(37, 0, count=7)
+        g, h = bem.panel_vectors(d, mesh_320)
+        assert not (g.flags.writeable or h.flags.writeable)
+        for eps in self.EPS:
+            rhs = sv.coulomb_field_rhs(d, mesh_320, eps).values
+            assert np.array_equal(rhs, -eps.eps_hat / eps.eps_in * g)
+
+    @pytest.mark.parametrize("variant", [None, *(sv.BibeeVariant(tag, -0.15)
+                                                 for tag in VARIANT_TAGS)])
+    def test_one_pass_serves_every_material(self, mesh_320, variant):
+        d = random_ball_distribution(37, 1, count=7)
+        vectors = bem.panel_vectors(d, mesh_320)
+        for eps in self.EPS:
+            got = bem.material_energy(*vectors, mesh_320, eps, variant)
+            assert got == sv.bem_energy(d, mesh_320, eps, variant)
+            rhs = sv.coulomb_field_rhs(d, mesh_320, eps)
+            sigma = (sv.exact_surface_charge(rhs, eps) if variant is None
+                     else sv.bibee_surface_charge(rhs, eps, variant))
+            assert got.value == sv.reaction_energy(sigma, d).value
+
+    def test_reaction_energy_checks_its_charges(self, mesh_320):
+        # It shares the pass, and with it the checks of the right-hand side.
+        rhs = sv.coulomb_field_rhs(sv.make_distribution([[0, 0, 0]], [1.0]), mesh_320, EPS_BIO)
+        sigma = sv.bibee_surface_charge(rhs, EPS_BIO, sv.BibeeVariant("p"))
+        with pytest.raises(DomainError, match="^charge 0 at .* is not inside the surface$"):
+            sv.reaction_energy(sigma, sv.make_distribution([[0, 0, 7.0]], [1.0]))
 
 
 def reference_dstar(surf):

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import re
 import subprocess
@@ -10,11 +12,11 @@ import numpy as np
 import pytest
 
 import solvbie as sv
-from conftest import chunk_of
+from conftest import chunk_of, random_ball_distribution
 from solvbie import cli
 from solvbie.cli import build_parser, main
 from solvbie.model import COULOMB_KCAL
-from solvbie.sphere import PAIR_CROSSOVER, SPHERE_METHODS
+from solvbie.sphere import PAIR_CROSSOVER, SPHERE_METHODS, VARIANT_TAGS
 
 
 def run(argv, tmp_path, monkeypatch):
@@ -505,11 +507,15 @@ def mesh_loads(monkeypatch):
     return loads
 
 
-def run_bem(mesh, out, tmp_path, monkeypatch, variant="exact"):
-    """Exit code of one in-process ``bem`` call and the bytes of its CSV."""
-    code = run(["bem", "--mesh", str(mesh), "--charge", "0,0,1,1", "--charge", "1,0,0,-0.5",
-                "--eps-in", "4", "--variant", variant, "--out", out], tmp_path, monkeypatch)
+def bem_bytes(argv, out, tmp_path, monkeypatch):
+    """Exit code of one in-process ``bem`` call on ``argv`` and the bytes of its CSV."""
+    code = run(["bem", *argv, "--out", out], tmp_path, monkeypatch)
     return code, (tmp_path / out).read_bytes() if code == 0 else None
+
+
+def run_bem(mesh, out, tmp_path, monkeypatch, variant="exact"):
+    return bem_bytes(["--mesh", str(mesh), "--charge", "0,0,1,1", "--charge", "1,0,0,-0.5",
+                      "--eps-in", "4", "--variant", variant], out, tmp_path, monkeypatch)
 
 
 def test_bem_reuses_an_unchanged_mesh(tmp_path, monkeypatch, mesh_loads):
@@ -567,16 +573,124 @@ def test_manifest_digest_is_of_the_bytes_parsed(tmp_path, monkeypatch):
     mesh = tmp_path / "ico.off"
     sv.write_off(sv.icosphere(5.0, 1), mesh)
     parsed = mesh.read_bytes()
-    bem_energy = cli.bem_energy
+    material_energy = cli.material_energy
 
     def rewrite_then_solve(*args, **kwargs):
         mesh.write_text("rewritten during the call\n")
-        return bem_energy(*args, **kwargs)
+        return material_energy(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "bem_energy", rewrite_then_solve)
+    monkeypatch.setattr(cli, "material_energy", rewrite_then_solve)
     assert run_bem(mesh, "a.csv", tmp_path, monkeypatch)[0] == 0
     digests = json.loads((tmp_path / "a.csv.manifest.json").read_text())["input_digests"]
     assert digests == {str(mesh): hashlib.sha256(parsed).hexdigest()}
+
+
+def write_pqr(path, dist):
+    path.write_text("".join(
+        f"ATOM {i} N X 1 {x!r} {y!r} {z!r} {q!r} 1.5\n"
+        for i, ((x, y, z), q) in enumerate(zip(dist.positions.tolist(),
+                                               dist.magnitudes.tolist()), start=1)))
+
+
+@pytest.fixture
+def charge_passes(monkeypatch):
+    """What ``bem`` does with its charges, in order: "parse" (a PQR) and "pass" (panel_vectors)."""
+    events, load, vectors = [], cli.load_pqr, cli.panel_vectors
+    monkeypatch.setattr(cli, "load_pqr", lambda *a: events.append("parse") or load(*a))
+    monkeypatch.setattr(cli, "panel_vectors", lambda *a: events.append("pass") or vectors(*a))
+    return events
+
+
+def bem_charge_files(tmp_path):
+    mesh, pqr = tmp_path / "ico.off", tmp_path / "set.pqr"
+    sv.write_off(sv.icosphere(5.0, 2), mesh)
+    write_pqr(pqr, random_ball_distribution(41, 0, count=6, margin=0.8))
+    return mesh, pqr
+
+
+@pytest.mark.parametrize("eps_in", ["1", "4"])
+@pytest.mark.parametrize("variant", ["exact", *VARIANT_TAGS])
+def test_bem_kept_vectors_write_the_bytes_of_a_fresh_call(variant, eps_in, tmp_path,
+                                                          monkeypatch, charge_passes):
+    mesh, pqr = bem_charge_files(tmp_path)
+    argv = ["--mesh", str(mesh), "--pqr", str(pqr), "--eps-in", eps_in]
+    assert bem_bytes([*argv[:-1], "2"], "first.csv", tmp_path, monkeypatch)[0] == 0
+    assert charge_passes == ["parse", "pass"]
+    argv += ["--variant", variant, "--lambda", "-0.15"]
+    kept = bem_bytes(argv, "kept.csv", tmp_path, monkeypatch)
+    assert charge_passes == ["parse", "pass"]  # no parse and no pass
+    (vectors,) = cli._VECTOR_MEMO.values()
+    assert [v.shape for v in vectors] == [(320,), (320,)]
+    cli._SURFACE_MEMO.clear()
+    cli._VECTOR_MEMO.clear()
+    assert kept == bem_bytes(argv, "fresh.csv", tmp_path, monkeypatch)
+    assert charge_passes == ["parse", "pass"] * 2 and kept[0] == 0
+
+
+def bem_energy_of(out, tmp_path) -> float:
+    (row,) = list(csv.DictReader(io.StringIO((tmp_path / out).read_text())))
+    return float(row["energy_kcal_mol"])
+
+
+def test_bem_other_inputs_miss_the_kept_vectors(tmp_path, monkeypatch, charge_passes):
+    mesh, pqr = bem_charge_files(tmp_path)
+    other = tmp_path / "other.off"
+    sv.write_off(sv.icosphere(4.5, 2), other)
+    eps = sv.DielectricPair(1.0, 80.0)
+
+    def check(argv, surf, dist, events):
+        charge_passes.clear()
+        assert bem_bytes(["--variant", "p", *argv], "out.csv", tmp_path, monkeypatch)[0] == 0
+        assert charge_passes == events
+        want = sv.bem_energy(dist, surf, eps, sv.BibeeVariant("p")).value
+        assert bem_energy_of("out.csv", tmp_path) == pytest.approx(want, rel=1e-14)
+
+    first, second = (random_ball_distribution(41, j, count=6, margin=0.8) for j in (0, 1))
+    ico, ball = sv.load_mesh(mesh), sv.load_mesh(other)
+    check(["--mesh", str(mesh), "--pqr", str(pqr)], ico, first, ["parse", "pass"])
+    check(["--mesh", str(mesh), "--pqr", str(pqr)], ico, first, [])
+    write_pqr(pqr, second)  # same path, other bytes
+    check(["--mesh", str(mesh), "--pqr", str(pqr)], ico, second, ["parse", "pass"])
+    check(["--mesh", str(other), "--pqr", str(pqr)], ball, second, ["parse", "pass"])
+    inline = ["--charge", "0,0,1,1", "--charge", "1,0,0,-0.5"]
+    pair = sv.make_distribution([[0, 0, 1], [1, 0, 0]], [1.0, -0.5])
+    check(["--mesh", str(other), *inline], ball, pair, ["pass"])
+    check(["--mesh", str(other), *inline], ball, pair, [])
+    inline[-1] = "1,0,0,-0.25"
+    pair = sv.make_distribution([[0, 0, 1], [1, 0, 0]], [1.0, -0.25])
+    check(["--mesh", str(other), *inline], ball, pair, ["pass"])
+
+
+def test_bem_bad_pqr_exits_3_before_a_bad_mesh_is_read(tmp_path, monkeypatch, capsys,
+                                                        mesh_loads):
+    mesh, pqr = bem_charge_files(tmp_path)
+    assert bem_bytes(["--mesh", str(mesh), "--pqr", str(pqr)], "a.csv", tmp_path,
+                     monkeypatch)[0] == 0
+    capsys.readouterr()
+    pqr.write_text("ATOM 1 N X 1 0 0 0 oops 1.5\n")
+    missing = tmp_path / "missing.off"
+    code = run(["bem", "--mesh", str(missing), "--pqr", str(pqr)], tmp_path, monkeypatch)
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"solvbie: input error: {pqr}:1: non-numeric field")
+    assert mesh_loads == [str(mesh)]
+
+
+@pytest.mark.parametrize("where", ["exterior", "near a panel"])
+def test_bem_bad_charges_after_a_hit_exit_4(where, tmp_path, monkeypatch, capsys):
+    mesh, pqr = bem_charge_files(tmp_path)
+    argv = ["--mesh", str(mesh), "--pqr", str(pqr), "--variant", "m"]
+    first = bem_bytes(argv, "a.csv", tmp_path, monkeypatch)
+    assert bem_bytes(argv, "a.csv", tmp_path, monkeypatch) == first
+    position = [0.0, 0.0, 9.0] if where == "exterior" else sv.load_mesh(mesh).centroids[0] + 1e-9
+    dist = sv.make_distribution([position], [1.0])
+    with pytest.raises(sv.DomainError) as exc:
+        sv.bem_energy(dist, sv.load_mesh(mesh), sv.DielectricPair(1.0, 80.0))
+    capsys.readouterr()
+    charge = ",".join(repr(float(v)) for v in (*dist.positions[0], 1.0))
+    code = run(["bem", "--mesh", str(mesh), "--charge=" + charge], tmp_path, monkeypatch)
+    assert code == 4
+    assert capsys.readouterr().err == f"solvbie: domain error: {exc.value}\n"
+    assert bem_bytes(argv, "b.csv", tmp_path, monkeypatch) == first
 
 
 def test_experiment_requires_seed(tmp_path, monkeypatch):

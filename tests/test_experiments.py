@@ -134,6 +134,28 @@ class TestComparison:
             100.0 * np.mean(np.abs(cfa - exact) / np.abs(exact)), rel=1e-13)
         assert s["n"] == 3
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("radius", [1e-200, 1e200])
+    def test_rmsd_at_extreme_radius(self, radius):
+        # Deviations near 1e201 square past the float range, and near 1e-199
+        # square to 0: the rmsd takes the scaled form, and scales as 1/b.
+        cfg = small_config(sphere_radius=radius, methods=(METHOD_KIRKWOOD, VARIANT_CFA,
+                                                          VARIANT_P, VARIANT_M))
+        report = sv.run_comparison(cfg)
+        unit = sv.run_comparison(small_config(sphere_radius=1.0, methods=cfg.methods))
+        def energies(method):
+            return np.array([r["energy_kcal_mol"] for r in report.rows if r["method"] == method])
+
+        exact = energies(METHOD_KIRKWOOD)
+        for method in cfg.methods[1:]:
+            vals = energies(method)
+            dev = np.abs(vals - exact)
+            scale = np.max(dev)
+            rmsd = summary_for(report, method)["rmsd"]
+            assert 0.0 < rmsd < np.inf
+            assert rmsd == pytest.approx(scale * np.sqrt(np.mean((dev / scale) ** 2)), rel=1e-14)
+            assert rmsd == pytest.approx(summary_for(unit, method)["rmsd"] / radius, rel=1e-12)
+
     def test_kirkwood_summary_is_zero(self):
         report = sv.run_comparison(small_config())
         s = summary_for(report, METHOD_KIRKWOOD)

@@ -239,6 +239,27 @@ class TestPairInteraction:
         total = sv.pairwise_kirkwood_energy(d, m)
         assert total == pytest.approx(sv.kirkwood_energy(d, m).value, rel=1e-10)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("radius", [1e200, 1e-200])
+    def test_extreme_radius_matches_series(self, radius):
+        # In units of the radius, |r|^2 and r_i r_j / a^2 stay in the float range.
+        d = sv.make_distribution([[0, 0, 0.1 * radius], [0, 0, -0.5 * radius]], [1.0, -1.0])
+        m = sv.SphereModel(radius, EPS_WATER, 25)
+        want = sv.sphere_energies(d, m, ["kirkwood"])[0].value
+        assert sv.pairwise_kirkwood_energy(d, m) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("radius, eps_in, n_max, dist, old", [
+        (5.0, 4.0, 25, random_ball_distribution(16, 0, count=8), -23.509957600577405),
+        (5.0, 1.0, 40, random_ball_distribution(16, 1, count=8, margin=0.99), -63.08652148279759),
+        (20.0, 1.0, 118, sv.make_distribution([[0, 0, 19.9], [0, 0.5, -19.9]], [1.0, 1.0]),
+         -1156.8280169950121),
+        (0.3, 2.0, 25, random_ball_distribution(16, 2, count=5, radius=0.3), -116.42333893920748),
+    ])
+    def test_ordinary_radius_keeps_its_value(self, radius, eps_in, n_max, dist, old):
+        # The values of the form in Angstrom that the radius units replaced.
+        m = sv.SphereModel(radius, sv.DielectricPair(eps_in, 80.0), n_max)
+        assert sv.pairwise_kirkwood_energy(dist, m) == pytest.approx(old, rel=1e-14)
+
     def test_t_out_of_range(self):
         m = sv.SphereModel(5.0, EPS_BIO, 25)
         with pytest.raises(DomainError, match="pair separation parameter t = 1.0 >= 1"):
