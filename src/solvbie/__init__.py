@@ -25,7 +25,6 @@ from .model import (
     SphereModel,
     load_pqr,
     make_distribution,
-    net_charge,
 )
 from .harmonics import (
     pair_spectrum,
@@ -43,18 +42,14 @@ from .sphere import (
 from .mesh import PanelSurface, icosphere, load_mesh, load_msms, load_off, write_off
 from .bem import (
     SurfaceCharge,
-    SurfaceField,
     assemble_dstar,
     bem_energy,
     bibee_surface_charge,
-    coulomb_field_rhs,
     exact_surface_charge,
-    reaction_energy,
 )
 from .experiments import (
     ComparisonReport,
     ExperimentConfig,
     lambda_sweep,
-    random_sphere_config,
     run_comparison,
 )

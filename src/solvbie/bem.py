@@ -13,7 +13,9 @@ charge density (e/Angstrom^2), so the reaction potential is the plain
 Coulomb sum over panels.  A solve is two stages: one charge-panel pass gives
 the geometry-only panel vectors (g, h) (``panel_vectors``), and an O(T)
 material step the energy at any variant and dielectric pair
-(``material_energy``), the exact solve aside.
+(``material_energy``), the exact solve aside.  Its surface-charge solves,
+``exact_surface_charge`` and ``bibee_surface_charge``, take the right-hand
+side as a plain (T,) array beside its surface.
 """
 
 from __future__ import annotations
@@ -40,32 +42,14 @@ _BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
-class SurfaceField:
-    """Per-panel scalar boundary data (the BIE right-hand side)."""
-
-    values: np.ndarray
-    surface: PanelSurface
-
-    def __post_init__(self):
-        if self.values.shape != (self.surface.num_panels,):
-            raise DomainError("field length does not match panel count")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("non-finite surface field values")
-        self.values.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class SurfaceCharge:
     """Per-panel induced charge density sigma with its producing method."""
 
     density: np.ndarray
-    surface: PanelSurface
     method: str
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.density.shape != (self.surface.num_panels,):
-            raise DomainError("density length does not match panel count")
         if not np.all(np.isfinite(self.density)):
             raise DomainError("non-finite surface charge density")
         self.density.setflags(write=False)
@@ -95,7 +79,7 @@ def panel_vectors(dist: ChargeDistribution, surf: PanelSurface) -> tuple[np.ndar
     per entry, exact (difference form) for each charge's nearest panel.  The
     field kernel's area-weighted column sums are the Gauss probes (about -1
     inside): the first charge within NEAR_SINGULARITY_DISTANCE of a centroid
-    or outside the surface is rejected.
+    or outside the surface is rejected, and so is a g or h that overflows.
     """
     origin = surf.centroids.mean(axis=0)
     c, p = surf.centroids - origin, dist.positions - origin
@@ -121,24 +105,13 @@ def panel_vectors(dist: ChargeDistribution, surf: PanelSurface) -> tuple[np.ndar
         raise DomainError(
             f"charge {k} at {dist.positions[k].tolist()} is not inside the surface")
     np.divide(1.0, r, out=r)
-    g, h = kernel @ dist.magnitudes, surf.areas * (r @ dist.magnitudes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, h = kernel @ dist.magnitudes, surf.areas * (r @ dist.magnitudes)
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+        raise DomainError("non-finite surface field or potential values")
     g.setflags(write=False)
     h.setflags(write=False)
     return g, h
-
-
-def _rhs(g: np.ndarray, surf: PanelSurface, eps: DielectricPair) -> SurfaceField:
-    return SurfaceField(values=-eps.eps_hat / eps.eps_in * g, surface=surf)
-
-
-def coulomb_field_rhs(dist: ChargeDistribution, surf: PanelSurface,
-                      eps: DielectricPair) -> SurfaceField:
-    """Right-hand side of the BIE at panel centroids: -eps_hat/eps_in g (``panel_vectors``).
-
-    rhs_i = -eps_hat / eps_in * sum_k q_k n_i.(r_k - c_i) / (4 pi |c_i - r_k|^3),
-    with the checks and rounding error of ``panel_vectors``.
-    """
-    return _rhs(panel_vectors(dist, surf)[0], surf, eps)
 
 
 def _row_blocks(t: int):
@@ -185,10 +158,9 @@ def assemble_dstar(surf: PanelSurface) -> np.ndarray:
     return dstar
 
 
-def bibee_surface_charge(
-    rhs: SurfaceField, eps: DielectricPair, variant: BibeeVariant
-) -> SurfaceCharge:
-    """Diagonal-approximation surface charge from the BIE right-hand side.
+def bibee_surface_charge(rhs: np.ndarray, surf: PanelSurface, eps: DielectricPair,
+                         variant: BibeeVariant) -> SurfaceCharge:
+    """Diagonal-approximation surface charge from the (T,) BIE right-hand side on ``surf``.
 
     sigma = rhs / (1 + eps_hat lambda) with the variant's eigenvalues: the
     area-weighted mean of rhs (the mesh's n = 0 mode) takes lambda_0 and
@@ -196,15 +168,12 @@ def bibee_surface_charge(
     rhs); Lambda: lambda; M: lambda_0 = -1/2 and lambda elsewhere.
     """
     lam0, lam = variant.lambdas(1)
-    v = rhs.values
     if lam0 == lam:
-        density = _diagonal_solve(v, eps, lam)
+        density = _diagonal_solve(rhs, eps, lam)
     else:
-        areas = rhs.surface.areas
-        mean = float(np.sum(areas * v) / np.sum(areas))
-        density = _diagonal_solve(mean, eps, lam0) + _diagonal_solve(v - mean, eps, lam)
-    return SurfaceCharge(density=density, surface=rhs.surface,
-                         method=f"BEM-{variant.method_name()}")
+        mean = float(np.sum(surf.areas * rhs) / np.sum(surf.areas))
+        density = _diagonal_solve(mean, eps, lam0) + _diagonal_solve(rhs - mean, eps, lam)
+    return SurfaceCharge(density=density, method=f"BEM-{variant.method_name()}")
 
 
 def _restarted_gmres(apply, b, tol, restart, max_products):
@@ -267,10 +236,9 @@ def _restarted_gmres(apply, b, tol, restart, max_products):
     return np.ldexp(x, e), math.ldexp(rnorm, e), rnorm / bnorm if bnorm else 0.0, products
 
 
-def exact_surface_charge(
-    rhs: SurfaceField, eps: DielectricPair, tol: float = DEFAULT_GMRES_TOL
-) -> SurfaceCharge:
-    """Solve (I + eps_hat D*) sigma = rhs on the surface of ``rhs``.
+def exact_surface_charge(rhs: np.ndarray, surf: PanelSurface, eps: DielectricPair,
+                         tol: float = DEFAULT_GMRES_TOL) -> SurfaceCharge:
+    """Solve (I + eps_hat D*) sigma = rhs, rhs a finite (T,) array, on ``surf``.
 
     Restarted GMRES (``_restarted_gmres``, restart ``DEFAULT_GMRES_RESTART``)
     on the surface's dense D* (``PanelSurface.dstar``), until the true
@@ -287,32 +255,17 @@ def exact_surface_charge(
     """
     if not (0 < tol <= 1e-2):
         raise DomainError(f"GMRES tolerance must lie in (0, 1e-2], got {tol}")
-    surf, eps_hat = rhs.surface, eps.eps_hat
+    eps_hat = eps.eps_hat
     density, residual, relative, products = _restarted_gmres(
-        lambda x: x + eps_hat * (surf.dstar @ x), rhs.values, tol,
+        lambda x: x + eps_hat * (surf.dstar @ x), rhs, tol,
         DEFAULT_GMRES_RESTART, DEFAULT_GMRES_MAXITER)
     if not relative <= tol:
         raise ConvergenceError(
             f"GMRES did not converge within {DEFAULT_GMRES_MAXITER} dense products "
             f"(relative residual {relative:.3e} after {products})",
             residual=residual)
-    return SurfaceCharge(
-        density=density, surface=rhs.surface, method="BEM-exact",
-        metadata={"solver": "gmres", "residual": f"{residual:.3e}"})
-
-
-def _energy(sigma: SurfaceCharge, h: np.ndarray) -> EnergyResult:
-    value = 0.5 * COULOMB_KCAL * float(sigma.density @ h)
-    return EnergyResult(value=value, method=sigma.method, metadata=dict(sigma.metadata))
-
-
-def reaction_energy(sigma: SurfaceCharge, dist: ChargeDistribution) -> EnergyResult:
-    """Reaction energy (k_e/2) sum_k q_k sum_j sigma_j A_j / |r_k - c_j| on sigma's surface.
-
-    Computed as (k_e/2) sigma.h with h from ``panel_vectors``, whose checks
-    and rounding error it shares.
-    """
-    return _energy(sigma, panel_vectors(dist, sigma.surface)[1])
+    return SurfaceCharge(density=density, method="BEM-exact",
+                         metadata={"solver": "gmres", "residual": f"{residual:.3e}"})
 
 
 def material_energy(g: np.ndarray, h: np.ndarray, surf: PanelSurface, eps: DielectricPair,
@@ -322,14 +275,20 @@ def material_energy(g: np.ndarray, h: np.ndarray, surf: PanelSurface, eps: Diele
 
     rhs = -eps_hat/eps_in g; sigma from ``exact_surface_charge`` to ``tol``
     when ``variant`` is None, else from ``bibee_surface_charge``; the energy
-    is (k_e/2) sigma.h.  O(T) work but for the exact solve.
+    is (k_e/2) sigma.h.  O(T) work but for the exact solve.  An rhs or
+    energy that overflows is a DomainError.
     """
-    rhs = _rhs(g, surf, eps)
+    with np.errstate(over="ignore"):
+        rhs = -eps.eps_hat / eps.eps_in * g
+    if not np.all(np.isfinite(rhs)):
+        raise DomainError("non-finite surface field values")
     if variant is None:
-        sigma = exact_surface_charge(rhs, eps, tol)
+        sigma = exact_surface_charge(rhs, surf, eps, tol)
     else:
-        sigma = bibee_surface_charge(rhs, eps, variant)
-    return _energy(sigma, h)
+        sigma = bibee_surface_charge(rhs, surf, eps, variant)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = 0.5 * COULOMB_KCAL * float(sigma.density @ h)
+    return EnergyResult(value=value, method=sigma.method, metadata=dict(sigma.metadata))
 
 
 def bem_energy(dist: ChargeDistribution, surf: PanelSurface, eps: DielectricPair,

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import DomainError
-from .model import ChargeDistribution, DielectricPair, SphereModel
+from .model import DielectricPair, SphereModel
 from .sphere import (
     GB_METHODS,
     LAMBDA_VARIANTS,
@@ -124,12 +124,6 @@ def _draw(seed: int, indices, cfg: ExperimentConfig) -> tuple[np.ndarray, np.nda
     pos /= np.linalg.norm(pos, axis=-1)[..., None]
     pos *= (cfg.placement_margin * cfg.sphere_radius * radii ** (1.0 / 3.0))[..., None]
     return pos, q
-
-
-def random_sphere_config(seed: int, index: int, cfg: ExperimentConfig) -> ChargeDistribution:
-    """Deterministic random charge set: configuration ``index`` of the chunk draw ``_draw``."""
-    pos, q = _draw(seed, [index], cfg)
-    return ChargeDistribution(pos[0], q[0], label=f"seed{seed}-cfg{index}")
 
 
 def run_comparison(

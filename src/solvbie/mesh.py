@@ -53,9 +53,6 @@ class PanelSurface:
     def num_panels(self) -> int:
         return int(self.triangles.shape[0])
 
-    def total_area(self) -> float:
-        return float(np.sum(self.areas))
-
 
 def _derive_panels(vertices: np.ndarray, triangles: np.ndarray):
     v0 = vertices[triangles[:, 0]]

@@ -134,11 +134,6 @@ class EnergyResult:
             raise DomainError("truncation error estimate must be nonnegative")
 
 
-def net_charge(dist: ChargeDistribution) -> float:
-    """Sum of charge magnitudes (signed), in e."""
-    return float(math.fsum(dist.magnitudes))
-
-
 def load_pqr(path, read=read_text) -> ChargeDistribution:
     """Read point charges from a PQR file.
 

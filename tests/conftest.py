@@ -7,6 +7,7 @@ from scipy.sparse.linalg import eigsh
 import solvbie as sv
 from solvbie.bem import _row_blocks, assemble_dstar
 from solvbie.errors import DomainError
+from solvbie.experiments import _draw
 from solvbie.mesh import build_surface
 from solvbie.sphere import _gb_energies
 
@@ -36,6 +37,12 @@ def random_ball_distribution(seed, index, count=25, radius=5.0, margin=0.95,
     r = margin * radius * rng.random(count) ** (1.0 / 3.0)
     q = rng.uniform(-max_q, max_q, count)
     return sv.make_distribution(dirs * r[:, None], q)
+
+
+def drawn_config(seed, index, cfg):
+    """Configuration ``index`` of the seeded chunk draw of ``cfg``, as one charge set."""
+    pos, q = _draw(seed, [index], cfg)
+    return sv.ChargeDistribution(pos[0], q[0])
 
 
 def chunk_of(dists):

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one PASS/FAIL line
 per criterion.
 """
 
+import math
 import time
 
 import numpy as np
@@ -55,7 +56,7 @@ def test_02_equal_dielectric_identity(mesh_320):
         sv.sphere_energies(d, model, ["m"], 0.0)[0].value,
         gb_energy(d, radii, 5.0, 0.0, eps),
         gb_energy(d, radii, 5.0, 0.57, eps),
-        float(np.max(np.abs(sv.coulomb_field_rhs(d, mesh_320, eps).values))),
+        sv.bem_energy(d, mesh_320, eps).value,
     ]
     _report("equal interior/exterior dielectric gives exactly zero",
             all(v == 0.0 for v in values), f"max |value| {max(map(abs, values)):g}")
@@ -72,7 +73,7 @@ def test_03_bound_ordering_1000_configs():
         slack = 1e-10 * abs(ek)
         if not (ec >= ek - slack and ek >= ep - slack):
             violations += 1
-        elif abs(sv.net_charge(d)) > 1e-12 and not (ep - slack <= em <= ek + slack):
+        elif abs(math.fsum(d.magnitudes)) > 1e-12 and not (ep - slack <= em <= ek + slack):
             violations += 1
     elapsed = time.time() - start
     _report("upper/lower bound ordering on 1000 random configurations",

@@ -3,6 +3,7 @@
 An API trim that breaks the benchmark, or the README's quick start, fails here first.
 """
 
+import dataclasses
 import importlib
 import inspect
 import re
@@ -15,6 +16,7 @@ import solvbie.bem
 import solvbie.cli
 import solvbie.experiments
 import solvbie.harmonics
+import solvbie.model
 import solvbie.sphere
 
 BENCHMARK_NAMES = [
@@ -30,7 +32,9 @@ REMOVED = ["bibee_energy", "kirkwood_reaction_coefficients", "bibee_reaction_coe
            "assoc_legendre", "legendre_table", "mode_spectrum", "ConsistencyError", "IMAG_TOL",
            "_factorial_ratio", "GBParameters", "sphere_gb_parameters", "pair_interaction_kirkwood",
            "METHOD_CFA", "METHOD_P", "METHOD_M", "MultipoleCoefficients", "KIND_SOURCE",
-           "KIND_REACTION", "reaction_coefficients", "eval_interior_potential_many"]
+           "KIND_REACTION", "reaction_coefficients", "eval_interior_potential_many",
+           "SurfaceField", "coulomb_field_rhs", "reaction_energy", "_rhs", "_energy",
+           "random_sphere_config", "net_charge", "total_area"]
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
@@ -51,13 +55,20 @@ def test_sphere_reexports_source_moments():
 
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_gone(name):
-    for module in (solvbie, solvbie.sphere, solvbie.harmonics, solvbie.experiments):
-        assert not hasattr(module, name)
+    for owner in (solvbie, solvbie.sphere, solvbie.harmonics, solvbie.experiments,
+                  solvbie.bem, solvbie.model, solvbie.PanelSurface):
+        assert not hasattr(owner, name)
 
 
 def test_bem_stages_take_surface_from_their_input():
-    assert list(inspect.signature(solvbie.exact_surface_charge).parameters) == ["rhs", "eps", "tol"]
-    assert list(inspect.signature(solvbie.reaction_energy).parameters) == ["sigma", "dist"]
+    # The stages take the (T,) right-hand side as a plain array beside its surface.
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(solvbie.exact_surface_charge) == ["rhs", "surf", "eps", "tol"]
+    assert params(solvbie.bibee_surface_charge) == ["rhs", "surf", "eps", "variant"]
+    fields = [f.name for f in dataclasses.fields(solvbie.SurfaceCharge)]
+    assert fields == ["density", "method", "metadata"]
 
 
 def test_readme_quick_start_runs_and_its_potential_gives_the_energy():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import solvbie as sv
-from conftest import chunk_of, random_ball_distribution
+from conftest import chunk_of, drawn_config, random_ball_distribution
 from solvbie import cli
 from solvbie.cli import build_parser, main
 from solvbie.model import COULOMB_KCAL
@@ -375,6 +375,25 @@ def test_charge_outside_cavity_exit_4(tmp_path, monkeypatch):
     assert code == 4
 
 
+@pytest.mark.parametrize("variant", ["exact", "cfa"])
+@pytest.mark.parametrize("case, message", [
+    ("field", "non-finite surface field or potential values"),
+    ("energy", "non-finite energy -inf for method BEM-"),
+])
+def test_bem_overflow_exit_4(case, message, variant, tmp_path, monkeypatch, capsys):
+    # A field that overflows at the panels (1e308 at 1e-4 Angstrom of a centroid)
+    # or an energy that overflows (two 1e160 charges): exit 4, and no numpy
+    # warning, which the test run turns into an error.
+    surf = sv.icosphere(5.0, 2)
+    sv.write_off(surf, tmp_path / "ico.off")
+    near = surf.centroids[0] - 1e-4 * surf.normals[0]
+    charges = [(*near, 1e308)] if case == "field" else [(0, 0, 1, 1e160), (1, 0, 0, 1e160)]
+    argv = ["bem", "--mesh", str(tmp_path / "ico.off"), "--variant", variant,
+            *("--charge=" + ",".join(repr(float(v)) for v in c) for c in charges)]
+    assert run(argv, tmp_path, monkeypatch) == 4
+    assert capsys.readouterr().err.startswith(f"solvbie: domain error: {message}")
+
+
 def test_bem_dense_matrix_unallocatable_exit_4(tmp_path, monkeypatch, capsys):
     mesh = tmp_path / "ico.off"
     sv.write_off(sv.icosphere(5.0, 1), mesh)
@@ -428,7 +447,7 @@ def test_sphere_cli_matches_run_comparison(method, tmp_path, monkeypatch):
     cfg = sv.ExperimentConfig(seed=7, num_configs=1, charges_per_config=4,
                               methods=(method,), lambda_value=-0.15)
     report = sv.run_comparison(cfg)
-    dist = sv.random_sphere_config(cfg.seed, 0, cfg)
+    dist = drawn_config(cfg.seed, 0, cfg)
     argv = ["sphere", "--radius", repr(cfg.sphere_radius), "--methods", method,
             "--lambda", repr(cfg.lambda_value), "--eps-in", repr(cfg.eps_in),
             "--eps-out", repr(cfg.eps_out), "--nmax", str(cfg.n_max),

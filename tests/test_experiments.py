@@ -1,11 +1,12 @@
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 import solvbie as sv
-from conftest import summary_for
+from conftest import drawn_config, summary_for
 from solvbie import sphere
 from solvbie.errors import DomainError
 from solvbie.experiments import (
@@ -63,15 +64,15 @@ class TestConfig:
 class TestSampling:
     def test_deterministic_regeneration(self):
         cfg = small_config()
-        a = sv.random_sphere_config(101, 2, cfg)
-        b = sv.random_sphere_config(101, 2, cfg)
+        a = drawn_config(101, 2, cfg)
+        b = drawn_config(101, 2, cfg)
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.magnitudes, b.magnitudes)
 
     def test_streams_independent_of_ensemble_size(self):
         # Configuration 7 is the same whether or not 0..6 were generated.
         cfg = small_config(num_configs=10)
-        direct = sv.random_sphere_config(101, 7, cfg)
+        direct = drawn_config(101, 7, cfg)
         rng_check = np.random.default_rng([101, 7])
         dirs = rng_check.standard_normal((6, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
@@ -94,14 +95,14 @@ class TestSampling:
             r = 0.95 * 5.0 * rng.random(charges) ** (1.0 / 3.0)
             np.testing.assert_array_equal(pos[c], dirs * r[:, None])
             np.testing.assert_array_equal(q[c], rng.uniform(-0.5, 0.5, charges))
-            d = sv.random_sphere_config(cfg.seed, index, cfg)
+            d = drawn_config(cfg.seed, index, cfg)
             np.testing.assert_array_equal(d.positions, pos[c])
             np.testing.assert_array_equal(d.magnitudes, q[c])
 
     def test_placement_stays_inside_margin(self):
         cfg = small_config(num_configs=50, charges_per_config=25)
         for index in range(50):
-            d = sv.random_sphere_config(cfg.seed, index, cfg)
+            d = drawn_config(cfg.seed, index, cfg)
             radii = np.linalg.norm(d.positions, axis=1)
             assert np.max(radii) <= 0.95 * 5.0 + 1e-12
 
@@ -109,7 +110,7 @@ class TestSampling:
         # |q| ~ U(0, 0.5) gives mean 0.25; check the ensemble mean.
         cfg = small_config(num_configs=400, charges_per_config=25)
         mags = np.concatenate([
-            np.abs(sv.random_sphere_config(cfg.seed, i, cfg).magnitudes)
+            np.abs(drawn_config(cfg.seed, i, cfg).magnitudes)
             for i in range(400)
         ])
         assert np.mean(mags) == pytest.approx(0.25, abs=0.01)
@@ -123,7 +124,7 @@ class TestComparison:
         exact = []
         cfa = []
         for index in range(3):
-            d = sv.random_sphere_config(cfg.seed, index, cfg)
+            d = drawn_config(cfg.seed, index, cfg)
             exact.append(sv.kirkwood_energy(d, model).value)
             cfa.append(sv.sphere_energies(d, model, ["cfa"])[0].value)
         exact = np.array(exact)
@@ -299,10 +300,10 @@ class TestChunks:
         rows = iter(report.rows)
         lams = [cfg.lambda_value if m in ("lambda", "m") else None for m in cfg.methods]
         for index in range(cfg.num_configs):
-            d = sv.random_sphere_config(cfg.seed, index, cfg)
+            d = drawn_config(cfg.seed, index, cfg)
             for res in sv.sphere_energies(d, cfg.sphere, cfg.methods, lams):
                 row = next(rows)
                 assert row["index"] == index
                 assert row["energy_kcal_mol"] == res.value
                 assert row["truncation_estimate"] == res.truncation_error_estimate
-                assert row["net_charge"] == sv.net_charge(d)
+                assert row["net_charge"] == math.fsum(d.magnitudes)

@@ -25,7 +25,7 @@ def test_tetrahedron_basic_quantities():
     s = build_surface(TET_VERTS, TET_FACES)
     assert s.num_panels == 4
     # Three right-triangle faces of area 1/2 plus the slanted face sqrt(3)/2.
-    assert s.total_area() == pytest.approx(1.5 + np.sqrt(3) / 2, rel=1e-14)
+    assert np.sum(s.areas) == pytest.approx(1.5 + np.sqrt(3) / 2, rel=1e-14)
     assert np.allclose(np.linalg.norm(s.normals, axis=1), 1.0, atol=1e-14)
 
 
@@ -130,8 +130,8 @@ def test_icosphere_area_and_radius():
     surf = sv.icosphere(5.0, 3)
     exact = 4.0 * np.pi * 25.0
     # Inscribed faceted area is slightly below the sphere area.
-    assert surf.total_area() < exact
-    assert surf.total_area() == pytest.approx(exact, rel=0.01)
+    assert np.sum(surf.areas) < exact
+    assert np.sum(surf.areas) == pytest.approx(exact, rel=0.01)
     radii = np.linalg.norm(surf.vertices, axis=1)
     assert np.max(np.abs(radii - 5.0)) < 1e-12
 
@@ -146,7 +146,7 @@ def test_icosphere_outward_normals():
 def test_scaled_copy():
     surf = sv.icosphere(1.0, 2)
     big = scaled_surface(surf, 3.0)
-    assert big.total_area() == pytest.approx(9.0 * surf.total_area(), rel=1e-13)
+    assert np.sum(big.areas) == pytest.approx(9.0 * np.sum(surf.areas), rel=1e-13)
     np.testing.assert_allclose(big.normals, surf.normals, atol=1e-13)
 
 

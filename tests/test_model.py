@@ -32,24 +32,6 @@ def test_dielectrics_must_be_positive():
         sv.DielectricPair(1.0, -4.0)
 
 
-def test_net_charge_cancellation():
-    d = sv.make_distribution([[1, 0, 0], [0, 1, 0]], [0.5, -0.5])
-    assert sv.net_charge(d) == 0.0
-
-
-def test_net_charge_single():
-    d = sv.make_distribution([[0, 0, 0]], [1.0])
-    assert sv.net_charge(d) == 1.0
-
-
-def test_net_charge_random_sum():
-    rng = np.random.default_rng(42)
-    q = rng.uniform(-0.5, 0.5, 25)
-    pos = rng.uniform(-1, 1, (25, 3))
-    d = sv.make_distribution(pos, q)
-    assert sv.net_charge(d) == pytest.approx(math.fsum(q), abs=1e-15)
-
-
 def test_empty_distribution_rejected():
     with pytest.raises(EmptyInputError):
         sv.make_distribution(np.empty((0, 3)), [])
