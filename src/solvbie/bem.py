@@ -120,8 +120,8 @@ def _row_blocks(t: int):
     return [(s, min(s + rows, t)) for s in range(0, t, rows)]
 
 
-def assemble_dstar(surf: PanelSurface) -> np.ndarray:
-    """Dense discretization of the normal electric-field operator D*, freshly assembled.
+def assemble_dstar(surf: PanelSurface, out: np.ndarray | None = None) -> np.ndarray:
+    """Dense discretization of the normal electric-field operator D*, assembled into ``out``.
 
     The solves take D* from ``PanelSurface.dstar``, which calls this once per
     surface and keeps the result.
@@ -131,12 +131,21 @@ def assemble_dstar(surf: PanelSurface) -> np.ndarray:
     at every panel: sum_j A_j D*[j, i] = -A_i / 2.  The result, 8 T^2 bytes
     (210 MB at 5120 panels), is the one T x T allocation: rows are filled
     in blocks of _BLOCK_BYTES.  DomainError if it cannot be allocated.
+    ``out``, a writeable C-contiguous float64 (T, T) array, is overwritten
+    in full and returned instead: storage whose pages are already touched
+    saves the kernel's zeroing and page faults of a fresh 8 T^2 bytes, and
+    the entries are those of a fresh assembly, bit for bit.
     """
     t = surf.num_panels
-    try:
-        dstar = np.empty((t, t))
-    except MemoryError:
-        raise DomainError(f"dense D* for {t} panels needs {8 * t * t} bytes") from None
+    if out is None:
+        try:
+            out = np.empty((t, t))
+        except MemoryError:
+            raise DomainError(f"dense D* for {t} panels needs {8 * t * t} bytes") from None
+    elif not (out.shape == (t, t) and out.dtype == np.float64
+              and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a writeable C-contiguous float64 ({t}, {t}) array")
+    dstar = out
     c, n, a = surf.centroids, surf.normals, surf.areas
     # One GEMM per factor: |c_i - c_j|^2 from _sq_dist_factors, and
     # A_j n_i.(c_j - c_i) / 4 pi = [n_i, -n_i.c_i].[c_j, 1] A_j / 4 pi.
@@ -158,6 +167,14 @@ def assemble_dstar(surf: PanelSurface) -> np.ndarray:
     return dstar
 
 
+def _check_rhs(rhs: np.ndarray, surf: PanelSurface):
+    """DomainError unless ``rhs`` is a finite (T,) array, T the panels of ``surf``."""
+    if np.shape(rhs) != (surf.num_panels,):
+        raise DomainError(f"right-hand side of shape {np.shape(rhs)}, not ({surf.num_panels},)")
+    if not np.all(np.isfinite(rhs)):
+        raise DomainError("non-finite surface field values")
+
+
 def bibee_surface_charge(rhs: np.ndarray, surf: PanelSurface, eps: DielectricPair,
                          variant: BibeeVariant) -> SurfaceCharge:
     """Diagonal-approximation surface charge from the (T,) BIE right-hand side on ``surf``.
@@ -165,8 +182,10 @@ def bibee_surface_charge(rhs: np.ndarray, surf: PanelSurface, eps: DielectricPai
     sigma = rhs / (1 + eps_hat lambda) with the variant's eigenvalues: the
     area-weighted mean of rhs (the mesh's n = 0 mode) takes lambda_0 and
     the remainder lambda_n for n >= 1.  CFA: lambda = -1/2; P: 0 (sigma is
-    rhs); Lambda: lambda; M: lambda_0 = -1/2 and lambda elsewhere.
+    rhs); Lambda: lambda; M: lambda_0 = -1/2 and lambda elsewhere.  An rhs
+    that is not a finite (T,) array is a DomainError.
     """
+    _check_rhs(rhs, surf)
     lam0, lam = variant.lambdas(1)
     if lam0 == lam:
         density = _diagonal_solve(rhs, eps, lam)
@@ -251,8 +270,13 @@ def exact_surface_charge(rhs: np.ndarray, surf: PanelSurface, eps: DielectricPai
     product on a surface assembles it and every later one, at any charges
     and any dielectric pair, reuses it.  Memory is that one 8 T^2-byte
     matrix, kept as long as the surface: 210 MB at 5120 panels, 3.4 GB at
-    20480, plus the (restart+1, T) basis.
+    20480, plus the (restart+1, T) basis.  ``PanelSurface.dstar`` allocates
+    that storage afresh; only the CLI, on a new mesh of the same panel
+    count, assembles a surface's D* into the storage of the surface it
+    drops.  An rhs that is not a finite (T,) array is a DomainError before
+    any product.
     """
+    _check_rhs(rhs, surf)
     if not (0 < tol <= 1e-2):
         raise DomainError(f"GMRES tolerance must lie in (0, 1e-2], got {tol}")
     eps_hat = eps.eps_hat
@@ -280,8 +304,6 @@ def material_energy(g: np.ndarray, h: np.ndarray, surf: PanelSurface, eps: Diele
     """
     with np.errstate(over="ignore"):
         rhs = -eps.eps_hat / eps.eps_in * g
-    if not np.all(np.isfinite(rhs)):
-        raise DomainError("non-finite surface field values")
     if variant is None:
         sigma = exact_surface_charge(rhs, surf, eps, tol)
     else:

@@ -10,11 +10,18 @@ each input file.
 exact solve has built it, for the next call in the same process.  A call
 whose mesh has the same format, resolved path(s) and bytes reuses it
 without parsing or validating again; any other mesh replaces it, so at most
-one surface and one D* are kept.  Beside it ``bem`` keeps the panel vectors
-(g, h) of its last charge set (``bem.panel_vectors``) under the surface's key
-and the charges' key (resolved PQR path and SHA-256, or the ``--charge``
-strings).  A call on both skips the PQR parse and the (T, Q) charge-panel
-pass, whatever its variant, lambda, dielectrics and tolerance.
+one surface and one D* are kept.  An exact call on a new mesh of the same
+panel count assembles its D* into the storage of the dropped surface's
+(``bem.assemble_dstar(surf, out=...)``), which saves the first touch of
+8 T^2 fresh bytes.  A new mesh of another panel count frees that storage
+before its charge pass, and a variant call at its end.  Storage that
+anything else references is not reused.
+
+Beside the surface ``bem`` keeps the panel vectors (g, h) of its last charge
+set (``bem.panel_vectors``) under the surface's key and the charges' key
+(resolved PQR path and SHA-256, or the ``--charge`` strings).  A call on
+both skips the PQR parse and the (T, Q) charge-panel pass, whatever its
+variant, lambda, dielectrics and tolerance.
 """
 
 from __future__ import annotations
@@ -81,18 +88,30 @@ _SURFACE_MEMO: dict[tuple, PanelSurface] = {}
 _VECTOR_MEMO: dict[tuple, tuple] = {}
 
 
-def _load_surface(args, inputs: _Inputs) -> tuple[PanelSurface, tuple]:
-    """The surface of ``--mesh`` (and ``--face``) and its key: parsed and validated unless kept."""
+def _load_surface(args, inputs: _Inputs):
+    """The surface of ``--mesh`` (and ``--face``), its key and a spare for its D*.
+
+    The surface is parsed and validated unless kept.  The spare is the
+    storage of the D* of the surface a new mesh replaces, when that surface
+    held one of the new mesh's size that nothing else references; else None.
+    """
     paths = [args.mesh, *([args.face] if args.face else [])]
     texts = {p: inputs.read(p) for p in paths}
     key = (args.mesh_format, *((os.path.realpath(p), inputs.digests[str(p)]) for p in paths))
-    surf = _SURFACE_MEMO.get(key)
+    surf, spare = _SURFACE_MEMO.get(key), None
     if surf is None:
-        _SURFACE_MEMO.clear()  # first, so that the old D* is freed before the new one is built
+        for old in _SURFACE_MEMO.values():
+            spare = vars(old).pop("dstar", None)
+        _SURFACE_MEMO.clear()  # first, so that the old surface is freed before the new one is built
         surf = load_mesh(args.mesh, fmt=args.mesh_format, face_path=args.face,
                          read=texts.__getitem__)
         _SURFACE_MEMO[key] = surf
-    return surf, key
+        # Storage that a caller still references is not reused: here the spare
+        # has two references, ``spare`` and getrefcount's argument.
+        if spare is not None and not (spare.shape == (surf.num_panels,) * 2
+                                      and sys.getrefcount(spare) <= 2):
+            spare = None
+    return surf, key, spare
 
 
 def write_manifest(command: str, params: dict, input_digests: dict, out_path):
@@ -178,13 +197,18 @@ def cmd_bem(args) -> int:
     # A kept charge set parsed once already; any other is parsed before the mesh is read.
     dist = None if any(k[1] == charges_key for k in _VECTOR_MEMO) else parse()
     eps = DielectricPair(args.eps_in, args.eps_out)
-    surf, surface_key = _load_surface(args, inputs)
+    surf, surface_key, spare = _load_surface(args, inputs)
     variant = None if variant_name == "exact" else BibeeVariant(variant_name, args.lam)
     key = (surface_key, charges_key)
     vectors = _VECTOR_MEMO.get(key)
     if vectors is None:
         _VECTOR_MEMO.clear()
         vectors = _VECTOR_MEMO[key] = panel_vectors(parse() if dist is None else dist, surf)
+    if spare is not None and variant is None:
+        from . import bem  # the module attribute, so that a wrapped assemble_dstar is called
+        spare.setflags(write=True)
+        dstar = vars(surf)["dstar"] = bem.assemble_dstar(surf, out=spare)
+        dstar.setflags(write=False)  # as PanelSurface.dstar keeps it
     result = material_energy(*vectors, surf, eps, variant, tol=args.tol)
     row = {"method": result.method, "energy_kcal_mol": result.value,
            "panels": surf.num_panels, **result.metadata}

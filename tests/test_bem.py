@@ -216,6 +216,30 @@ class TestOverflow:
             bem.material_energy(g, h, mesh_320, sv.DielectricPair(1e-300, 2e-299), variant)
 
 
+class TestStageInput:
+    """Both surface-charge stages reject an rhs that is not a finite (T,) array before any product."""
+
+    @pytest.mark.parametrize("stage", ["exact", "cfa", "m"])
+    @pytest.mark.parametrize("case, message", [
+        ("all nan", "^non-finite surface field values$"),
+        ("one inf", "^non-finite surface field values$"),
+        ("length 1", r"^right-hand side of shape \(1,\), not \(320,\)$"),
+        ("length 5", r"^right-hand side of shape \(5,\), not \(320,\)$"),
+        ("two rows", r"^right-hand side of shape \(2, 320\), not \(320,\)$"),
+    ])
+    def test_bad_rhs_is_a_domain_error(self, mesh_320, stage, case, message):
+        surf = build_surface(mesh_320.vertices, mesh_320.triangles.copy())
+        rhs = field_rhs(random_ball_distribution(38, 0, count=5), surf, EPS_BIO)
+        bad = {"all nan": np.full_like(rhs, np.nan), "one inf": np.where(rhs == rhs[7], np.inf, rhs),
+               "length 1": rhs[:1], "length 5": rhs[:5], "two rows": np.stack([rhs, rhs])}[case]
+        with pytest.raises(DomainError, match=message):
+            if stage == "exact":
+                sv.exact_surface_charge(bad, surf, EPS_BIO)
+            else:
+                sv.bibee_surface_charge(bad, surf, EPS_BIO, sv.BibeeVariant(stage))
+        assert "dstar" not in vars(surf)  # so no product either
+
+
 def reference_dstar(surf):
     """D* entry by entry, with the diagonal from the double-layer row sums."""
     c, n, a = surf.centroids, surf.normals, surf.areas

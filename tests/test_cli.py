@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -13,8 +14,9 @@ import pytest
 
 import solvbie as sv
 from conftest import chunk_of, drawn_config, random_ball_distribution
-from solvbie import cli
+from solvbie import bem, cli
 from solvbie.cli import build_parser, main
+from solvbie.mesh import build_surface
 from solvbie.model import COULOMB_KCAL
 from solvbie.sphere import PAIR_CROSSOVER, SPHERE_METHODS, VARIANT_TAGS
 
@@ -586,6 +588,96 @@ def test_bem_keeps_one_surface(tmp_path, monkeypatch):
     del surf
     assert run_bem(second, "b.csv", tmp_path, monkeypatch)[0] == 0
     assert ref() is None
+
+
+def same_size_meshes(tmp_path):
+    """OFF files of a 1280-panel icosphere and of a copy turned about z: one D* size."""
+    ico = sv.icosphere(5.0, 3)
+    c, s = np.cos(0.3), np.sin(0.3)
+    turned = build_surface(ico.vertices @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]),
+                           ico.triangles.copy())
+    paths = tmp_path / "ico.off", tmp_path / "turned.off"
+    for surf, path in zip((ico, turned), paths):
+        sv.write_off(surf, path)
+    return paths
+
+
+def kept_dstar():
+    """The D* the CLI keeps on its surface, or None."""
+    (surf,) = cli._SURFACE_MEMO.values()
+    return vars(surf).get("dstar")
+
+
+@pytest.mark.parametrize("eps_in", ["1", "4"])
+def test_bem_new_mesh_of_one_size_reuses_the_dropped_dstar(eps_in, tmp_path, monkeypatch):
+    first, second = same_size_meshes(tmp_path)
+    argv = ["--charge", "0,0,1,1", "--charge", "1,0,0,-0.5", "--eps-in", eps_in]
+    assert bem_bytes(["--mesh", str(first), *argv], "a.csv", tmp_path, monkeypatch)[0] == 0
+    dropped = weakref.ref(kept_dstar())
+    recycled = bem_bytes(["--mesh", str(second), *argv], "b.csv", tmp_path, monkeypatch)
+    assert kept_dstar() is dropped() and not kept_dstar().flags.writeable
+    (surf,) = cli._SURFACE_MEMO.values()
+    assert np.array_equal(kept_dstar(), sv.assemble_dstar(surf))
+    cli._SURFACE_MEMO.clear()
+    cli._VECTOR_MEMO.clear()
+    assert recycled == bem_bytes(["--mesh", str(second), *argv], "fresh.csv", tmp_path,
+                                 monkeypatch)
+    assert recycled[0] == 0
+
+
+def test_bem_recycled_dstar_allocates_no_dense_array(tmp_path, monkeypatch):
+    first, second = same_size_meshes(tmp_path)
+    assert run_bem(first, "a.csv", tmp_path, monkeypatch)[0] == 0
+    tracemalloc.start()
+    try:
+        code = run_bem(second, "b.csv", tmp_path, monkeypatch)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 0.5 * 8 * 1280 ** 2
+
+
+@pytest.mark.parametrize("first, second", [(3, 2), (2, 3)])
+def test_bem_new_panel_count_frees_the_old_dstar_first(first, second, tmp_path, monkeypatch):
+    meshes = tmp_path / "a.off", tmp_path / "b.off"
+    for subdivisions, path in zip((first, second), meshes):
+        sv.write_off(sv.icosphere(5.0, subdivisions), path)
+    assert run_bem(meshes[0], "a.csv", tmp_path, monkeypatch)[0] == 0
+    dropped = weakref.ref(kept_dstar())
+    alive, vectors, assemble = [], cli.panel_vectors, bem.assemble_dstar
+    monkeypatch.setattr(cli, "panel_vectors",
+                        lambda *a: alive.append(dropped() is not None) or vectors(*a))
+    monkeypatch.setattr(bem, "assemble_dstar",
+                        lambda s, **kw: alive.append(dropped() is not None) or assemble(s, **kw))
+    assert run_bem(meshes[1], "b.csv", tmp_path, monkeypatch)[0] == 0
+    assert alive == [False, False]  # at the charge pass and at the assembly
+    assert kept_dstar().shape == (20 * 4 ** second,) * 2
+
+
+def test_bem_variant_on_a_new_mesh_assembles_nothing(tmp_path, monkeypatch):
+    first, second = same_size_meshes(tmp_path)
+    assert run_bem(first, "a.csv", tmp_path, monkeypatch)[0] == 0
+    dropped = weakref.ref(kept_dstar())
+    assembled, assemble = [], bem.assemble_dstar
+    monkeypatch.setattr(bem, "assemble_dstar",
+                        lambda s, **kw: assembled.append(kw) or assemble(s, **kw))
+    assert run_bem(second, "b.csv", tmp_path, monkeypatch, "m")[0] == 0
+    assert assembled == [] and dropped() is None and kept_dstar() is None
+    assert run_bem(second, "c.csv", tmp_path, monkeypatch)[0] == 0
+    assert assembled == [{}]  # a kept surface's D* into fresh storage
+
+
+def test_bem_reuses_no_dstar_that_a_caller_holds(tmp_path, monkeypatch):
+    first, second = same_size_meshes(tmp_path)
+    library = sv.load_mesh(second)
+    library_dstar = library.dstar.copy()
+    assert run_bem(first, "a.csv", tmp_path, monkeypatch)[0] == 0
+    held = kept_dstar()
+    snapshot = held.copy()
+    assert run_bem(second, "b.csv", tmp_path, monkeypatch)[0] == 0
+    assert kept_dstar() is not held and np.array_equal(held, snapshot)
+    assert np.array_equal(library.dstar, library_dstar)
+    assert np.array_equal(kept_dstar(), library_dstar)
 
 
 def test_manifest_digest_is_of_the_bytes_parsed(tmp_path, monkeypatch):
