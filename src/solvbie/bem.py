@@ -273,8 +273,8 @@ def exact_surface_charge(rhs: np.ndarray, surf: PanelSurface, eps: DielectricPai
     20480, plus the (restart+1, T) basis.  ``PanelSurface.dstar`` allocates
     that storage afresh; only the CLI, on a new mesh of the same panel
     count, assembles a surface's D* into the storage of the surface it
-    drops.  An rhs that is not a finite (T,) array is a DomainError before
-    any product.
+    drops (``PanelSurface.reuse_dstar``).  An rhs that is not a finite (T,)
+    array is a DomainError before any product.
     """
     _check_rhs(rhs, surf)
     if not (0 < tol <= 1e-2):

@@ -12,10 +12,10 @@ whose mesh has the same format, resolved path(s) and bytes reuses it
 without parsing or validating again; any other mesh replaces it, so at most
 one surface and one D* are kept.  An exact call on a new mesh of the same
 panel count assembles its D* into the storage of the dropped surface's
-(``bem.assemble_dstar(surf, out=...)``), which saves the first touch of
-8 T^2 fresh bytes.  A new mesh of another panel count frees that storage
-before its charge pass, and a variant call at its end.  Storage that
-anything else references is not reused.
+(``PanelSurface.take_dstar`` and ``reuse_dstar``), which saves the first
+touch of 8 T^2 fresh bytes.  A new mesh of another panel count frees that
+storage before its charge pass, and a variant call at its end.  Storage
+that anything else references is not reused.
 
 Beside the surface ``bem`` keeps the panel vectors (g, h) of its last charge
 set (``bem.panel_vectors``) under the surface's key and the charges' key
@@ -94,22 +94,26 @@ def _load_surface(args, inputs: _Inputs):
     The surface is parsed and validated unless kept.  The spare is the
     storage of the D* of the surface a new mesh replaces, when that surface
     held one of the new mesh's size that nothing else references; else None.
+    The replaced surface is freed before the new mesh is parsed.
     """
     paths = [args.mesh, *([args.face] if args.face else [])]
     texts = {p: inputs.read(p) for p in paths}
     key = (args.mesh_format, *((os.path.realpath(p), inputs.digests[str(p)]) for p in paths))
     surf, spare = _SURFACE_MEMO.get(key), None
     if surf is None:
-        for old in _SURFACE_MEMO.values():
-            spare = vars(old).pop("dstar", None)
-        _SURFACE_MEMO.clear()  # first, so that the old surface is freed before the new one is built
+        # The old surface goes first, so that it is freed before the new one is built.
+        spare = _SURFACE_MEMO.popitem()[1].take_dstar() if _SURFACE_MEMO else None
+        # Storage that anything else references is not reused.  Only a local
+        # references ``probe``, as only ``spare`` references an unshared spare:
+        # the two counts agree whether or not getrefcount counts its argument
+        # (from Python 3.14 a local may be passed without a new reference).
+        probe = object()
+        if spare is not None and sys.getrefcount(spare) > sys.getrefcount(probe):
+            spare = None
         surf = load_mesh(args.mesh, fmt=args.mesh_format, face_path=args.face,
                          read=texts.__getitem__)
         _SURFACE_MEMO[key] = surf
-        # Storage that a caller still references is not reused: here the spare
-        # has two references, ``spare`` and getrefcount's argument.
-        if spare is not None and not (spare.shape == (surf.num_panels,) * 2
-                                      and sys.getrefcount(spare) <= 2):
+        if spare is not None and spare.shape != (surf.num_panels,) * 2:
             spare = None
     return surf, key, spare
 
@@ -205,10 +209,7 @@ def cmd_bem(args) -> int:
         _VECTOR_MEMO.clear()
         vectors = _VECTOR_MEMO[key] = panel_vectors(parse() if dist is None else dist, surf)
     if spare is not None and variant is None:
-        from . import bem  # the module attribute, so that a wrapped assemble_dstar is called
-        spare.setflags(write=True)
-        dstar = vars(surf)["dstar"] = bem.assemble_dstar(surf, out=spare)
-        dstar.setflags(write=False)  # as PanelSurface.dstar keeps it
+        surf.reuse_dstar(spare)
     result = material_energy(*vectors, surf, eps, variant, tol=args.tol)
     row = {"method": result.method, "energy_kcal_mol": result.value,
            "panels": surf.num_panels, **result.metadata}

@@ -49,6 +49,23 @@ class PanelSurface:
         dstar.setflags(write=False)
         return dstar
 
+    def take_dstar(self) -> np.ndarray | None:
+        """Forget the kept D* and return it (None if none was built), as storage to reuse."""
+        return self.__dict__.pop("dstar", None)
+
+    def reuse_dstar(self, storage: np.ndarray) -> np.ndarray:
+        """Build ``dstar`` into ``storage``, a D* of this size that ``take_dstar`` gave up.
+
+        ``bem.assemble_dstar(self, out=storage)`` overwrites every entry, so the
+        kept D* is bitwise the one ``dstar`` would allocate; the kernel need not
+        zero and fault in 8 T^2 fresh bytes.
+        """
+        from . import bem
+        storage.setflags(write=True)
+        dstar = self.__dict__["dstar"] = bem.assemble_dstar(self, out=storage)
+        dstar.setflags(write=False)
+        return dstar
+
     @property
     def num_panels(self) -> int:
         return int(self.triangles.shape[0])

@@ -680,6 +680,33 @@ def test_bem_reuses_no_dstar_that_a_caller_holds(tmp_path, monkeypatch):
     assert np.array_equal(kept_dstar(), library_dstar)
 
 
+def test_bem_guard_holds_where_a_local_is_counted_once(tmp_path, monkeypatch):
+    # From Python 3.14 getrefcount may not count its argument's own reference.
+    first, second, third = *same_size_meshes(tmp_path), tmp_path / "third.off"
+    sv.write_off(sv.load_mesh(first), third)
+    count = sys.getrefcount
+    monkeypatch.setattr(sys, "getrefcount", lambda obj: count(obj) - 2)
+    assert run_bem(first, "a.csv", tmp_path, monkeypatch)[0] == 0
+    dropped = weakref.ref(kept_dstar())
+    assert run_bem(second, "b.csv", tmp_path, monkeypatch)[0] == 0
+    held = kept_dstar()
+    assert held is dropped()  # unshared storage is still reused
+    snapshot = held.copy()
+    assert run_bem(third, "c.csv", tmp_path, monkeypatch)[0] == 0
+    assert kept_dstar() is not held and np.array_equal(held, snapshot)
+
+
+def test_bem_frees_the_replaced_surface_before_it_parses(tmp_path, monkeypatch):
+    first, second = same_size_meshes(tmp_path)
+    assert run_bem(first, "a.csv", tmp_path, monkeypatch)[0] == 0
+    (old,) = cli._SURFACE_MEMO.values()
+    old, alive, load = weakref.ref(old), [], cli.load_mesh
+    monkeypatch.setattr(cli, "load_mesh", lambda *a, **kw: alive.append(old() is not None)
+                        or load(*a, **kw))
+    assert run_bem(second, "b.csv", tmp_path, monkeypatch)[0] == 0
+    assert alive == [False]
+
+
 def test_manifest_digest_is_of_the_bytes_parsed(tmp_path, monkeypatch):
     mesh = tmp_path / "ico.off"
     sv.write_off(sv.icosphere(5.0, 1), mesh)
