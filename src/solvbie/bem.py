@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .mesh import PanelSurface
-from .model import COULOMB_KCAL, ChargeDistribution, DielectricPair, EnergyResult
+from .model import COULOMB_KCAL, ChargeDistribution, DielectricPair, EnergyResult, allocate
 from .sphere import BibeeVariant, _diagonal_solve
 
 DEFAULT_GMRES_TOL = 1e-8
@@ -80,20 +80,23 @@ def panel_vectors(dist: ChargeDistribution, surf: PanelSurface) -> tuple[np.ndar
     field kernel's area-weighted column sums are the Gauss probes (about -1
     inside): the first charge within NEAR_SINGULARITY_DISTANCE of a centroid
     or outside the surface is rejected, and so is a g or h that overflows.
+    Its three (T, Q) arrays (24 T Q bytes) that do not fit in memory are a DomainError.
     """
     origin = surf.centroids.mean(axis=0)
     c, p = surf.centroids - origin, dist.positions - origin
-    left, right = _sq_dist_factors(c, p)
-    r2 = left @ right
-    nearest, cols = np.argmin(r2, axis=0), np.arange(len(p))
+    t, q = len(c), len(p)
+    r2, kernel, r = allocate(f"charge-panel pass of {t} panels and {q} charges needs",
+                             (t, q), (t, q), (t, q))
+    np.matmul(*_sq_dist_factors(c, p), out=r2)
+    nearest, cols = np.argmin(r2, axis=0), np.arange(q)
     diff = dist.positions - surf.centroids[nearest]
     d2 = np.einsum("qd,qd->q", diff, diff)
     r2[nearest, cols] = d2
     dmin, n = np.sqrt(d2), surf.normals
-    kernel = np.column_stack([n, -np.einsum("td,td->t", n, c)]) @ (
-        np.column_stack([p, np.ones(len(p))]).T / (4.0 * np.pi))
+    np.matmul(np.column_stack([n, -np.einsum("td,td->t", n, c)]),
+              np.column_stack([p, np.ones(q)]).T / (4.0 * np.pi), out=kernel)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.sqrt(r2)
+        np.sqrt(r2, out=r)
         r2 *= r
         kernel /= r2
     bad = np.nonzero((dmin < NEAR_SINGULARITY_DISTANCE) | ~(surf.areas @ kernel < -0.5))[0]
@@ -138,10 +141,7 @@ def assemble_dstar(surf: PanelSurface, out: np.ndarray | None = None) -> np.ndar
     """
     t = surf.num_panels
     if out is None:
-        try:
-            out = np.empty((t, t))
-        except MemoryError:
-            raise DomainError(f"dense D* for {t} panels needs {8 * t * t} bytes") from None
+        (out,) = allocate(f"dense D* for {t} panels needs", (t, t))
     elif not (out.shape == (t, t) and out.dtype == np.float64
               and out.flags.c_contiguous and out.flags.writeable):
         raise ValueError(f"out must be a writeable C-contiguous float64 ({t}, {t}) array")

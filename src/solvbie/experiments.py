@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import DomainError
-from .model import DielectricPair, SphereModel
+from .model import DielectricPair, SphereModel, allocate
 from .sphere import (
     GB_METHODS,
     LAMBDA_VARIANTS,
@@ -110,12 +110,8 @@ def _draw(seed: int, indices, cfg: ExperimentConfig) -> tuple[np.ndarray, np.nda
     variates (cube-root transform), then the magnitudes.
     """
     k = cfg.charges_per_config
-    try:
-        pos = np.empty((len(indices), k, 3))
-        radii, q = np.empty((2, len(indices), k))
-    except MemoryError:
-        raise DomainError(f"charges of {len(indices)} configurations of {k} charges need "
-                          f"{40 * len(indices) * k} bytes") from None
+    pos, (radii, q) = allocate(f"charges of {len(indices)} configurations of {k} charges need",
+                               (len(indices), k, 3), (2, len(indices), k))
     for c, index in enumerate(indices):
         rng = np.random.default_rng([seed, index])
         rng.standard_normal(out=pos[c])
@@ -143,11 +139,8 @@ def run_comparison(
         raise DomainError("no methods requested")
     names, lams = zip((METHOD_KIRKWOOD, None), *methods)
     rows = []
-    try:
-        energies = np.empty((cfg.num_configs, len(names)))
-    except MemoryError:
-        raise DomainError(f"energies of {cfg.num_configs} configurations and {len(names)} "
-                          f"methods need {8 * cfg.num_configs * len(names)} bytes") from None
+    (energies,) = allocate(f"energies of {cfg.num_configs} configurations and {len(names)} "
+                           "methods need", (cfg.num_configs, len(names)))
     step = chunk_length(cfg.n_max, cfg.charges_per_config)
     for start in range(0, cfg.num_configs, step):
         indices = range(start, min(start + step, cfg.num_configs))

@@ -32,7 +32,7 @@ import functools
 import numpy as np
 
 from .errors import DomainError
-from .model import COULOMB_KCAL, ChargeDistribution
+from .model import COULOMB_KCAL, ChargeDistribution, allocate
 
 
 @functools.lru_cache(maxsize=8)
@@ -81,12 +81,8 @@ def _solid_table(pos: np.ndarray, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     c, k = pos.shape[:2]
-    try:
-        table = np.zeros((n_max + 1, n_max + 1, c, k))
-    except MemoryError:
-        raise DomainError(
-            f"solid harmonics to n_max {n_max} of {c} sets of {k} charges need "
-            f"{8 * (n_max + 1) ** 2 * c * k} bytes") from None
+    (table,) = allocate(f"solid harmonics to n_max {n_max} of {c} sets of {k} charges need",
+                        (n_max + 1, n_max + 1, c, k), zero=True)
     beta, _, sectoral = _solid_coefficients(n_max)
     # Charges of every set along one contiguous axis for the recurrence.
     flat = table.reshape(n_max + 1, n_max + 1, c * k)
@@ -183,12 +179,9 @@ def pair_spectrum(pos: np.ndarray, q: np.ndarray, n_max: int) -> np.ndarray:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     q, e = _scaled_charges(pos, q)
     c, k = q.shape
-    try:
-        gram, rr, older, old, new = np.empty((5, c, k, k))
-        spectra = np.empty((n_max + 1, c, 1, 1))
-    except MemoryError:
-        raise DomainError(f"pair spectra to n_max {n_max} of {c} sets of {k} charges need "
-                          f"{8 * c * (5 * k * k + n_max + 1)} bytes") from None
+    (gram, rr, older, old, new), spectra = allocate(
+        f"pair spectra to n_max {n_max} of {c} sets of {k} charges need",
+        (5, c, k, k), (n_max + 1, c, 1, 1))
     np.matmul(pos, pos.transpose(0, 2, 1), out=gram)
     r2 = gram.diagonal(axis1=1, axis2=2)
     np.multiply(r2[:, :, None], r2[:, None, :], out=rr)

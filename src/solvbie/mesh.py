@@ -282,16 +282,15 @@ def icosphere(radius: float = 1.0, subdivisions: int = 2) -> PanelSurface:
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
     ]
-    verts = [tuple(v) for v in verts]
-    index = {v: i for i, v in enumerate(verts)}
+    verts, index = list(verts), {}
 
     def midpoint(a, b):
-        m = tuple((np.array(verts[a]) + np.array(verts[b])) / 2.0)
-        m = tuple(np.array(m) / np.linalg.norm(m))
-        if m not in index:
-            index[m] = len(verts)
-            verts.append(m)
-        return index[m]
+        key = (min(a, b), max(a, b))
+        if key not in index:
+            m = (verts[a] + verts[b]) / 2.0
+            index[key] = len(verts)
+            verts.append(m / np.linalg.norm(m))
+        return index[key]
 
     for _ in range(subdivisions):
         new_faces = []

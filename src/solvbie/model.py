@@ -1,4 +1,4 @@
-"""Core records: charge sets, dielectric pairs, sphere models, energies.
+"""Core records: charge sets, dielectric pairs, sphere models, energies; table allocation.
 
 A charge set (``ChargeDistribution``) is one record of two read-only float
 arrays, (Q, 3) positions and (Q,) magnitudes, checked once when it is built.
@@ -22,6 +22,19 @@ from .errors import DomainError, EmptyInputError, ParseError, read_text
 
 #: Coulomb constant, kcal mol^-1 Angstrom e^-2 (CHARMM convention).
 COULOMB_KCAL = 332.0636
+
+
+def allocate(what: str, *shapes, zero: bool = False) -> list[np.ndarray]:
+    """The float64 buffers of one input-sized table, one per shape, zero-filled if ``zero``.
+
+    A table too large for memory or for the address space is a DomainError
+    "{what} {nbytes} bytes", nbytes the 8-byte entries of all the shapes.
+    """
+    make = np.zeros if zero else np.empty
+    try:
+        return [make(shape) for shape in shapes]
+    except (MemoryError, ValueError):  # ValueError: past the address space
+        raise DomainError(f"{what} {8 * sum(map(math.prod, shapes))} bytes") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -62,13 +62,8 @@ from .harmonics import (
     source_moments,  # re-exported as sphere.source_moments
     truncation_tail_estimate,
 )
-from .model import (
-    COULOMB_KCAL,
-    ChargeDistribution,
-    DielectricPair,
-    EnergyResult,
-    SphereModel,
-)
+from .model import (COULOMB_KCAL, ChargeDistribution, DielectricPair, EnergyResult, SphereModel,
+                    allocate)
 
 METHOD_KIRKWOOD = "kirkwood"
 VARIANT_CFA = "cfa"
@@ -351,11 +346,7 @@ def _inverse_still(pos: np.ndarray, radii: np.ndarray) -> np.ndarray:
     c, n = pos.shape[:2]
     if radii.shape != (c, n):
         raise DomainError(f"{radii.shape[-1]} effective radii for {n} charges")
-    try:
-        d2, inv_f = np.empty((c, n, n)), np.empty((c, n, n))
-    except MemoryError:
-        raise DomainError(
-            f"Still matrices of {c} sets of {n} charges need {16 * c * n * n} bytes") from None
+    d2, inv_f = allocate(f"Still matrices of {c} sets of {n} charges need", (c, n, n), (c, n, n))
     r2 = np.sum(pos * pos, axis=-1)
     np.matmul(pos, -2.0 * pos.transpose(0, 2, 1), out=d2)
     d2 += r2[:, :, None]

@@ -239,6 +239,10 @@ class TestStageInput:
                 sv.bibee_surface_charge(bad, surf, EPS_BIO, sv.BibeeVariant(stage))
         assert "dstar" not in vars(surf)  # so no product either
 
+    def test_non_finite_density_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^non-finite surface charge density$"):
+            bem.SurfaceCharge(np.array([0.0, np.inf]), "BEM-exact")
+
 
 def reference_dstar(surf):
     """D* entry by entry, with the diagonal from the double-layer row sums."""
@@ -291,6 +295,15 @@ class TestDstar:
         monkeypatch.setattr(bem.np, "empty", refuse)
         with pytest.raises(DomainError, match="dense D\\* for 80 panels needs 51200 bytes"):
             sv.assemble_dstar(surf)
+
+    @pytest.mark.parametrize("case", ["shape", "float32", "fortran", "read-only"])
+    def test_bad_out_is_a_value_error(self, case):
+        out = {"shape": np.empty((80, 79)), "float32": np.empty((80, 80), dtype=np.float32),
+               "fortran": np.empty((80, 80), order="F"), "read-only": np.empty((80, 80))}[case]
+        out.setflags(write=case != "read-only")
+        message = r"^out must be a writeable C-contiguous float64 \(80, 80\) array$"
+        with pytest.raises(ValueError, match=message):
+            sv.assemble_dstar(sv.icosphere(5.0, 1), out=out)
 
 
     def test_surface_keeps_one_read_only_dstar(self, mesh_320):

@@ -412,6 +412,26 @@ def test_bem_dense_matrix_unallocatable_exit_4(tmp_path, monkeypatch, capsys):
     assert "dense D* for 80 panels needs 51200 bytes" in capsys.readouterr().err
 
 
+def test_bem_charge_panel_pass_unallocatable_exit_4(tmp_path, monkeypatch, capsys):
+    mesh = tmp_path / "ico.off"
+    sv.write_off(sv.icosphere(5.0, 1), mesh)
+    empty = np.empty
+
+    def refuse_pass(shape, *args, **kwargs):
+        if shape == (80, 2):
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse_pass)
+    code = run(["bem", "--mesh", str(mesh), "--variant", "cfa", "--charge", "0,0,0,1",
+                "--charge", "1,0,0,-1"], tmp_path, monkeypatch)
+    assert code == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("solvbie: domain error: charge-panel pass of 80 panels and 2 charges "
+                       "needs 3840 bytes\n")
+
+
 def test_open_mesh_exit_3(tmp_path, monkeypatch):
     mesh = tmp_path / "open.off"
     mesh.write_text("OFF\n4 3 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
@@ -1000,6 +1020,9 @@ EXIT_FIXTURES = {
     "not_utf8.face": b"\xff\xfe1 2 3\n",
     "tet.vert": TET_VERTS,
     "tet.face": "1 3 2\n1 2 4\n1 4 3\n2 3 4\n",
+    "counts_text.vert": "four 1 1.5 0\n" + TET_VERTS,
+    "two_fields.vert": "0 0\n1 0 0\n0 1 0\n0 0 1\n",
+    "comments_only.vert": "# MSMS vertices\n# none\n",
     "text.pqr": "ATOM 1 N X 1 0 0 0 oops 1.5\n",
     "no_atoms.pqr": "REMARK nothing here\n",
     "invalid.json": "{not json",
@@ -1045,10 +1068,21 @@ EXIT_CASES = {
     "MSMS face not UTF-8": ([*BEM, "{d}/tet.vert", "--mesh-format", "msms",
                              "--face", "{d}/not_utf8.face"], 3,
                             "input error: {d}/not_utf8.face: not UTF-8 text"),
+    "MSMS counts line of text": ([*BEM, "{d}/counts_text.vert", "--mesh-format", "msms",
+                                  "--face", "{d}/tet.face"], 3,
+                                 "{d}/counts_text.vert:1: non-numeric field"),
+    "MSMS vertex of two fields": ([*BEM, "{d}/two_fields.vert", "--mesh-format", "msms",
+                                   "--face", "{d}/tet.face"], 3,
+                                  "{d}/two_fields.vert:1: expected at least 3 fields"),
+    "MSMS vert of comments only": ([*BEM, "{d}/comments_only.vert", "--mesh-format", "msms",
+                                    "--face", "{d}/tet.face"], 3,
+                                   "{d}/comments_only.vert/{d}/tet.face: no mesh data found"),
     "missing PQR": ([*SPHERE, "--pqr", "{d}/missing.pqr"], 3, "file error:"),
     "missing mesh": ([*BEM, "{d}/missing.off"], 3, "file error:"),
     "inline charge of three fields": ([*SPHERE, "--charge", "0,0,0"], 3,
                                       "inline charge must be 'x,y,z,q'"),
+    "non-numeric inline charge field": ([*SPHERE, "--charge", "0,0,x,1"], 3,
+                                        "non-numeric inline charge field in '0,0,x,1'"),
     "no charges": ([*SPHERE], 3, "no charges given"),
     "non-numeric PQR field": ([*SPHERE, "--pqr", "{d}/text.pqr"], 3, "non-numeric field"),
     "PQR without atoms": ([*SPHERE, "--pqr", "{d}/no_atoms.pqr"], 3,
@@ -1105,6 +1139,11 @@ EXIT_CASES = {
                                             "finite, got -1"),
     "negative n_max": ([*SPHERE, "--charge", "0,0,0,1", "--nmax", "-1"], 4,
                        "n_max must be >= 0"),
+    # 3.2e19 bytes: numpy raises ValueError, not MemoryError, past the address space.
+    "spectra past the address space": (
+        [*SPHERE, "--charge", "0,0,0,1", "--nmax", "4000000000000000000"], 4,
+        "pair spectra to n_max 4000000000000000000 of 1 sets of 1 charges need "
+        "32000000000000000048 bytes"),
     "infinite sphere radius": (["sphere", "--radius", "inf", "--charge", "0,0,1,1"], 4,
                                "sphere radius must be positive and finite, got inf"),
     "infinite sphere radius in a config": (["experiment", "--config", "{d}/infinite_radius.json"],

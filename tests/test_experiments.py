@@ -40,6 +40,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("overrides", [
         {"sphere_radius": 0.0}, {"eps_in": 0.0}, {"eps_out": -80.0}, {"n_max": -1},
+        {"num_configs": 0}, {"charges_per_config": -1},
     ])
     def test_sphere_checked_at_load(self, overrides):
         with pytest.raises(DomainError):

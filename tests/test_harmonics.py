@@ -137,6 +137,12 @@ def test_spectrum_rejects_a_charge_outside_the_unit_ball(spectrum, z):
         spectrum(pos, np.ones((1, 2)), 3)
 
 
+@pytest.mark.parametrize("spectrum", [sv.pair_spectrum, sv.solid_spectrum])
+def test_spectrum_rejects_a_negative_n_max(spectrum):
+    with pytest.raises(DomainError, match="n_max must be >= 0, got -1"):
+        spectrum(np.zeros((1, 1, 3)), np.ones((1, 1)), -1)
+
+
 def test_rotational_covariance_about_z():
     rng = np.random.default_rng(5)
     pos = rng.uniform(-2, 2, (7, 3))

@@ -107,6 +107,9 @@ def test_inconsistent_winding_rejected():
     # A fin: a fifth triangle on the tetrahedron's edge (0, 1).
     (np.vstack([TET_VERTS, [[0.5, -1.0, 0.5]]]), np.vstack([TET_FACES, [[0, 1, 4]]]),
      "edge (0, 1) shared by 3 triangles; surface is open or non-manifold"),
+    # Two disjoint tetrahedra: closed, but the mesh centroid lies outside both.
+    (np.vstack([TET_VERTS, TET_VERTS + 10.0]), np.vstack([TET_FACES, TET_FACES + 4]),
+     "cannot establish outward orientation (Gauss probe 0.000 at mesh centroid)"),
 ])
 def test_topology_error_names_first_bad_edge(verts, faces, message):
     with pytest.raises(TopologyError) as exc:

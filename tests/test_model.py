@@ -100,14 +100,15 @@ def test_load_pqr_single_line(tmp_path):
     assert d.metadata["pqr_radii"] == [1.85]
 
 
-def test_load_pqr_with_chain_field(tmp_path):
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_load_pqr_with_chain_field(tmp_path, newline):
     p = tmp_path / "chain.pqr"
-    p.write_text(
+    p.write_bytes((
         "REMARK generated\n"
         "ATOM      1  N   ALA A   1      11.104   6.134  -6.504  -0.3000 1.8500\n"
         "HETATM    2  O   HOH B   2       1.000   2.000   3.000   0.4170 1.4000\n"
         "TER\nEND\n"
-    )
+    ).replace("\n", newline).encode())
     d = sv.load_pqr(p)
     assert len(d) == 2
     assert d.positions[0].tolist() == [11.104, 6.134, -6.504]
@@ -121,10 +122,14 @@ def test_load_pqr_empty_file(tmp_path):
         sv.load_pqr(p)
 
 
-def test_load_pqr_bad_charge_field(tmp_path):
+@pytest.mark.parametrize("record, message", [
+    ("ATOM 1 N X 1 0.0 0.0 0.0 oops 1.85", ":1: non-numeric field"),
+    ("ATOM 1 N 0.0 0.0 0.0", ":1: too few fields in PQR record"),
+], ids=["non-numeric", "short"])
+def test_load_pqr_bad_charge_field(tmp_path, record, message):
     p = tmp_path / "bad.pqr"
-    p.write_text("ATOM 1 N X 1 0.0 0.0 0.0 oops 1.85\n")
-    with pytest.raises(ParseError, match=":1:"):
+    p.write_text(record + "\n")
+    with pytest.raises(ParseError, match=message):
         sv.load_pqr(p)
 
 

@@ -75,6 +75,8 @@ class TestBibeeVariants:
             sv.BibeeVariant("lambda", -0.6)
         with pytest.raises(DomainError):
             sv.BibeeVariant("lambda", 0.1)
+        with pytest.raises(DomainError, match="unknown variant tag 'bogus'"):
+            sv.BibeeVariant("bogus")
 
     def test_lambda_half_equals_cfa(self):
         d = random_ball_distribution(2, 0)
